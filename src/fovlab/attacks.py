@@ -6,7 +6,7 @@ moved or removed, so |attacked| - |benign| == n_points exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree

@@ -4,7 +4,13 @@ Subcommands: synth, attack, estimate, train, infer, eval, crossval, sweep,
 bench. Every command accepts --seed, prints its resolved configuration, and
 is reproducible from (config, seed) alone.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
+estimate, eval and sweep score every frame on its own: a frame its estimator
+cannot handle (for example rayc on fewer than 3 points) becomes a row with an
+"error" message, is left out of pooled and mean metrics, and the command still
+succeeds.
+
+Exit codes: 0 ok, 2 usage (including an unknown estimator name), 3 data
+error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,16 +26,13 @@ import numpy as np
 from . import io as fio
 from .attacks import AttackSpec
 from .config import load_config, parse_config, resolved_dict
-from .datasets import (attack_dataset, frames_to_pairs, load_frames, load_manifest,
-                       manifest_filter, manifest_grid, synthesize_dataset)
+from .datasets import attack_dataset, derive_seed, frames_to_pairs, open_dataset, synthesize_dataset
 from .errors import DataError, FovlabError, NumericError
-from .experiments import (SweepFrame, classical_mask, crossval, format_table, measure_hz,
-                          security_sweep, write_csv, write_jsonl,
-                          CROSSVAL_DROPOUT, CROSSVAL_LR)
-from .geometry import cloud_to_bev, filter_points, project_to_bev
-from .metrics import ConfusionCounts, auprc, auprc_arrays, confusion, iou, metrics
-from .segnet import (NetConfig, TrainConfig, binarize, infer_mcd, infer_mle,
-                     load_checkpoint, save_checkpoint, train, unet_init)
+from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_DROPOUT, CROSSVAL_LR, ESTIMATORS,
+                          crossval, evaluate, format_table, make_estimator, measure_hz,
+                          security_sweep, write_csv, write_jsonl)
+from .metrics import iou
+from .segnet import NetConfig, TrainConfig, load_checkpoint, save_checkpoint, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
 
 
@@ -82,29 +85,24 @@ def cmd_attack(args) -> int:
 
 def cmd_estimate(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    frames = load_frames(root, args.split)
-    if not frames:
-        raise DataError(f"dataset split {args.split!r} is empty")
+    grid, filt, frames = open_dataset(args.dataset, args.split)
+    estimate = make_estimator(args.method, grid, filt, n_bins=args.n_bins, k=args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    total = ConfusionCounts(0, 0, 0, 0)
-    for i, frame in enumerate(frames):
-        pts = filter_points(project_to_bev(frame.cloud), filt)[:, :2]
-        mask = classical_mask(args.method, pts, grid, n_bins=args.n_bins, k=args.k)
+    ious = {}
+
+    def predict(i):
+        mask = estimate(frames[i].cloud, 0)[0]
         fio.save_mask_pgm(out / f"pred_{i:05d}.pgm", mask)
-        c = confusion(mask, frame.mask)
-        total = total + c
-        rec = metrics(c, {"frame": i, "method": args.method})
-        rows.append({**rec.to_row(), "iou": iou(mask, frame.mask)})
-    pooled = metrics(total, {"frame": "pooled", "method": args.method})
-    rows.append(pooled.to_row())
-    write_jsonl(out / "metrics.jsonl", rows)
-    print(format_table([rows[-1]]))
+        ious[i] = iou(mask, frames[i].mask)
+        return mask, None
+
+    rows, pooled = evaluate(predict, [f.mask for f in frames], {"method": args.method})
+    for row in rows:
+        if row["frame"] in ious:
+            row["iou"] = ious[row["frame"]]
+    write_jsonl(out / "metrics.jsonl", rows + [pooled])
+    print(format_table([pooled]))
     return 0
 
 
@@ -114,17 +112,13 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, max_epochs=args.epochs))
     if args.lr:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, learning_rate=args.lr))
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
+    grid, filt, train_frames = open_dataset(args.dataset, "train")
+    _, _, val_frames = open_dataset(args.dataset, "val")
     net_cfg = dataclasses.replace(cfg.net, resolution=grid.resolution)
     _echo_config(args, {"net": dataclasses.asdict(net_cfg),
                         "train": dataclasses.asdict(cfg.train)})
-    train_pairs = frames_to_pairs(load_frames(root, "train"), grid, filt)
-    val_pairs = frames_to_pairs(load_frames(root, "val"), grid, filt)
-    if not train_pairs or not val_pairs:
-        raise DataError("training needs non-empty train and val splits")
+    train_pairs = frames_to_pairs(train_frames, grid, filt)
+    val_pairs = frames_to_pairs(val_frames, grid, filt)
     net = unet_init(net_cfg, seed=cfg.seed)
     net, history = train(net, train_pairs, val_pairs, cfg.train)
     out = Path(args.out)
@@ -137,80 +131,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _iter_predictions(net, frames, grid, filt, mcd_passes, seed):
-    for i, frame in enumerate(frames):
-        img = cloud_to_bev(frame.cloud, grid, filt)
-        if mcd_passes:
-            sub = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-            pm, conf = infer_mcd(net, img, T=mcd_passes, seed=sub)
-        else:
-            pm, conf = infer_mle(net, img), None
-        yield i, frame, pm, conf
+def _network_estimator(args):
+    """Dataset frames and the MLE or MC-dropout estimator of `--checkpoint`."""
+    grid, filt, frames = open_dataset(args.dataset, args.split)
+    net = load_checkpoint(args.checkpoint)
+    return frames, make_estimator("mcd" if args.mcd else "mle", grid, filt, net=net,
+                                  mcd_passes=args.mcd, threshold=args.threshold)
 
 
 def cmd_infer(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    net = load_checkpoint(args.checkpoint)
-    if net.config.resolution != grid.resolution:
-        raise DataError(f"checkpoint resolution {net.config.resolution} != dataset "
-                        f"resolution {grid.resolution}")
-    frames = load_frames(root, args.split)
+    frames, estimate = _network_estimator(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, frame, pm, conf in _iter_predictions(net, frames, grid, filt,
-                                                args.mcd, args.seed or 0):
-        np.save(out / f"prob_{i:05d}.npy", pm.values)
-        fio.save_mask_pgm(out / f"pred_{i:05d}.pgm", binarize(pm, args.threshold))
-        if conf is not None:
-            np.save(out / f"conf_{i:05d}.npy", conf.sigma)
+    for i, frame in enumerate(frames):
+        mask, scores, sigma = estimate(frame.cloud, derive_seed(args.seed or 0, i))
+        np.save(out / f"prob_{i:05d}.npy", scores)
+        fio.save_mask_pgm(out / f"pred_{i:05d}.pgm", mask)
+        if sigma is not None:
+            np.save(out / f"conf_{i:05d}.npy", sigma)
     print(f"wrote {len(frames)} predictions to {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    net = load_checkpoint(args.checkpoint)
-    frames = load_frames(root, args.split)
-    if not frames:
-        raise DataError(f"dataset split {args.split!r} is empty")
-    rows = []
-    total = ConfusionCounts(0, 0, 0, 0)
-    scores, gts = [], []
-    for i, frame, pm, conf in _iter_predictions(net, frames, grid, filt,
-                                                args.mcd, args.seed or 0):
-        c = confusion(binarize(pm, args.threshold), frame.mask)
-        total = total + c
-        # AUPRC is undefined without a visible cell; such a row records null.
-        row = metrics(c, {"frame": i}).to_row()
-        row["auprc"] = auprc(pm, frame.mask) if c.tp + c.fn else None
-        rows.append(row)
-        scores.append(pm.values.ravel())
-        gts.append(frame.mask.mask.ravel())
-    pooled = metrics(total, {"frame": "pooled"}).to_row()
-    pooled["auprc"] = (auprc_arrays(np.concatenate(scores), np.concatenate(gts))
-                       if total.tp + total.fn else None)
-    rows.append(pooled)
+    frames, estimate = _network_estimator(args)
+    rows, pooled = evaluate(lambda i: estimate(frames[i].cloud, derive_seed(args.seed or 0, i)),
+                            [f.mask for f in frames])
     if args.out:
-        write_jsonl(args.out, rows)
-    print(format_table([rows[-1]]))
+        write_jsonl(args.out, rows + [pooled])
+    print(format_table([pooled]))
     return 0
 
 
 def cmd_crossval(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    pairs = frames_to_pairs(load_frames(root, "train"), grid, filt)
+    grid, filt, frames = open_dataset(args.dataset, "train")
+    pairs = frames_to_pairs(frames, grid, filt)
     base = [int(b) for b in args.base_channels.split(",")]
     grid_cfgs = []
     for b in base:
@@ -235,23 +193,11 @@ def cmd_crossval(args) -> int:
 
 def cmd_sweep(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    frames = [SweepFrame(f.cloud, f.mask) for f in load_frames(root, args.split)]
-    if not frames:
-        raise DataError(f"dataset split {args.split!r} is empty")
-    estimators = args.estimators.split(",")
-    models = {}
-    for kind in ("mle", "mcd"):
-        if kind in estimators:
-            if not args.checkpoint:
-                raise DataError(f"estimator {kind!r} needs --checkpoint")
-            models[kind] = load_checkpoint(args.checkpoint)
+    grid, filt, frames = open_dataset(args.dataset, args.split)
+    net = load_checkpoint(args.checkpoint) if args.checkpoint else None
     counts = [int(c) for c in args.counts.split(",")]
     per_frame: list[dict] = []
-    rows = security_sweep(frames, grid, filt, estimators=estimators, models=models,
+    rows = security_sweep(frames, grid, filt, estimators=args.estimators, net=net,
                           spoof_counts=counts, n_bins=args.n_bins, k=args.k,
                           mcd_passes=args.mcd or 20, seed=args.seed or 0,
                           per_frame_rows=per_frame)
@@ -265,36 +211,28 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     _echo_config(args)
-    root = Path(args.dataset)
-    manifest = load_manifest(root)
-    grid = manifest_grid(manifest)
-    filt = manifest_filter(manifest)
-    frames = load_frames(root, args.split)
-    if not frames:
-        raise DataError(f"dataset split {args.split!r} is empty")
+    grid, filt, frames = open_dataset(args.dataset, args.split)
     clouds = [f.cloud for f in frames]
     while len(clouds) < args.frames:
         clouds = clouds + clouds[: args.frames - len(clouds)]
     clouds = clouds[: args.frames]
-
-    if args.method == "unet":
-        if not args.checkpoint:
-            raise DataError("bench --method unet needs --checkpoint")
-        net = load_checkpoint(args.checkpoint)
-
-        def run(cloud):
-            return infer_mle(net, cloud_to_bev(cloud, grid, filt))
-    else:
-        def run(cloud):
-            pts = filter_points(project_to_bev(cloud), filt)[:, :2]
-            return classical_mask(args.method, pts, grid, n_bins=args.n_bins, k=args.k)
-
-    run(clouds[0])  # warm caches before timing
-    stats = measure_hz(run, clouds)
+    net = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    estimate = make_estimator(args.method, grid, filt, net=net, n_bins=args.n_bins, k=args.k)
+    estimate(clouds[0], 0)  # warm caches before timing
+    stats = measure_hz(lambda cloud: estimate(cloud, 0), clouds)
     stats["method"] = args.method
     stats["resolution"] = grid.resolution
     print(json.dumps(stats, sort_keys=True))
     return 0
+
+
+def _estimator_list(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [n for n in names if n not in ESTIMATORS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown estimators {unknown}; "
+                                         f"choose from {', '.join(ESTIMATORS)}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("estimate", cmd_estimate, "run a classical FOV estimator over a dataset")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--method", required=True, choices=("rayq", "rayc", "concave"))
+    sp.add_argument("--method", required=True, choices=CLASSICAL_ESTIMATORS)
     sp.add_argument("--n-bins", type=int, default=360)
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--out", required=True, help="directory for masks and metrics.jsonl")
@@ -371,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("sweep", cmd_sweep, "metrics vs spoof count for a set of estimators")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--estimators", default="rayq,rayc,concave")
+    sp.add_argument("--estimators", type=_estimator_list, default="rayq,rayc,concave")
     sp.add_argument("--counts", default="0,25,50,75,100,125,150")
     sp.add_argument("--checkpoint", help="checkpoint for mle/mcd estimators")
     sp.add_argument("--mcd", type=int, default=20)
@@ -382,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bench", cmd_bench, "throughput of the full preprocess+estimate path")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--method", default="rayq", choices=("rayq", "rayc", "concave", "unet"))
+    sp.add_argument("--method", default="rayq", choices=ESTIMATORS)
     sp.add_argument("--checkpoint")
     sp.add_argument("--frames", type=int, default=50)
     sp.add_argument("--n-bins", type=int, default=720)

@@ -8,8 +8,6 @@ rejected before any work starts.
       "lidar":   {...LidarModel},          # defaults follow the family
       "grid":    {"extent": 75, "resolution": 256},
       "filter":  {...FilterSpec},
-      "attack":  {...AttackSpec},          # optional
-      "defense": {...DefenseSpec},         # optional
       "net":     {...NetConfig},
       "train":   {...TrainConfig},
       "frames":  {"train": 400, "val": 50, "test": 100},
@@ -25,14 +23,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attacks import AttackSpec, DefenseSpec
 from .errors import DataError
 from .scenes import LidarModel, SceneFamily, default_grid, default_lidar
 from .segnet import NetConfig, TrainConfig
 from .types import FilterSpec, GridSpec
 
-_SECTIONS = ("family", "lidar", "grid", "filter", "attack", "defense",
-             "net", "train", "frames", "seed", "out_dir")
+_SECTIONS = ("family", "lidar", "grid", "filter", "net", "train", "frames",
+             "seed", "out_dir")
 
 
 def build_dataclass(cls, doc: dict, where: str):
@@ -61,8 +58,6 @@ class ExperimentConfig:
     frames: dict
     seed: int = 0
     out_dir: str | None = None
-    attack: AttackSpec | None = None
-    defense: DefenseSpec | None = None
 
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
@@ -102,18 +97,12 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     if not isinstance(frames, dict) or set(frames) - {"train", "val", "test"}:
         raise DataError(f"{where}.frames: expected keys from {{train, val, test}}")
 
-    attack = build_dataclass(AttackSpec, doc["attack"], f"{where}.attack") \
-        if "attack" in doc else None
-    defense = build_dataclass(DefenseSpec, doc["defense"], f"{where}.defense") \
-        if "defense" in doc else None
-
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise DataError(f"{where}.seed: expected an integer")
     out_dir = doc.get("out_dir")
     return ExperimentConfig(family=family, lidar=lidar, grid=grid, filter=filt,
-                            net=net, train=train, frames=frames, seed=seed,
-                            out_dir=out_dir, attack=attack, defense=defense)
+                            net=net, train=train, frames=frames, seed=seed, out_dir=out_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -141,8 +130,4 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     }
     if cfg.out_dir is not None:
         out["out_dir"] = cfg.out_dir
-    if cfg.attack is not None:
-        out["attack"] = dataclasses.asdict(cfg.attack)
-    if cfg.defense is not None:
-        out["defense"] = dataclasses.asdict(cfg.defense)
     return out

@@ -39,9 +39,14 @@ class Frame:
     scene: Scene | None = None
 
 
+def derive_seed(*labels: int) -> int:
+    """Stable 32-bit seed for a cell of an experiment, from its integer labels."""
+    return int(np.random.SeedSequence(labels).generate_state(1)[0])
+
+
 def frame_seed(base_seed: int, split: str, index: int) -> int:
     """Stable per-frame seed; keeps splits disjoint in RNG space."""
-    return int(np.random.SeedSequence((base_seed, SPLITS.index(split), index)).generate_state(1)[0])
+    return derive_seed(base_seed, SPLITS.index(split), index)
 
 
 def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: GridSpec,
@@ -112,10 +117,6 @@ def manifest_filter(manifest: dict) -> FilterSpec:
     return FilterSpec(**f) if f else FilterSpec()
 
 
-def manifest_lidar(manifest: dict) -> LidarModel:
-    return LidarModel(**manifest["lidar"])
-
-
 def load_frames(root, split: str, with_scene: bool = False) -> list[Frame]:
     root = Path(root)
     manifest = load_manifest(root)
@@ -127,6 +128,15 @@ def load_frames(root, split: str, with_scene: bool = False) -> list[Frame]:
         scene = fio.load_scene(root / row["scene"]) if with_scene else None
         frames.append(Frame(cloud, mask, scene))
     return frames
+
+
+def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
+    """Grid, filter and frames of one split; an empty split is a DataError."""
+    manifest = load_manifest(root)
+    frames = load_frames(root, split)
+    if not frames:
+        raise DataError(f"dataset split {split!r} is empty")
+    return manifest_grid(manifest), manifest_filter(manifest), frames
 
 
 def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
@@ -164,7 +174,7 @@ def frames_to_pairs(frames: list[Frame], grid: GridSpec, filt: FilterSpec) -> li
 
 
 __all__ = [
-    "Frame", "SPLITS", "frame_seed", "synthesize_dataset", "attack_dataset",
-    "load_manifest", "load_frames", "frames_to_pairs",
-    "manifest_grid", "manifest_filter", "manifest_lidar",
+    "Frame", "SPLITS", "derive_seed", "frame_seed", "synthesize_dataset", "attack_dataset",
+    "load_manifest", "load_frames", "open_dataset", "frames_to_pairs",
+    "manifest_grid", "manifest_filter",
 ]

@@ -1,5 +1,6 @@
-"""Experiment harness: cross-validation, transfer matrices, security sweeps,
-parametric architecture study, and throughput benchmarking.
+"""Experiment harness: the estimator factory and the scoring core, and on top
+of them cross-validation, transfer matrices, security sweeps, the parametric
+architecture study and throughput benchmarking.
 
 Every experiment cell derives its RNG from (global seed, cell labels), so
 parallel and serial runs produce identical tables. Parallelism across cells
@@ -9,26 +10,25 @@ is capped by the FOVLAB_THREADS environment variable.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import mannwhitneyu
 
 from .attacks import AttackSpec, spoof
 from .classical import concave_hull, polar_to_mask, rasterize_polygon, raytrace_continuous, raytrace_quantized
+from .datasets import Frame, derive_seed
 from .errors import DataError
-from .geometry import cloud_to_bev, filter_points, project_to_bev, quantize
+from .geometry import cloud_to_bev, filter_points, project_to_bev
 from .metrics import ConfusionCounts, MetricRecord, auprc_arrays, confusion, metrics
 from .segnet import NetConfig, Network, TrainConfig, binarize, infer_mcd, infer_mle, parameter_count, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
-from .types import BevImage, FilterSpec, FovMask, GridSpec, PointCloud
+from .types import FilterSpec, GridSpec
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +36,8 @@ CROSSVAL_BASE_CHANNELS = (4, 8, 16, 32)
 CROSSVAL_DROPOUT = (0.05, 0.10, 0.15)
 CROSSVAL_LR = (1e-4, 1e-3, 1e-2)
 
-CLASSICAL_ESTIMATORS = ("rayq", "rayc", "concave")
-LEARNED_ESTIMATORS = ("mle", "mcd")
+ESTIMATORS = ("rayq", "rayc", "concave", "mle", "mcd")
+CLASSICAL_ESTIMATORS, LEARNED_ESTIMATORS = ESTIMATORS[:3], ESTIMATORS[3:]
 
 
 def max_workers() -> int:
@@ -50,16 +50,106 @@ def max_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def classical_mask(method: str, points_xy: np.ndarray, grid: GridSpec,
-                   n_bins: int = 360, k: int = 16) -> FovMask:
-    """Run one classical estimator and rasterize it onto the grid."""
-    if method == "rayq":
-        return polar_to_mask(raytrace_quantized(points_xy, n_bins), grid)
-    if method == "rayc":
-        return rasterize_polygon(raytrace_continuous(points_xy), grid)
-    if method == "concave":
-        return rasterize_polygon(concave_hull(points_xy, k), grid)
-    raise ValueError(f"unknown classical method {method!r}")
+# ----------------------------------------------------------------------------
+# estimators and scoring
+
+
+def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network | None = None,
+                   n_bins: int = 360, k: int = 16, mcd_passes: int = 20,
+                   threshold: float = DEFAULT_THRESHOLD):
+    """Return `estimate(cloud, seed) -> (mask, scores, sigma | None)` for one estimator.
+
+    Classical estimators run project -> filter -> estimator -> rasterize and
+    score each cell by its mask bit. 'mle' and 'mcd' run `cloud_to_bev` and
+    the network `net`; `seed` drives the MC-dropout passes. Parameters are
+    checked here, so a ValueError from `estimate` means a degenerate frame.
+    """
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; choose from {', '.join(ESTIMATORS)}")
+    if name in LEARNED_ESTIMATORS:
+        if net is None:
+            raise DataError(f"estimator {name!r} needs a checkpoint")
+        if net.config.resolution != grid.resolution:
+            raise DataError(f"checkpoint resolution {net.config.resolution} != dataset "
+                            f"resolution {grid.resolution}")
+        infer = _image_estimator(name, net, mcd_passes, threshold)
+        return lambda cloud, seed: infer(cloud_to_bev(cloud, grid, filt), seed)
+    if (name == "rayq" and n_bins < 8) or (name == "concave" and k < 3):
+        raise ValueError(f"{name} needs n_bins >= 8 and k >= 3, got n_bins={n_bins}, k={k}")
+
+    def estimate(cloud, seed):
+        pts = filter_points(project_to_bev(cloud), filt)[:, :2]
+        if name == "rayq":
+            mask = polar_to_mask(raytrace_quantized(pts, n_bins), grid)
+        elif name == "rayc":
+            mask = rasterize_polygon(raytrace_continuous(pts), grid)
+        else:
+            mask = rasterize_polygon(concave_hull(pts, k), grid)
+        return mask, mask.mask.astype(float), None
+    return estimate
+
+
+def _image_estimator(name: str, net: Network, mcd_passes: int, threshold: float):
+    """The learned estimators on a ready BEV image: `(image, seed) -> (mask, scores, sigma)`."""
+    if (name == "mcd" and mcd_passes < 1) or not 0.0 < threshold < 1.0:
+        raise ValueError(f"need mcd_passes >= 1 and threshold in (0, 1), "
+                         f"got {mcd_passes}, {threshold}")
+
+    def estimate(img, seed):
+        if name == "mcd":
+            pm, conf = infer_mcd(net, img, T=mcd_passes, seed=seed)
+            sigma = conf.sigma
+        else:
+            pm, sigma = infer_mle(net, img), None
+        return binarize(pm, threshold), pm.values, sigma
+    return estimate
+
+
+def _auprc(scores: np.ndarray, truth: np.ndarray) -> float | None:
+    """AUPRC, or None when there is no visible cell to rank."""
+    return auprc_arrays(scores, truth) if truth.any() else None
+
+
+def evaluate(predict, truths, labels: dict | None = None) -> tuple[list[dict], dict]:
+    """Score predictions against ground truth, frame by frame and pooled.
+
+    `predict(i)` returns frame i's (mask, scores, ...); scores may be None,
+    which leaves AUPRC out, and anything after them is ignored. A ValueError
+    from `predict` makes the frame a row with its "error", left out of the
+    pool. AUPRC is None where no cell is visible. Returns (per-frame rows,
+    pooled row); every row carries `labels` and "frame".
+    """
+    labels = labels or {}
+    rows = []
+    total = ConfusionCounts(0, 0, 0, 0)
+    scored, truth = [], []
+    for i, gt in enumerate(truths):
+        try:
+            mask, scores = predict(i)[:2]
+        except ValueError as e:
+            rows.append({**labels, "frame": i, "error": str(e)})
+            continue
+        c = confusion(mask, gt)
+        total = total + c
+        row = metrics(c, {**labels, "frame": i}).to_row()
+        if scores is not None:
+            scored.append(np.ravel(scores))
+            truth.append(gt.mask.ravel())
+            row["auprc"] = _auprc(scored[-1], truth[-1])
+        rows.append(row)
+    pooled = metrics(total, {**labels, "frame": "pooled"}).to_row()
+    if scored:
+        pooled["auprc"] = _auprc(np.concatenate(scored), np.concatenate(truth))
+    return rows, pooled
+
+
+def _pooled(predict, truths) -> dict:
+    """Pooled row for callers that keep no per-frame rows, so a failed frame is an error."""
+    rows, pooled = evaluate(predict, truths)
+    for row in rows:
+        if "error" in row:
+            raise ValueError(f"frame {row['frame']}: {row['error']}")
+    return pooled
 
 
 # ----------------------------------------------------------------------------
@@ -123,24 +213,6 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
 # transfer matrix
 
 
-def _pooled_record(net: Network, pairs, mode: str, threshold: float,
-                   mcd_passes: int, seed: int, labels: dict) -> MetricRecord:
-    total = ConfusionCounts(0, 0, 0, 0)
-    scores, gts = [], []
-    for i, (img, gt) in enumerate(pairs):
-        if mode == "mcd":
-            pm, _ = infer_mcd(net, img, T=mcd_passes, seed=int(
-                np.random.SeedSequence((seed, i)).generate_state(1)[0]))
-        else:
-            pm = infer_mle(net, img)
-        total = total + confusion(binarize(pm, threshold), gt)
-        scores.append(pm.values.ravel())
-        gts.append(gt.mask.ravel())
-    rec = metrics(total, labels)
-    rec.auprc = auprc_arrays(np.concatenate(scores), np.concatenate(gts))
-    return rec
-
-
 def transfer_matrix(models: dict, test_sets: dict, threshold: float = DEFAULT_THRESHOLD,
                     mcd_passes: int = 20, seed: int = 0) -> list[MetricRecord]:
     """Evaluate every (train family, test family, variant, model kind) cell.
@@ -165,8 +237,12 @@ def transfer_matrix(models: dict, test_sets: dict, threshold: float = DEFAULT_TH
             raise DataError(f"missing checkpoint for cell train={train_family}")
         labels = {"train": train_family, "test": test_family,
                   "variant": variant, "model": kind}
-        return _pooled_record(net, test_sets[(test_family, variant)], kind,
-                              threshold, mcd_passes, seed, labels)
+        pairs = test_sets[(test_family, variant)]
+        estimate = _image_estimator(kind, net, mcd_passes, threshold)
+        pooled = _pooled(lambda i: estimate(pairs[i][0], derive_seed(seed, i)),
+                         [gt for _, gt in pairs])
+        return MetricRecord(pooled["precision"], pooled["recall"], pooled["accuracy"],
+                            pooled["f1"], pooled["auprc"], labels)
 
     workers = min(max_workers(), len(cells))
     if workers > 1:
@@ -179,77 +255,44 @@ def transfer_matrix(models: dict, test_sets: dict, threshold: float = DEFAULT_TH
 # security sweep
 
 
-@dataclass
-class SweepFrame:
-    """One benign test frame with everything estimators need."""
-    cloud: PointCloud
-    gt: FovMask
-
-
-def security_sweep(frames: list[SweepFrame], grid: GridSpec, filt: FilterSpec,
-                   estimators=CLASSICAL_ESTIMATORS, models: dict | None = None,
+def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
+                   estimators=CLASSICAL_ESTIMATORS, net: Network | None = None,
                    spoof_counts=(0, 25, 50, 75, 100, 125, 150),
                    threshold: float = DEFAULT_THRESHOLD, mcd_passes: int = 20,
                    n_bins: int = 360, k: int = 16, seed: int = 0,
                    per_frame_rows: list | None = None) -> list[dict]:
     """Mean metrics per (estimator, spoof count) under uniform spoofing.
 
-    `models` supplies networks for the learned estimators ('mle', 'mcd').
-    Per-frame records are appended to `per_frame_rows` when given (long-format
-    table for violin plots).
+    `net` is the network of the learned estimators ('mle', 'mcd'). Means
+    run over the frames that were scored; a metric no frame defines is None.
+    Per-frame records, failed frames included, are appended to
+    `per_frame_rows` when given (long-format table for violin plots).
     """
-    models = models or {}
+    estimates = [(est, make_estimator(est, grid, filt, net=net, n_bins=n_bins, k=k,
+                                      mcd_passes=mcd_passes, threshold=threshold))
+                 for est in estimators]
+    counts = [int(n) for n in spoof_counts]
+    attacks = {n: AttackSpec(kind="uniform", n_points=n, budget=max(150, n), bounds=grid.extent)
+               for n in counts if n}
+    truths = [f.mask for f in frames]
     rows = []
-    for est in estimators:
-        if est in LEARNED_ESTIMATORS and est not in models:
-            raise DataError(f"security sweep needs a model for estimator {est!r}")
-        for n_spoof in spoof_counts:
-            per = []
-            for fi, frame in enumerate(frames):
-                cloud = frame.cloud
+    for est, estimate in estimates:
+        for n_spoof in counts:
+            def predict(fi):
+                cloud = frames[fi].cloud
                 if n_spoof:
-                    atk = AttackSpec(kind="uniform", n_points=int(n_spoof),
-                                     budget=max(150, int(n_spoof)), bounds=grid.extent,
-                                     seed=int(np.random.SeedSequence(
-                                         (seed, fi, int(n_spoof))).generate_state(1)[0]))
-                    cloud = spoof(cloud, atk)
-                pts = filter_points(project_to_bev(cloud), filt)
-                if est in CLASSICAL_ESTIMATORS:
-                    mask = classical_mask(est, pts[:, :2], grid, n_bins=n_bins, k=k)
-                    scores = mask.mask.astype(float).ravel()
-                else:
-                    img = quantize(pts[:, :2], grid)
-                    if est == "mcd":
-                        pm, _ = infer_mcd(models[est], img, T=mcd_passes, seed=int(
-                            np.random.SeedSequence((seed, fi, int(n_spoof), 1)).generate_state(1)[0]))
-                    else:
-                        pm = infer_mle(models[est], img)
-                    mask = binarize(pm, threshold)
-                    scores = pm.values.ravel()
-                rec = metrics(confusion(mask, frame.gt))
-                rec.auprc = auprc_arrays(scores, frame.gt.mask.ravel())
-                per.append(rec)
-                if per_frame_rows is not None:
-                    per_frame_rows.append({
-                        "estimator": est, "n_spoof": int(n_spoof), "frame": fi,
-                        "precision": rec.precision, "recall": rec.recall,
-                        "f1": rec.f1, "auprc": rec.auprc,
-                    })
-            rows.append({
-                "estimator": est, "n_spoof": int(n_spoof),
-                "precision": float(np.mean([r.precision for r in per])),
-                "recall": float(np.mean([r.recall for r in per])),
-                "accuracy": float(np.mean([r.accuracy for r in per])),
-                "f1": float(np.mean([r.f1 for r in per])),
-                "auprc": float(np.mean([r.auprc for r in per])),
-            })
+                    cloud = spoof(cloud, replace(attacks[n_spoof], seed=derive_seed(seed, fi, n_spoof)))
+                return estimate(cloud, derive_seed(seed, fi, n_spoof, 1))
+
+            per, _ = evaluate(predict, truths, {"estimator": est, "n_spoof": n_spoof})
+            if per_frame_rows is not None:
+                per_frame_rows.extend({c: r[c] for c in r if c != "accuracy"} for r in per)
+            row = {"estimator": est, "n_spoof": n_spoof}
+            for key in ("precision", "recall", "accuracy", "f1", "auprc"):
+                values = [r[key] for r in per if r.get(key) is not None]
+                row[key] = float(np.mean(values)) if values else None
+            rows.append(row)
     return rows
-
-
-def anomaly_ordering_pvalue(benign_scores, attacked_scores) -> float:
-    """One-sided Mann-Whitney U: attacked scores stochastically dominate benign."""
-    stat = mannwhitneyu(attacked_scores, benign_scores, alternative="greater")
-    return float(stat.pvalue)
 
 
 # ----------------------------------------------------------------------------
@@ -302,10 +345,8 @@ def parametric_study(make_pairs, widths=(8, 16, 32, 64), depths=(3, 4, 5, 6),
                                 dropout_rate=dropout_rate, resolution=resolution)
                 net = unet_init(cfg, seed=seed)
                 net, _ = train(net, tr, va, train_cfg)
-                total = ConfusionCounts(0, 0, 0, 0)
-                for img, gt in te:
-                    total = total + confusion(binarize(infer_mle(net, img), threshold), gt)
-                rec = metrics(total)
+                estimate = _image_estimator("mle", net, 0, threshold)
+                pooled = _pooled(lambda i: (estimate(te[i][0], 0)[0], None), [gt for _, gt in te])
                 frames = [img for img, _ in te][:timing_frames]
                 while len(frames) < timing_frames:
                     frames = frames + frames[: timing_frames - len(frames)]
@@ -313,7 +354,7 @@ def parametric_study(make_pairs, widths=(8, 16, 32, 64), depths=(3, 4, 5, 6),
                 rows.append({
                     "width": width, "depth": depth, "resolution": resolution,
                     "parameters": parameter_count(cfg),
-                    "precision": rec.precision, "f1": rec.f1,
+                    "precision": pooled["precision"], "f1": pooled["f1"],
                     "median_ms": timing["median_ms"], "median_hz": timing["median_hz"],
                     "p95_ms": timing["p95_ms"],
                 })
@@ -361,9 +402,8 @@ def _fmt(v) -> str:
 
 
 __all__ = [
-    "crossval", "transfer_matrix", "security_sweep", "parametric_study",
-    "SweepFrame", "classical_mask", "measure_hz", "anomaly_ordering_pvalue",
-    "write_jsonl", "write_csv", "format_table", "max_workers",
-    "CROSSVAL_BASE_CHANNELS", "CROSSVAL_DROPOUT", "CROSSVAL_LR",
-    "CLASSICAL_ESTIMATORS", "LEARNED_ESTIMATORS",
+    "make_estimator", "evaluate", "crossval", "transfer_matrix", "security_sweep",
+    "parametric_study", "measure_hz", "write_jsonl", "write_csv", "format_table",
+    "max_workers", "CROSSVAL_BASE_CHANNELS", "CROSSVAL_DROPOUT", "CROSSVAL_LR",
+    "ESTIMATORS", "CLASSICAL_ESTIMATORS", "LEARNED_ESTIMATORS",
 ]

@@ -11,17 +11,6 @@ import numpy as np
 from .types import BevImage, FilterSpec, GridSpec, PointCloud, Pose
 
 
-def rotate_by_quaternion(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rotate (N, 3) points by quaternion (w,x,y,z). Active rotation."""
-    w, x, y, z = q
-    R = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-    return points @ R.T
-
-
 def project_to_bev(cloud: PointCloud, translate: bool = False) -> np.ndarray:
     """Project a point cloud into the gravity-aligned BEV frame.
 
@@ -32,7 +21,7 @@ def project_to_bev(cloud: PointCloud, translate: bool = False) -> np.ndarray:
     q = cloud.pose.quaternion
     if abs(np.linalg.norm(q) - 1.0) > 1e-9:
         raise ValueError("pose quaternion is not unit norm")
-    out = rotate_by_quaternion(cloud.points, q)
+    out = cloud.points @ cloud.pose.rotation_matrix().T
     if translate:
         out = out + cloud.pose.position
     return out
@@ -90,5 +79,5 @@ def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImag
 
 __all__ = [
     "project_to_bev", "filter_points", "quantize", "to_polar", "from_polar",
-    "cloud_to_bev", "rotate_by_quaternion", "Pose",
+    "cloud_to_bev", "Pose",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
-from ..types import BevImage, GridSpec, ProbMap
+from ..types import BevImage, ProbMap
 from . import layers as L
 
 PROB_CLIP = 1e-7  # keeps probability maps strictly inside (0, 1)

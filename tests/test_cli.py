@@ -102,6 +102,49 @@ def test_estimate_bad_method(dataset, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_unknown_estimator(dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", str(dataset), "--estimators", "rayq,foo",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "foo" in capsys.readouterr().err
+
+
+def _copy_dataset(dataset, tmp_path):
+    from fovlab.datasets import manifest_grid
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    manifest = load_manifest(copy)
+    return copy, manifest, manifest_grid(manifest)
+
+
+def _blank_test_mask(dataset, tmp_path, index):
+    """Copy of the dataset whose test frame `index` has no visible cell."""
+    from fovlab import io as fio
+    from fovlab.types import FovMask
+    copy, manifest, grid = _copy_dataset(dataset, tmp_path)
+    blank = FovMask(grid, np.zeros((grid.resolution, grid.resolution), dtype=bool))
+    fio.save_mask_pgm(copy / manifest["splits"]["test"][index]["mask"], blank)
+    return copy
+
+
+def test_estimate_degenerate_frame_is_error_row(dataset, tmp_path):
+    from fovlab import io as fio
+    from fovlab.types import PointCloud
+    copy, manifest, _ = _copy_dataset(dataset, tmp_path)
+    two_points = PointCloud(np.array([[5.0, 0.0, 0.5], [0.0, 5.0, 0.5]]))
+    fio.save_point_cloud(copy / manifest["splits"]["test"][1]["cloud"], two_points)
+    out = tmp_path / "est"
+    assert main(["estimate", "--dataset", str(copy), "--method", "rayc",
+                 "--out", str(out)]) == 0
+    rows = {r["frame"]: r for r in _read_jsonl(out / "metrics.jsonl")}
+    assert list(rows) == [0, 1, 2, "pooled"]
+    assert "need >= 3 points" in rows[1]["error"] and "precision" not in rows[1]
+    for frame in (0, 2, "pooled"):
+        assert "error" not in rows[frame] and 0.0 < rows[frame]["precision"] <= 1.0
+    assert sorted(p.name for p in out.glob("pred_*.pgm")) == ["pred_00000.pgm", "pred_00002.pgm"]
+
+
 def test_train_eval_bench_roundtrip(dataset, tmp_path, config_path, capsys):
     ckpt = tmp_path / "net.fvnt"
     assert main(["train", "--dataset", str(dataset), "--config", str(config_path),
@@ -146,15 +189,7 @@ def test_eval_mcd_reproducible(dataset, checkpoint, tmp_path):
 
 
 def test_eval_all_invisible_frame_records_null_auprc(dataset, checkpoint, tmp_path):
-    from fovlab import io as fio
-    from fovlab.datasets import manifest_grid
-    from fovlab.types import FovMask
-    copy = tmp_path / "ds"
-    shutil.copytree(dataset, copy)
-    manifest = load_manifest(copy)
-    grid = manifest_grid(manifest)
-    blank = FovMask(grid, np.zeros((grid.resolution, grid.resolution), dtype=bool))
-    fio.save_mask_pgm(copy / manifest["splits"]["test"][1]["mask"], blank)
+    copy = _blank_test_mask(dataset, tmp_path, 1)
     out = tmp_path / "eval.jsonl"
     assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(copy),
                  "--split", "test", "--out", str(out)]) == 0
@@ -197,6 +232,18 @@ def test_sweep_outputs(dataset, tmp_path):
     assert (out / "sweep_frames.csv").exists()
 
 
+def test_sweep_all_invisible_frame(dataset, tmp_path):
+    copy = _blank_test_mask(dataset, tmp_path, 1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", str(copy), "--estimators", "rayq",
+                 "--counts", "0", "--out", str(out)]) == 0
+    (row,) = _read_jsonl(out / "sweep.jsonl")
+    assert 0.0 < row["auprc"] <= 1.0
+    per_frame = (out / "sweep_frames.csv").read_text().splitlines()
+    header = per_frame[0].split(",")
+    assert per_frame[2].split(",")[header.index("auprc")] == ""
+
+
 def test_missing_files_exit_code(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.fvnt"),
                  "--dataset", str(tmp_path), "--split", "test"]) == 3
@@ -209,6 +256,8 @@ def test_bad_config_rejected(tmp_path, dataset):
     bad.write_text(json.dumps({"unknown_section": 1}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
     bad.write_text(json.dumps({"net": {"depth": 3, "bogus_key": 2}}))
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    bad.write_text(json.dumps({"attack": {"n_points": 25}}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from fovlab.experiments import (CROSSVAL_DROPOUT, CROSSVAL_LR, SweepFrame, crossval,
-                                format_table, measure_hz, security_sweep, transfer_matrix,
-                                write_csv, write_jsonl)
+from fovlab.datasets import Frame
+from fovlab.experiments import (CROSSVAL_DROPOUT, CROSSVAL_LR, crossval, format_table,
+                                make_estimator, measure_hz, parametric_study, security_sweep,
+                                transfer_matrix, write_csv, write_jsonl)
 from fovlab.errors import DataError
 from fovlab.geometry import cloud_to_bev
 from fovlab.scenes import (LidarModel, SceneFamily, generate_scene, ground_truth_fov,
                            simulate_lidar)
 from fovlab.segnet import NetConfig, TrainConfig, unet_init
-from fovlab.types import FilterSpec, GridSpec
+from fovlab.types import FilterSpec, FovMask, GridSpec
 
 
 def fake_train(loss_by_channels):
@@ -96,8 +97,8 @@ def sweep_setup():
     frames = []
     for seed in range(6):
         scene = generate_scene(family, seed)
-        frames.append(SweepFrame(simulate_lidar(scene, lidar, seed),
-                                 ground_truth_fov(scene, lidar, grid)))
+        frames.append(Frame(simulate_lidar(scene, lidar, seed),
+                            ground_truth_fov(scene, lidar, grid)))
     return frames, grid, filt
 
 
@@ -133,6 +134,21 @@ def test_sweep_per_frame_rows(sweep_setup):
     assert {r["n_spoof"] for r in per_frame} == {0, 25}
 
 
+def test_make_estimator_checks_parameters_up_front(small_grid, default_filter):
+    """Bad parameters raise when the estimator is built, not as per-frame errors."""
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
+                              resolution=64), seed=0)
+    for name, kwargs in [("voronoi", {}), ("rayq", {"n_bins": 4}), ("concave", {"k": 2}),
+                         ("mcd", {"net": net, "mcd_passes": 0}),
+                         ("mle", {"net": net, "threshold": 1.5})]:
+        with pytest.raises(ValueError):
+            make_estimator(name, small_grid, default_filter, **kwargs)
+    with pytest.raises(DataError):
+        make_estimator("mle", small_grid, default_filter)
+    with pytest.raises(DataError):
+        make_estimator("mle", GridSpec(extent=75.0, resolution=32), default_filter, net=net)
+
+
 def test_transfer_matrix_shapes_and_missing(tiny_pairs):
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
                               resolution=64), seed=0)
@@ -165,6 +181,28 @@ def test_transfer_matrix_reproducible(tiny_pairs):
     b = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=3, seed=4)
     assert [(r.precision, r.recall, r.f1, r.auprc) for r in a] == \
            [(r.precision, r.recall, r.f1, r.auprc) for r in b]
+
+
+def test_transfer_matrix_all_invisible_auprc_null(tiny_pairs, small_grid):
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
+                              resolution=64), seed=0)
+    blank = FovMask(small_grid, np.zeros((64, 64), dtype=bool))
+    test_sets = {("outdoor-sparse", "blank"): [(img, blank) for img, _ in tiny_pairs[:2]]}
+    rows = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=2, seed=0)
+    assert len(rows) == 2
+    for r in rows:
+        assert r.auprc is None and r.recall == 0.0
+
+
+def test_parametric_study_rows(tiny_pairs):
+    rows = parametric_study(lambda res: (tiny_pairs[:4], tiny_pairs[4:6], tiny_pairs[6:8]),
+                            widths=(4,), depths=(3,), resolutions=(64,),
+                            train_cfg=TrainConfig(max_epochs=1, batch_size=4, seed=0),
+                            timing_frames=2)
+    assert len(rows) == 1
+    assert set(rows[0]) == {"width", "depth", "resolution", "parameters", "precision", "f1",
+                            "median_ms", "median_hz", "p95_ms"}
+    assert 0.0 <= rows[0]["precision"] <= 1.0 and 0.0 <= rows[0]["f1"] <= 1.0
 
 
 def test_measure_hz_reports_quantiles():
