@@ -9,8 +9,8 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 "error" message, is left out of pooled and mean metrics, and the command still
 succeeds.
 
-Exit codes: 0 ok, 2 usage (including an unknown estimator name), 3 data
-error, 4 numeric failure.
+Exit codes: 0 ok, 2 usage (including an unknown estimator name and a
+malformed sweep --counts or --mcd), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -195,11 +195,10 @@ def cmd_sweep(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, args.split)
     net = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    counts = [int(c) for c in args.counts.split(",")]
     per_frame: list[dict] = []
     rows = security_sweep(frames, grid, filt, estimators=args.estimators, net=net,
-                          spoof_counts=counts, n_bins=args.n_bins, k=args.k,
-                          mcd_passes=args.mcd or 20, seed=args.seed or 0,
+                          spoof_counts=args.counts, n_bins=args.n_bins, k=args.k,
+                          mcd_passes=args.mcd, seed=args.seed or 0,
                           per_frame_rows=per_frame)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,6 +232,27 @@ def _estimator_list(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(f"unknown estimators {unknown}; "
                                          f"choose from {', '.join(ESTIMATORS)}")
     return names
+
+
+def _count_list(text: str) -> list[int]:
+    try:
+        counts = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"counts must be comma-separated integers, got {text!r}") from None
+    if min(counts) < 0:
+        raise argparse.ArgumentTypeError(f"counts must be >= 0, got {text!r}")
+    return counts
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--estimators", type=_estimator_list, default="rayq,rayc,concave")
-    sp.add_argument("--counts", default="0,25,50,75,100,125,150")
+    sp.add_argument("--counts", type=_count_list, default="0,25,50,75,100,125,150",
+                    help="spoofed point counts, comma-separated")
     sp.add_argument("--checkpoint", help="checkpoint for mle/mcd estimators")
-    sp.add_argument("--mcd", type=int, default=20)
+    sp.add_argument("--mcd", type=_positive_int, default=20,
+                    help="MC-dropout passes of the mcd estimator")
     sp.add_argument("--n-bins", type=int, default=360)
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--out", required=True, help="output directory")

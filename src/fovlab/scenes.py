@@ -272,7 +272,9 @@ def _segments_blocked(origin: np.ndarray, targets: np.ndarray, edge_p: np.ndarra
     """For each target, does segment origin->target touch segment edge_p->edge_q?
 
     Inclusive test: proper crossings and any endpoint/collinear touching count
-    as blocked (obstacle boundaries occlude).
+    as blocked (obstacle boundaries occlude). `edge_p` and `edge_q` are one
+    (x, y) point each, or a pair of coordinate arrays giving each target its
+    own edge; the arithmetic per target is the same either way.
     """
     ox, oy = origin
     cx, cy = targets[:, 0], targets[:, 1]
@@ -298,28 +300,105 @@ def _segments_blocked(origin: np.ndarray, targets: np.ndarray, edge_p: np.ndarra
     return proper | touch
 
 
+# Padding of each edge's azimuth wedge, in radians. Cell azimuths and the
+# orientation tests work on the same rounded differences from the sensor and
+# disagree about a direction by a few 1e-16 rad, so no cell an edge can block
+# lies outside its padded wedge.
+_WEDGE_MARGIN = 1e-9
+# When an edge's line passes the sensor closer than this many times the
+# edge's reach, rounding alone can report cells on the far side of the
+# sensor as blocked, so its antipodal wedge is tested too.
+_NEAR_LINE = 1e-9
+# candidate (cell, edge) pairs per blocked test; bounds its temporaries
+_BATCH_PAIRS = 16384
+
+
+def _wedge_ranges(az: np.ndarray, origin: np.ndarray, p: np.ndarray,
+                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges that hold every cell the edges p->q ((E, 2) each) can
+    block, as (E, 2) starts and stops into the sorted azimuths `az` (in
+    [-pi, pi]) taken twice round, so that a range may pass the +-pi seam.
+
+    Column 0 is the padded wedge the edge spans from the sensor, column 1 its
+    antipode (empty unless the edge's line passes the sensor). An edge through
+    the sensor gets every cell.
+    """
+    ox, oy = origin
+    px, py, qx, qy = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+    a = np.arctan2(py - oy, px - ox)
+    b = np.arctan2(qy - oy, qx - ox)
+    width = (b - a) % (2 * np.pi)
+    flip = width > np.pi
+    start = np.where(flip, b, a) - _WEDGE_MARGIN
+    width = np.where(flip, 2 * np.pi - width, width) + 2 * _WEDGE_MARGIN
+
+    d3 = (qx - px) * (oy - py) - (qy - py) * (ox - px)   # as in _segments_blocked
+    # an edge through the sensor blocks every cell, as _segments_blocked's d3 term
+    every = (d3 == 0) & (np.minimum(px, qx) <= ox) & (ox <= np.maximum(px, qx)) \
+        & (np.minimum(py, qy) <= oy) & (oy <= np.maximum(py, qy))
+    reach = np.maximum(np.hypot(px - ox, py - oy), np.hypot(qx - ox, qy - oy))
+    near_line = np.abs(d3) <= _NEAR_LINE * np.hypot(qx - px, qy - py) * reach
+
+    width = np.where(every, 2 * np.pi, width)
+    lo = (np.stack([start, start + np.pi], axis=1) + np.pi) % (2 * np.pi) - np.pi
+    # a negative width empties the antipode of an edge whose line misses the sensor
+    hi = lo + np.stack([width, np.where(near_line & ~every, width, -1.0)], axis=1)
+    around = np.concatenate([az, az + 2 * np.pi])
+    first = np.searchsorted(around, lo, "left")
+    return first, np.maximum(first, np.searchsorted(around, hi, "right"))
+
+
 def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask:
     """Exact visibility: a cell is visible iff the segment from the sensor to
     its center is within max_range and touches no obstacle interior or boundary.
+
+    A cell is visible exactly when `_segments_blocked` is false for it and
+    every edge, and that test decides each cell on its own, so leaving out
+    pairs that cannot be blocked changes no bit. In-range cells are sorted by
+    azimuth once, and each edge is tested only against the cells in the wedge
+    it spans from the sensor, padded by `_WEDGE_MARGIN`, that no nearer edge
+    has already blocked. The cull is conservative: an edge whose line passes
+    the sensor also takes its antipodal wedge, and an edge through the sensor
+    takes every cell. The result therefore equals testing every cell against
+    every edge, at a cost near the number of cells each wedge holds.
 
     Deterministic and independent of sensor noise parameters.
     """
     origin = scene.sensor.position[:2]
     X, Y = spec.cell_centers()
-    cx = (origin[0] + X).ravel()
-    cy = (origin[1] + Y).ravel()
-    targets = np.column_stack([cx, cy])
-    visible = np.hypot(X.ravel(), Y.ravel()) <= model.max_range
+    targets = np.column_stack([(origin[0] + X).ravel(), (origin[1] + Y).ravel()])
+    cells = np.nonzero(np.hypot(X.ravel(), Y.ravel()) <= model.max_range)[0]
+    # azimuths from the same rounded differences the orientation tests use
+    az = np.arctan2(targets[cells, 1] - origin[1], targets[cells, 0] - origin[0])
+    order = np.argsort(az)
+    cells, az = cells[order], az[order]
+    targets = targets[cells]
+    visible = np.ones(cells.size, dtype=bool)
 
     edges = scene.edges()
-    for k in range(edges.shape[0]):
-        active = np.nonzero(visible)[0]
-        if active.size == 0:
-            break
-        blocked = _segments_blocked(origin, targets[active], edges[k, 0], edges[k, 1])
-        visible[active[blocked]] = False
+    p, q = edges[:, 0], edges[:, 1]
+    first, last = _wedge_ranges(az, origin, p, q)
+    # nearest edges first: cells they block are not tested again
+    by_range = np.argsort(np.minimum(np.hypot(*(p - origin).T), np.hypot(*(q - origin).T)))
+    # batches of whole edges, cut where the running pair count passes a
+    # multiple of _BATCH_PAIRS
+    pairs = np.cumsum((last - first).sum(axis=1)[by_range])
+    for batch in np.split(by_range, np.nonzero(np.diff(pairs // _BATCH_PAIRS))[0] + 1):
+        n = (last[batch] - first[batch]).ravel()
+        # the concatenated ranges, wrapped back to single indices into az
+        idx = (np.arange(n.sum()) + np.repeat(first[batch].ravel() - (np.cumsum(n) - n), n)) \
+            % cells.size
+        edge = np.repeat(np.repeat(batch, 2), n)
+        keep = visible[idx]
+        idx, edge = idx[keep], edge[keep]
+        blocked = _segments_blocked(origin, targets[idx], (p[edge, 0], p[edge, 1]),
+                                    (q[edge, 0], q[edge, 1]))
+        visible[idx[blocked]] = False
+
+    mask = np.zeros(spec.resolution * spec.resolution, dtype=bool)
+    mask[cells] = visible
     res = spec.resolution
-    return FovMask(spec, visible.reshape(res, res))
+    return FovMask(spec, mask.reshape(res, res))
 
 
 def visible_fraction(mask: FovMask) -> float:

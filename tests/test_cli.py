@@ -110,6 +110,16 @@ def test_sweep_unknown_estimator(dataset, tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--counts", "x"], ["--counts", "0,-5"],
+                                   ["--counts", "-5"], ["--mcd", "0"], ["--mcd", "two"]])
+def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--dataset", str(dataset), "--estimators", "rayq",
+              "--out", str(tmp_path / "x"), *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def _copy_dataset(dataset, tmp_path):
     from fovlab.datasets import manifest_grid
     copy = tmp_path / "ds"
