@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .types import PointCloud
+from .types import PointCloud, seeded_rng
 
 DEFAULT_BUDGET = 150  # spoofed-point budget of the threat model
 
@@ -75,27 +75,16 @@ def _append(cloud: PointCloud, spoofed_xy: np.ndarray) -> PointCloud:
     return PointCloud(np.vstack([cloud.points, spoofed]), cloud.pose, cloud.frame_id)
 
 
-def spoof_cluster(cloud: PointCloud, spec: AttackSpec) -> PointCloud:
-    """Append a dense Gaussian cluster of spoofed points at z=0."""
-    if spec.kind != "cluster":
-        raise ValueError("spec.kind must be 'cluster'")
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed,)))
-    xy = np.asarray(spec.cluster_center, dtype=np.float64) \
-        + spec.cluster_sigma * rng.standard_normal((spec.n_points, 2))
-    return _append(cloud, xy)
-
-
-def spoof_uniform(cloud: PointCloud, spec: AttackSpec) -> PointCloud:
-    """Append spoofed points spread uniformly over [-bounds, bounds]^2 at z=0."""
-    if spec.kind != "uniform":
-        raise ValueError("spec.kind must be 'uniform'")
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed,)))
-    xy = rng.uniform(-spec.bounds, spec.bounds, (spec.n_points, 2))
-    return _append(cloud, xy)
-
-
 def spoof(cloud: PointCloud, spec: AttackSpec) -> PointCloud:
-    return spoof_cluster(cloud, spec) if spec.kind == "cluster" else spoof_uniform(cloud, spec)
+    """Append `spec.n_points` spoofed points at z=0: a Gaussian cluster around
+    `cluster_center`, or spread uniformly over [-bounds, bounds]^2."""
+    rng = seeded_rng(spec.seed)
+    if spec.kind == "cluster":
+        xy = np.asarray(spec.cluster_center, dtype=np.float64) \
+            + spec.cluster_sigma * rng.standard_normal((spec.n_points, 2))
+    else:
+        xy = rng.uniform(-spec.bounds, spec.bounds, (spec.n_points, 2))
+    return _append(cloud, xy)
 
 
 def defend(cloud: PointCloud, spec: DefenseSpec) -> PointCloud:
@@ -152,7 +141,7 @@ def adaptive_spoof(cloud: PointCloud, defense: DefenseSpec, spec: AttackSpec) ->
     if spec.kind != "cluster":
         raise ValueError("spec.kind must be 'cluster'")
     if not defense.enabled:
-        return spoof_cluster(cloud, spec)
+        return spoof(cloud, spec)
     if spec.n_points == 0:
         return _append(cloud, np.zeros((0, 2)))
 
@@ -170,7 +159,7 @@ def adaptive_spoof(cloud: PointCloud, defense: DefenseSpec, spec: AttackSpec) ->
     sizes = np.full(n_clusters, spec.n_points // n_clusters)
     sizes[: spec.n_points % n_clusters] += 1
 
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed,)))
+    rng = seeded_rng(spec.seed)
     ball = 0.45 * defense.isolation_radius  # cluster diameter 0.9 * radius
     center0 = np.asarray(spec.cluster_center, dtype=np.float64)
     chunks = []
@@ -189,5 +178,5 @@ def adaptive_spoof(cloud: PointCloud, defense: DefenseSpec, spec: AttackSpec) ->
 
 __all__ = [
     "AttackSpec", "DefenseSpec", "DEFAULT_BUDGET",
-    "spoof_cluster", "spoof_uniform", "spoof", "defend", "adaptive_spoof",
+    "spoof", "defend", "adaptive_spoof",
 ]

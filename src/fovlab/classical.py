@@ -17,6 +17,7 @@ from .geometry import to_polar
 from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
+_BOUNDARY_TOL = 1e-9  # a point this close to a polygon edge (m) lies on it
 
 
 @dataclass
@@ -65,20 +66,20 @@ def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> PolarFov:
     return PolarFov(n_bins, ranges)
 
 
-def raytrace_continuous(points_xy: np.ndarray, tol: float = 1e-9) -> FovPolygon:
+def raytrace_continuous(points_xy: np.ndarray) -> FovPolygon:
     """Connect azimuth-sorted points into a closed FOV boundary polygon.
 
-    Duplicate azimuths (within `tol` radians) keep only the max-range point.
+    Duplicate azimuths (within 1e-9 radians) keep only the max-range point.
     """
     polar = to_polar(points_xy)
     if polar.shape[0] < 3:
         raise ValueError("degenerate input: need >= 3 points with distinct azimuths")
     order = np.lexsort((-polar[:, 1], polar[:, 0]))
     polar = polar[order]
-    # group azimuths closer than tol; first entry of each group has max range
+    # group azimuths closer than 1e-9; first entry of each group has max range
     new_group = np.empty(polar.shape[0], dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(polar[:, 0]) > tol
+    new_group[1:] = np.diff(polar[:, 0]) > 1e-9
     polar = polar[new_group]
     if polar.shape[0] < 3:
         raise ValueError("degenerate input: need >= 3 points with distinct azimuths")
@@ -245,15 +246,16 @@ def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
     return FovMask(spec, r <= pf.max_range_per_bin[bins])
 
 
-def points_in_polygon(points: np.ndarray, poly: np.ndarray,
-                      boundary_tol: float = 1e-9) -> np.ndarray:
-    """Even-odd point-in-polygon test; points on the boundary count as inside."""
+def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Even-odd point-in-polygon test; points within _BOUNDARY_TOL of the
+    boundary count as inside."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     px, py = pts[:, 0], pts[:, 1]
     inside = np.zeros(pts.shape[0], dtype=bool)
     on_edge = np.zeros(pts.shape[0], dtype=bool)
     v1 = np.asarray(poly, dtype=np.float64)
     v2 = np.roll(v1, -1, axis=0)
+    tol = _BOUNDARY_TOL
     for (x1, y1), (x2, y2) in zip(v1, v2):
         crosses = ((y1 <= py) & (y2 > py)) | ((y2 <= py) & (y1 > py))
         if np.any(crosses):
@@ -266,9 +268,9 @@ def points_in_polygon(points: np.ndarray, poly: np.ndarray,
         if elen == 0.0:
             continue
         cross = ex * (py - y1) - ey * (px - x1)
-        within = (np.abs(cross) / elen <= boundary_tol) \
-            & (px >= min(x1, x2) - boundary_tol) & (px <= max(x1, x2) + boundary_tol) \
-            & (py >= min(y1, y2) - boundary_tol) & (py <= max(y1, y2) + boundary_tol)
+        within = (np.abs(cross) / elen <= tol) \
+            & (px >= min(x1, x2) - tol) & (px <= max(x1, x2) + tol) \
+            & (py >= min(y1, y2) - tol) & (py <= max(y1, y2) + tol)
         on_edge |= within
     return inside | on_edge
 
@@ -311,7 +313,7 @@ def rasterize_polygon(poly: FovPolygon, spec: GridSpec) -> FovMask:
                 inside[:, iy] = (np.searchsorted(row_xs, centers, side="left") % 2) == 1
 
     # boundary-coincident centers are visible; only cells near each edge qualify
-    tol = 1e-9
+    tol = _BOUNDARY_TOL
     for (x1, y1), (x2, y2) in zip(v1, v2):
         elen = np.hypot(x2 - x1, y2 - y1)
         if elen == 0.0:

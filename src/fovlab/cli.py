@@ -9,8 +9,10 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 "error" message, is left out of pooled and mean metrics, and the command still
 succeeds.
 
-Exit codes: 0 ok, 2 usage (including an unknown estimator name and a
-malformed sweep --counts or --mcd), 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 usage (including an unknown estimator name, a malformed
+sweep --counts or --mcd, a malformed crossval --base-channels, and a bench
+--frames or train/crossval --epochs below 1), 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import io as fio
 from .attacks import AttackSpec
 from .config import load_config, parse_config, resolved_dict
-from .datasets import attack_dataset, derive_seed, frames_to_pairs, open_dataset, synthesize_dataset
+from .datasets import attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
 from .errors import DataError, FovlabError, NumericError
 from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_DROPOUT, CROSSVAL_LR, ESTIMATORS,
                           crossval, evaluate, format_table, make_estimator, measure_hz,
@@ -34,6 +36,7 @@ from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_DROPOUT, CROSSVAL_LR, E
 from .metrics import iou
 from .segnet import NetConfig, TrainConfig, load_checkpoint, save_checkpoint, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
+from .types import derive_seed
 
 
 def _echo_config(args, extra: dict | None = None) -> None:
@@ -108,9 +111,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
-    if args.epochs:
+    if args.epochs is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, max_epochs=args.epochs))
-    if args.lr:
+    if args.lr is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, learning_rate=args.lr))
     grid, filt, train_frames = open_dataset(args.dataset, "train")
     _, _, val_frames = open_dataset(args.dataset, "val")
@@ -169,11 +172,10 @@ def cmd_crossval(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, "train")
     pairs = frames_to_pairs(frames, grid, filt)
-    base = [int(b) for b in args.base_channels.split(",")]
     grid_cfgs = []
-    for b in base:
-        for d in (args.dropout,) if args.dropout else CROSSVAL_DROPOUT:
-            for lr in (args.lr,) if args.lr else CROSSVAL_LR:
+    for b in args.base_channels:
+        for d in CROSSVAL_DROPOUT if args.dropout is None else (args.dropout,):
+            for lr in CROSSVAL_LR if args.lr is None else (args.lr,):
                 grid_cfgs.append((
                     NetConfig(depth=args.depth, base_channels=b, dropout_rate=d,
                               resolution=grid.resolution),
@@ -234,15 +236,18 @@ def _estimator_list(text: str) -> list[str]:
     return names
 
 
-def _count_list(text: str) -> list[int]:
-    try:
-        counts = [int(c) for c in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"counts must be comma-separated integers, got {text!r}") from None
-    if min(counts) < 0:
-        raise argparse.ArgumentTypeError(f"counts must be >= 0, got {text!r}")
-    return counts
+def _int_list(minimum: int):
+    """argparse type: comma-separated integers, each >= `minimum`."""
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(c) for c in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"need comma-separated integers, got {text!r}") from None
+        if min(values) < minimum:
+            raise argparse.ArgumentTypeError(f"need integers >= {minimum}, got {text!r}")
+        return values
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--config", help="experiment config JSON (net/train sections)")
     sp.add_argument("--out", required=True, help="checkpoint path")
-    sp.add_argument("--epochs", type=int, default=None)
+    sp.add_argument("--epochs", type=_positive_int, default=None)
     sp.add_argument("--lr", type=float, default=None)
 
     sp = add("infer", cmd_infer, "write probability maps and masks for a split")
@@ -320,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--folds", type=int, default=5)
     sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--epochs", type=int, default=5)
-    sp.add_argument("--base-channels", default="4,8")
+    sp.add_argument("--epochs", type=_positive_int, default=5)
+    sp.add_argument("--base-channels", type=_int_list(1), default="4,8")
     sp.add_argument("--dropout", type=float, default=None)
     sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--out")
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--estimators", type=_estimator_list, default="rayq,rayc,concave")
-    sp.add_argument("--counts", type=_count_list, default="0,25,50,75,100,125,150",
+    sp.add_argument("--counts", type=_int_list(0), default="0,25,50,75,100,125,150",
                     help="spoofed point counts, comma-separated")
     sp.add_argument("--checkpoint", help="checkpoint for mle/mcd estimators")
     sp.add_argument("--mcd", type=_positive_int, default=20,
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--method", default="rayq", choices=ESTIMATORS)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--frames", type=int, default=50)
+    sp.add_argument("--frames", type=_positive_int, default=50)
     sp.add_argument("--n-bins", type=int, default=720)
     sp.add_argument("--k", type=int, default=16)
 

@@ -67,19 +67,12 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     if unknown:
         raise DataError(f"{where}: unknown sections {unknown}")
 
-    fam_doc = dict(doc.get("family", {}))
-    name = fam_doc.pop("name", "outdoor-sparse")
-    family = SceneFamily.preset(name)
-    if fam_doc:
-        names = {f.name for f in dataclasses.fields(SceneFamily)}
-        unknown = sorted(set(fam_doc) - names)
-        if unknown:
-            raise DataError(f"{where}.family: unknown keys {unknown}")
-        fam_doc = {k: tuple(v) if isinstance(v, list) else v for k, v in fam_doc.items()}
-        try:
-            family = dataclasses.replace(family, **fam_doc)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"{where}.family: {e}") from e
+    fam_doc = doc.get("family", {})
+    if not isinstance(fam_doc, dict):
+        raise DataError(f"{where}.family: expected an object, got {type(fam_doc).__name__}")
+    preset = SceneFamily.preset(fam_doc.get("name", "outdoor-sparse"))
+    family = build_dataclass(SceneFamily, {**dataclasses.asdict(preset), **fam_doc},
+                             f"{where}.family")
 
     lidar = build_dataclass(LidarModel, doc["lidar"], f"{where}.lidar") \
         if "lidar" in doc else default_lidar(family.name)
@@ -118,16 +111,7 @@ def load_config(path) -> ExperimentConfig:
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved config for echoing back to the user."""
-    out = {
-        "family": dataclasses.asdict(cfg.family),
-        "lidar": dataclasses.asdict(cfg.lidar),
-        "grid": {"extent": cfg.grid.extent, "resolution": cfg.grid.resolution},
-        "filter": dataclasses.asdict(cfg.filter),
-        "net": dataclasses.asdict(cfg.net),
-        "train": dataclasses.asdict(cfg.train),
-        "frames": cfg.frames,
-        "seed": cfg.seed,
-    }
-    if cfg.out_dir is not None:
-        out["out_dir"] = cfg.out_dir
+    out = dataclasses.asdict(cfg)
+    if cfg.out_dir is None:
+        del out["out_dir"]
     return out

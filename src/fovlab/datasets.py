@@ -19,15 +19,12 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import io as fio
 from .attacks import AttackSpec, spoof
 from .errors import DataError
 from .geometry import cloud_to_bev
-from .scenes import (LidarModel, Scene, SceneFamily, generate_scene, ground_truth_fov,
-                     simulate_lidar)
-from .types import BevImage, FilterSpec, FovMask, GridSpec, PointCloud
+from .scenes import LidarModel, SceneFamily, generate_scene, ground_truth_fov, simulate_lidar
+from .types import BevImage, FilterSpec, FovMask, GridSpec, PointCloud, derive_seed
 
 SPLITS = ("train", "val", "test")
 
@@ -36,12 +33,6 @@ SPLITS = ("train", "val", "test")
 class Frame:
     cloud: PointCloud
     mask: FovMask
-    scene: Scene | None = None
-
-
-def derive_seed(*labels: int) -> int:
-    """Stable 32-bit seed for a cell of an experiment, from its integer labels."""
-    return int(np.random.SeedSequence(labels).generate_state(1)[0])
 
 
 def frame_seed(base_seed: int, split: str, index: int) -> int:
@@ -117,16 +108,14 @@ def manifest_filter(manifest: dict) -> FilterSpec:
     return FilterSpec(**f) if f else FilterSpec()
 
 
-def load_frames(root, split: str, with_scene: bool = False) -> list[Frame]:
+def load_frames(root, split: str) -> list[Frame]:
     root = Path(root)
     manifest = load_manifest(root)
     grid = manifest_grid(manifest)
     frames = []
     for i, row in enumerate(manifest["splits"].get(split, [])):
         cloud = fio.load_point_cloud(root / row["cloud"], frame_id=i)
-        mask = fio.load_mask_pgm(root / row["mask"], grid)
-        scene = fio.load_scene(root / row["scene"]) if with_scene else None
-        frames.append(Frame(cloud, mask, scene))
+        frames.append(Frame(cloud, fio.load_mask_pgm(root / row["mask"], grid)))
     return frames
 
 
@@ -174,7 +163,7 @@ def frames_to_pairs(frames: list[Frame], grid: GridSpec, filt: FilterSpec) -> li
 
 
 __all__ = [
-    "Frame", "SPLITS", "derive_seed", "frame_seed", "synthesize_dataset", "attack_dataset",
+    "Frame", "SPLITS", "frame_seed", "synthesize_dataset", "attack_dataset",
     "load_manifest", "load_frames", "open_dataset", "frames_to_pairs",
     "manifest_grid", "manifest_filter",
 ]

@@ -22,13 +22,13 @@ import numpy as np
 
 from .attacks import AttackSpec, spoof
 from .classical import concave_hull, polar_to_mask, rasterize_polygon, raytrace_continuous, raytrace_quantized
-from .datasets import Frame, derive_seed
+from .datasets import Frame
 from .errors import DataError
 from .geometry import cloud_to_bev, filter_points, project_to_bev
 from .metrics import ConfusionCounts, MetricRecord, auprc_arrays, confusion, metrics
 from .segnet import NetConfig, Network, TrainConfig, binarize, infer_mcd, infer_mle, parameter_count, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
-from .types import FilterSpec, GridSpec
+from .types import FilterSpec, GridSpec, derive_seed, seeded_rng
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
             raise ValueError(f"learning_rate {train_cfg.learning_rate} outside the search grid")
     train_fn = train_fn or train
 
-    order = np.random.default_rng(np.random.SeedSequence((seed, 0xCF))).permutation(n)
+    order = seeded_rng(seed, 0xCF).permutation(n)
     bounds = np.linspace(0, n, folds + 1).astype(int)
     fold_idx = [order[bounds[i]:bounds[i + 1]] for i in range(folds)]
 
@@ -299,14 +299,13 @@ def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
 # parametric study and timing
 
 
-def measure_hz(fn, frames, repeats: int = 1) -> dict:
+def measure_hz(fn, frames) -> dict:
     """Median and p95 frame rate of fn over the given frames."""
     times = []
-    for _ in range(repeats):
-        for frame in frames:
-            t0 = time.perf_counter()
-            fn(frame)
-            times.append(time.perf_counter() - t0)
+    for frame in frames:
+        t0 = time.perf_counter()
+        fn(frame)
+        times.append(time.perf_counter() - t0)
     times = np.array(times)
     return {
         "frames": len(times),

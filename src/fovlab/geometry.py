@@ -11,20 +11,17 @@ import numpy as np
 from .types import BevImage, FilterSpec, GridSpec, PointCloud, Pose
 
 
-def project_to_bev(cloud: PointCloud, translate: bool = False) -> np.ndarray:
+def project_to_bev(cloud: PointCloud) -> np.ndarray:
     """Project a point cloud into the gravity-aligned BEV frame.
 
-    Rotates every point by the pose quaternion. Translation to the world frame
-    is off by default: the BEV grid is sensor-centered. Returns an (N, 3)
-    array of gravity-aligned (x, y) plus the retained z.
+    Rotates every point by the pose quaternion and does not translate: the
+    BEV grid is sensor-centered, so the pose position is ignored. Returns an
+    (N, 3) array of gravity-aligned (x, y) plus the retained z.
     """
     q = cloud.pose.quaternion
     if abs(np.linalg.norm(q) - 1.0) > 1e-9:
         raise ValueError("pose quaternion is not unit norm")
-    out = cloud.points @ cloud.pose.rotation_matrix().T
-    if translate:
-        out = out + cloud.pose.position
-    return out
+    return cloud.points @ cloud.pose.rotation_matrix().T
 
 
 def filter_points(points_xyz: np.ndarray, spec: FilterSpec) -> np.ndarray:
@@ -66,18 +63,12 @@ def to_polar(points_xy: np.ndarray) -> np.ndarray:
     return np.column_stack([az, r])
 
 
-def from_polar(polar: np.ndarray) -> np.ndarray:
-    """Inverse of to_polar: (azimuth, range) -> (x, y)."""
-    p = np.asarray(polar, dtype=np.float64).reshape(-1, 2)
-    return np.column_stack([p[:, 1] * np.cos(p[:, 0]), p[:, 1] * np.sin(p[:, 0])])
-
-
 def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImage:
     """Standard preprocess chain: project, filter, quantize."""
     return quantize(filter_points(project_to_bev(cloud), filt)[:, :2], grid)
 
 
 __all__ = [
-    "project_to_bev", "filter_points", "quantize", "to_polar", "from_polar",
+    "project_to_bev", "filter_points", "quantize", "to_polar",
     "cloud_to_bev", "Pose",
 ]

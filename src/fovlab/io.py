@@ -1,16 +1,13 @@
-"""Bit-exact file formats: FVPC point clouds, CSV clouds, PGM masks, scene JSON.
+"""Bit-exact file formats: FVPC point clouds, PGM masks, scene JSON.
 
 Formats:
   - FVPC: little-endian binary. Magic "FVPC", u32 version=1, pose as 7 f64
     (px,py,pz,qw,qx,qy,qz), u32 point count, then count x 3 f32.
-  - CSV: header ``x,y,z``, one point per row; pose in a ``<stem>.pose.json``
-    sidecar next to the file.
   - Mask: binary PGM (P5), maxval 255, visible=255, invisible=0.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from pathlib import Path
@@ -51,43 +48,6 @@ def load_point_cloud(path, frame_id: int = 0) -> PointCloud:
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(np.float64)
     pose = Pose(np.array(vals[:3]), np.array(vals[3:]))
     return PointCloud(pts, pose, frame_id)
-
-
-def _pose_sidecar(path) -> Path:
-    p = Path(path)
-    return p.with_name(p.stem + ".pose.json")
-
-
-def save_point_cloud_csv(path, cloud: PointCloud) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "z"])
-        for row in cloud.points:
-            w.writerow([repr(float(v)) for v in row])
-    sidecar = {
-        "position": [float(v) for v in cloud.pose.position],
-        "quaternion": [float(v) for v in cloud.pose.quaternion],
-        "frame_id": cloud.frame_id,
-    }
-    _pose_sidecar(path).write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_point_cloud_csv(path) -> PointCloud:
-    path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "z"]:
-            raise DataError(f"{path}: expected CSV header 'x,y,z'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    sidecar_path = _pose_sidecar(path)
-    if not sidecar_path.exists():
-        raise DataError(f"{path}: missing pose sidecar {sidecar_path.name}")
-    meta = json.loads(sidecar_path.read_text())
-    pose = Pose(np.array(meta["position"]), np.array(meta["quaternion"]))
-    pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    return PointCloud(pts, pose, int(meta.get("frame_id", 0)))
 
 
 def save_mask_pgm(path, mask: FovMask) -> None:
@@ -163,7 +123,6 @@ def load_scene(path):
 
 __all__ = [
     "save_point_cloud", "load_point_cloud",
-    "save_point_cloud_csv", "load_point_cloud_csv",
     "save_mask_pgm", "load_mask_pgm",
     "save_scene", "load_scene", "scene_to_dict",
 ]

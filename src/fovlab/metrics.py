@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import FovMask, ProbMap
+from .types import FovMask
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,12 @@ def iou(pred: FovMask, gt: FovMask) -> float:
     return _safe_div(c.tp, c.tp + c.fp + c.fn)
 
 
-def auprc(pm: ProbMap, gt: FovMask) -> float:
+def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     """Area under the precision-recall curve, step-wise (right-continuous) sum.
 
-    Cells are ranked by descending probability; tied probabilities form one
-    threshold group. Requires at least one positive cell.
+    Cells are ranked by descending score; tied scores form one threshold
+    group. Requires at least one positive cell.
     """
-    return auprc_arrays(pm.values.ravel(), gt.mask.ravel())
-
-
-def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     positives = np.asarray(positives, dtype=bool).ravel()
     if scores.shape != positives.shape:
@@ -111,4 +107,4 @@ def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
 
 
 __all__ = ["ConfusionCounts", "MetricRecord", "confusion", "metrics", "iou",
-           "auprc", "auprc_arrays"]
+           "auprc_arrays"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .types import FovMask, GridSpec, PointCloud, Pose
+from .types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
 FAMILY_NAMES = ("outdoor-sparse", "outdoor-dense", "indoor")
 
@@ -184,7 +184,7 @@ def _enclosure_quads(rng: np.random.Generator, family: SceneFamily) -> list:
 
 def generate_scene(family: SceneFamily, seed: int) -> Scene:
     """Sample a scene deterministically from (family, seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence((family.seed, seed)))
+    rng = seeded_rng(family.seed, seed)
     sensor_xy = np.zeros(2)
     obstacles = []
     if family.enclosure_radius is not None:
@@ -227,7 +227,7 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int, frame_id: int = 0
     Beams are equally spaced in the sensor frame; returned points are in the
     sensor frame (z from the inverse attitude rotation, 0 for yaw-only poses).
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    rng = seeded_rng(seed)
     n = model.n_beams
     phi = 2.0 * np.pi * np.arange(n) / n
     # noise and dropout are drawn for every beam up front so the stream does
@@ -401,12 +401,8 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     return FovMask(spec, mask.reshape(res, res))
 
 
-def visible_fraction(mask: FovMask) -> float:
-    return float(np.count_nonzero(mask.mask)) / mask.mask.size
-
-
 __all__ = [
     "Scene", "LidarModel", "SceneFamily", "FAMILY_NAMES",
     "generate_scene", "simulate_lidar", "ground_truth_fov",
-    "default_lidar", "default_grid", "point_in_convex", "visible_fraction",
+    "default_lidar", "default_grid", "point_in_convex",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..types import BevImage, ConfidenceMap, FovMask, ProbMap
+from ..types import BevImage, ConfidenceMap, FovMask, ProbMap, seeded_rng
 from .network import Network, forward
 
 DEFAULT_THRESHOLD = 0.7  # visibility decision threshold on probability maps
@@ -12,23 +12,22 @@ DEFAULT_THRESHOLD = 0.7  # visibility decision threshold on probability maps
 
 def infer_mle(net: Network, image: BevImage) -> ProbMap:
     """Maximum-likelihood estimate: one forward pass with dropout off."""
-    return forward(net, image, dropout_active=False)
+    return forward(net, image)
 
 
 def infer_mcd(net: Network, image: BevImage, T: int = 20,
               seed: int = 0) -> tuple[ProbMap, ConfidenceMap]:
     """T stochastic forward passes with dropout active.
 
-    Pass t uses a sub-seed derived from (seed, t), so passes may run in any
-    order (or in parallel) with identical results. Returns the per-cell mean
+    Pass t draws its dropout masks from `seeded_rng(seed, t)`, so passes may
+    run in any order (or in parallel) with identical results. Returns the per-cell mean
     map and the population standard deviation as a confidence map.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     stack = np.empty((T, net.config.resolution, net.config.resolution))
     for t in range(T):
-        sub = np.random.SeedSequence((seed, t))
-        stack[t] = forward(net, image, dropout_active=True, seed=sub).values
+        stack[t] = forward(net, image, rng=seeded_rng(seed, t)).values
     mean = stack.mean(axis=0)
     sigma = stack.std(axis=0)  # population std (divide by T)
     return ProbMap(image.spec, mean), ConfidenceMap(image.spec, sigma)

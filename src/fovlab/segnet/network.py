@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
-from ..types import BevImage, ProbMap
+from ..types import BevImage, ProbMap, seeded_rng
 from . import layers as L
 
 PROB_CLIP = 1e-7  # keeps probability maps strictly inside (0, 1)
@@ -83,7 +83,6 @@ class Network:
 
     config: NetConfig
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def param_names(self) -> list[str]:
         names = []
@@ -96,19 +95,19 @@ class Network:
         return self.params["head.W"].dtype
 
     def copy(self) -> "Network":
-        return Network(self.config, {k: v.copy() for k, v in self.params.items()}, self.seed)
+        return Network(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
 def unet_init(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> Network:
     """He-uniform weights, zero biases; bit-deterministic per (cfg, seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    rng = seeded_rng(seed)
     params = {}
     for name, out_ch, in_ch, k in conv_specs(cfg):
         fan_in = in_ch * k * k
         limit = np.sqrt(6.0 / fan_in)
         params[f"{name}.W"] = rng.uniform(-limit, limit, (out_ch, in_ch, k, k)).astype(dtype)
         params[f"{name}.b"] = np.zeros(out_ch, dtype=dtype)
-    net = Network(cfg, params, seed)
+    net = Network(cfg, params)
     assert sum(p.size for p in params.values()) == parameter_count(cfg)
     return net
 
@@ -193,25 +192,17 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     return grads
 
 
-def _rng_from_seed(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence((int(seed),)))
-
-
-def forward(net: Network, image: BevImage, dropout_active: bool = False,
-            seed: int = 0) -> ProbMap:
+def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None) -> ProbMap:
     """Single-image forward pass -> probability map.
 
-    With dropout_active=False the output is deterministic; otherwise dropout
-    masks are drawn from `seed`.
+    Dropout is active iff `rng` is given, and its masks are drawn from `rng`;
+    without it the output is deterministic.
     """
     res = net.config.resolution
     if image.spec.resolution != res:
         raise ValueError(f"image resolution {image.spec.resolution} != network resolution {res}")
     x = normalize_counts(image.counts, np.float32 if net.dtype == np.float32 else np.float64)
-    drop_rng = _rng_from_seed(seed) if dropout_active else None
-    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=drop_rng)
+    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng)
     values = np.clip(probs[0, :, :, 0].astype(np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
     return ProbMap(image.spec, values)
 
@@ -247,7 +238,7 @@ def load_checkpoint(path) -> Network:
         cfg = NetConfig(**doc)
     except (ValueError, TypeError) as e:
         raise DataError(f"{path}: malformed checkpoint header ({e})") from e
-    net = Network(cfg, {}, seed=0)
+    net = Network(cfg, {})
     offset = 12 + hlen
     for name, out_ch, in_ch, k in conv_specs(cfg):
         for suffix, shape in ((".W", (out_ch, in_ch, k, k)), (".b", (out_ch,))):

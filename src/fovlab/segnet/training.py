@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError
-from ..types import BevImage, FovMask, ProbMap
+from ..types import BevImage, FovMask, ProbMap, seeded_rng
 from .network import (Network, NetConfig, PROB_CLIP, backward_batch, forward_batch,
                       normalize_counts, unet_init)
 
@@ -22,9 +22,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs <= 0 or self.batch_size <= 0 \
-                or self.patience <= 0:
-            raise ValueError("TrainConfig values must be positive")
+        if min(self.learning_rate, self.max_epochs, self.batch_size, self.patience) <= 0:
+            raise ValueError(f"TrainConfig values must be positive, got {self}")
 
 
 def _bce(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -107,7 +106,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     vxs, vys = _stack_dataset(net, val_set)
     n = xs.shape[0]
     opt = Adam(net.params, cfg.learning_rate)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xD5)))
+    shuffle_rng = seeded_rng(cfg.seed, 0xD5)
 
     best_val = np.inf
     best_params = None
@@ -119,8 +118,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
         train_loss = 0.0
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            drop_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch, b)))
-            probs, caches = forward_batch(net, xs[idx], drop_rng=drop_rng)
+            probs, caches = forward_batch(net, xs[idx], drop_rng=seeded_rng(cfg.seed, epoch, b))
             loss, dlogits = _bce_and_dlogits(probs, ys[idx])
             if not np.isfinite(loss):
                 raise NumericError(
@@ -170,8 +168,7 @@ def grad_check(net: Network, image: BevImage, target: FovMask,
 
     weight_names = [k for k in net.param_names() if k.endswith(".W")]
     slots = [(k, i) for k in weight_names for i in range(net.params[k].size)]
-    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    picks = rng.choice(len(slots), size=min(n_samples, len(slots)), replace=False)
+    picks = seeded_rng(seed).choice(len(slots), size=min(n_samples, len(slots)), replace=False)
 
     def loss_at() -> float:
         p, _ = forward_batch(net, x)

@@ -7,6 +7,12 @@ grid spanning ``[-extent, +extent]`` in x and y. Grid arrays are indexed
     x = -extent + (ix + 0.5) * cell_size,   y likewise.
 
 The sensor sits at the grid center, i.e. between cells for even resolutions.
+
+Seeding contract: every random stream in this package (scenes, LiDAR noise,
+spoofed points, weight init, shuffles, dropout masks, MC-dropout passes) is
+``seeded_rng(*labels)`` of integer labels naming what it draws for, and a
+seed handed on to another component is ``derive_seed(*labels)``. Equal
+labels give equal streams, whatever else ran before or in parallel.
 """
 
 from __future__ import annotations
@@ -14,6 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def seeded_rng(*labels: int) -> np.random.Generator:
+    """The random stream named by integer `labels`."""
+    return np.random.default_rng(np.random.SeedSequence(labels))
+
+
+def derive_seed(*labels: int) -> int:
+    """Stable 32-bit seed for a cell of an experiment, from its integer labels."""
+    return int(np.random.SeedSequence(labels).generate_state(1)[0])
 
 
 def _as_float_array(x, shape=None) -> np.ndarray:

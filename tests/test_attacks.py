@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fovlab.attacks import (AttackSpec, DefenseSpec, adaptive_spoof, defend, spoof_cluster,
-                            spoof_uniform)
+from fovlab.attacks import AttackSpec, DefenseSpec, adaptive_spoof, defend, spoof
 from fovlab.scenes import LidarModel, Scene, simulate_lidar
 from fovlab.types import PointCloud, Pose
 
@@ -26,13 +25,13 @@ def test_attack_spec_validation():
 
 
 def test_spoof_cluster_zero_points_is_identity(cloud):
-    out = spoof_cluster(cloud, AttackSpec(kind="cluster", n_points=0))
+    out = spoof(cloud, AttackSpec(kind="cluster", n_points=0))
     np.testing.assert_array_equal(out.points, cloud.points)
 
 
 def test_spoof_cluster_budget_count(cloud):
     spec = AttackSpec(kind="cluster", n_points=150, cluster_center=(10.0, 5.0), cluster_sigma=2.0)
-    out = spoof_cluster(cloud, spec)
+    out = spoof(cloud, spec)
     assert len(out) == len(cloud) + 150
     np.testing.assert_array_equal(out.points[:len(cloud)], cloud.points)
     assert np.all(out.points[len(cloud):, 2] == 0.0)
@@ -43,14 +42,14 @@ def test_spoof_cluster_within_5_sigma():
     for seed in range(100):
         spec = AttackSpec(kind="cluster", n_points=50, cluster_center=(3.0, -4.0),
                           cluster_sigma=0.5, seed=seed)
-        pts = spoof_cluster(empty, spec).points[:, :2]
+        pts = spoof(empty, spec).points[:, :2]
         dist = np.hypot(pts[:, 0] - 3.0, pts[:, 1] + 4.0)
         assert np.all(dist <= 5 * 0.5 * np.sqrt(2) + 1e-9)
 
 
 def test_spoof_uniform_support(cloud):
     spec = AttackSpec(kind="uniform", n_points=150, bounds=75.0)
-    out = spoof_uniform(cloud, spec)
+    out = spoof(cloud, spec)
     added = out.points[len(cloud):]
     assert added.shape == (150, 3)
     assert np.all(np.abs(added[:, :2]) <= 75.0)
@@ -62,22 +61,15 @@ def test_spoof_uniform_mean_near_zero():
     xs = []
     for seed in range(100):
         spec = AttackSpec(kind="uniform", n_points=100, bounds=75.0, seed=seed)
-        xs.append(spoof_uniform(empty, spec).points[:, 0])
+        xs.append(spoof(empty, spec).points[:, 0])
     assert abs(np.concatenate(xs).mean()) < 2.0
 
 
 def test_spoof_deterministic_per_seed(cloud):
     spec = AttackSpec(kind="uniform", n_points=50, bounds=40.0, seed=9)
-    a = spoof_uniform(cloud, spec).points
-    b = spoof_uniform(cloud, spec).points
+    a = spoof(cloud, spec).points
+    b = spoof(cloud, spec).points
     np.testing.assert_array_equal(a, b)
-
-
-def test_spoof_kind_mismatch(cloud):
-    with pytest.raises(ValueError):
-        spoof_cluster(cloud, AttackSpec(kind="uniform"))
-    with pytest.raises(ValueError):
-        spoof_uniform(cloud, AttackSpec(kind="cluster"))
 
 
 def test_defense_spec_validation():
@@ -139,7 +131,7 @@ def test_defend_idempotent():
 def test_attack_size_delta_exact(cloud):
     for spec in (AttackSpec(kind="uniform", n_points=137, bounds=75.0),
                  AttackSpec(kind="cluster", n_points=42)):
-        out = spoof_uniform(cloud, spec) if spec.kind == "uniform" else spoof_cluster(cloud, spec)
+        out = spoof(cloud, spec)
         assert len(out) - len(cloud) == spec.n_points
         np.testing.assert_array_equal(out.points[:len(cloud)], cloud.points)
 
@@ -147,7 +139,7 @@ def test_attack_size_delta_exact(cloud):
 def test_adaptive_spoof_disabled_defense_is_cluster(cloud):
     spec = AttackSpec(kind="cluster", n_points=30, cluster_center=(5.0, 5.0), seed=3)
     a = adaptive_spoof(cloud, DefenseSpec(), spec)
-    b = spoof_cluster(cloud, spec)
+    b = spoof(cloud, spec)
     np.testing.assert_array_equal(a.points, b.points)
 
 

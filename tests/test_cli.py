@@ -120,6 +120,30 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
     assert flags[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, code, named", [
+    ("crossval", ["--base-channels", "x"], 2, "--base-channels: need comma-separated integers, got 'x'"),
+    ("crossval", ["--base-channels", "4,0"], 2, "--base-channels: need integers >= 1, got '4,0'"),
+    ("bench", ["--frames", "0"], 2, "--frames: need an integer >= 1, got '0'"),
+    ("bench", ["--frames", "-2"], 2, "--frames: need an integer >= 1, got '-2'"),
+    ("train", ["--epochs", "0"], 2, "--epochs: need an integer >= 1, got '0'"),
+    ("crossval", ["--epochs", "0"], 2, "--epochs: need an integer >= 1, got '0'"),
+    ("train", ["--lr", "0"], 3, "learning_rate=0.0"),
+    ("crossval", ["--dropout", "0"], 3, "dropout_rate 0.0"),
+])
+def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
+    ckpt = tmp_path / "net.fvnt"
+    base = {"train": ["--out", str(ckpt), "--epochs", "1"],
+            "crossval": ["--folds", "2", "--epochs", "1", "--base-channels", "4"],
+            "bench": ["--method", "rayq"]}[command]
+    try:
+        got = main([command, "--dataset", str(dataset), *base, *flags])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert named in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def _copy_dataset(dataset, tmp_path):
     from fovlab.datasets import manifest_grid
     copy = tmp_path / "ds"
@@ -261,7 +285,7 @@ def test_missing_files_exit_code(tmp_path):
                  "--out", str(tmp_path / "x.fvnt")]) == 3
 
 
-def test_bad_config_rejected(tmp_path, dataset):
+def test_bad_config_rejected(tmp_path, dataset, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"unknown_section": 1}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
@@ -269,6 +293,9 @@ def test_bad_config_rejected(tmp_path, dataset):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
     bad.write_text(json.dumps({"attack": {"n_points": 25}}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    bad.write_text(json.dumps({"family": "indoor"}))
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert "family: expected an object" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
 

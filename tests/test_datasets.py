@@ -54,9 +54,9 @@ def test_masks_match_oracle_recompute(small_dataset):
     root, manifest = small_dataset
     lidar = LidarModel(**manifest["lidar"])
     grid = manifest_grid(manifest)
-    frames = load_frames(root, "test", with_scene=True)
-    for frame in frames:
-        want = ground_truth_fov(frame.scene, lidar, grid)
+    frames = load_frames(root, "test")
+    for frame, row in zip(frames, manifest["splits"]["test"]):
+        want = ground_truth_fov(fio.load_scene(root / row["scene"]), lidar, grid)
         np.testing.assert_array_equal(frame.mask.mask, want.mask)
 
 

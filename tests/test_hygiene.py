@@ -1,4 +1,5 @@
-"""Source hygiene: no unused top-level imports, no dangling ``__all__`` entries."""
+"""Source hygiene: no unused top-level imports, no dangling ``__all__`` entries,
+and random streams built only by the seeding helpers in ``types.py``."""
 
 import ast
 import importlib
@@ -44,3 +45,24 @@ def test_all_entries_resolve(path):
     module = importlib.import_module(_module_name(path))
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+SEEDING = {"SeedSequence", "default_rng"}
+
+
+def _seeding_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in SEEDING:
+                calls.append(f"{path.name}:{node.lineno}: {name}")
+    return calls
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "types.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_random_streams_come_from_seeded_rng(path):
+    assert _seeding_calls(path) == []

@@ -51,30 +51,6 @@ def test_fvpc_rejects_garbage(tmp_path):
         fio.load_point_cloud(path)
 
 
-def test_csv_round_trip(tmp_path, cloud):
-    path = tmp_path / "c.csv"
-    fio.save_point_cloud_csv(path, cloud)
-    assert (tmp_path / "c.pose.json").exists()
-    back = fio.load_point_cloud_csv(path)
-    np.testing.assert_array_equal(back.points, cloud.points)
-    np.testing.assert_array_equal(back.pose.quaternion, cloud.pose.quaternion)
-    assert back.frame_id == 3
-
-
-def test_csv_missing_sidecar(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("x,y,z\n1,2,3\n")
-    with pytest.raises(DataError):
-        fio.load_point_cloud_csv(path)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(DataError):
-        fio.load_point_cloud_csv(path)
-
-
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     spec = GridSpec(extent=10.0, resolution=16)

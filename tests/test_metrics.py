@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fovlab.metrics import (ConfusionCounts, auprc, auprc_arrays, confusion, iou, metrics)
-from fovlab.types import FovMask, GridSpec, ProbMap
+from fovlab.metrics import (ConfusionCounts, auprc_arrays, confusion, iou, metrics)
+from fovlab.types import FovMask, GridSpec
 
 
 def test_confusion_all_visible():
@@ -142,15 +142,6 @@ def test_auprc_random_large_instances():
         got = auprc_arrays(scores, labels)
         want = brute_force_auprc(scores, labels)
         assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_auprc_probmap_interface():
-    spec = GridSpec(extent=4.0, resolution=8)
-    rng = np.random.default_rng(5)
-    pm = ProbMap(spec, rng.uniform(size=(8, 8)))
-    gt = FovMask(spec, rng.uniform(size=(8, 8)) > 0.5)
-    assert auprc(pm, gt) == pytest.approx(
-        brute_force_auprc(pm.values.ravel(), gt.mask.ravel()), abs=1e-12)
 
 
 def test_iou():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fovlab.geometry import project_to_bev, quantize
 from fovlab.scenes import (FAMILY_NAMES, LidarModel, Scene, SceneFamily, _segments_blocked,
                            default_grid, default_lidar, generate_scene, ground_truth_fov,
-                           point_in_convex, simulate_lidar, visible_fraction)
+                           point_in_convex, simulate_lidar)
 from fovlab.types import FovMask, GridSpec, Pose
 
 from conftest import wall_quad
@@ -375,7 +375,7 @@ def test_visible_fraction_monotone_in_obstacles(noiseless_lidar):
     for x0 in (30.0, -15.0, 5.0):
         mask = ground_truth_fov(Scene(obstacles=list(obstacles), sensor=Pose.identity(),
                                       bounds=60.0), noiseless_lidar, spec)
-        fractions.append(visible_fraction(mask))
+        fractions.append(mask.mask.mean())
         obstacles.append(wall_quad(x0, y_half=10.0))
     assert all(fractions[i + 1] <= fractions[i] + 1e-12 for i in range(len(fractions) - 1))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovlab.errors import NumericError
 from fovlab.segnet import (NetConfig, TrainConfig, binarize, forward, grad_check,
@@ -9,7 +11,7 @@ from fovlab.segnet.layers import (conv1x1_forward, conv3x3_forward, maxpool2_for
                                   sigmoid, upsample2_forward)
 from fovlab.segnet.network import conv_specs, forward_batch, normalize_counts
 from fovlab.segnet.training import tiny_check_net
-from fovlab.types import BevImage, FovMask, GridSpec, ProbMap
+from fovlab.types import BevImage, FovMask, GridSpec, ProbMap, seeded_rng
 
 SPEC16 = GridSpec(extent=8.0, resolution=16)
 
@@ -94,8 +96,8 @@ def test_zero_network_outputs_half(rand_image):
 
 def test_forward_deterministic_without_dropout(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=1)
-    a = forward(net, rand_image, dropout_active=False)
-    b = forward(net, rand_image, dropout_active=False)
+    a = forward(net, rand_image)
+    b = forward(net, rand_image)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -328,13 +330,28 @@ def test_mcd_reproducible_and_matches_welford(rand_image):
     m = np.zeros((16, 16))
     m2 = np.zeros((16, 16))
     for t in range(50):
-        sub = np.random.SeedSequence((9, t))
-        v = forward(net, rand_image, dropout_active=True, seed=sub).values
+        v = forward(net, rand_image, rng=seeded_rng(9, t)).values
         delta = v - m
         m += delta / (t + 1)
         m2 += delta * (v - m)
     np.testing.assert_allclose(mean1.values, m, atol=1e-12)
     np.testing.assert_allclose(conf1.sigma, np.sqrt(m2 / 50), atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.integers(1, 6).flatmap(lambda T: st.permutations(range(T))))
+def test_mcd_sub_seed_independent_of_pass_order(seed, order):
+    """Passes run in any order give infer_mcd's mean and sigma bit for bit."""
+    rand_image = BevImage(SPEC16, np.random.default_rng(3).integers(0, 6, (16, 16)))
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2,
+                              resolution=16), seed=1)
+    stack = np.empty((len(order), 16, 16))
+    for t in order:
+        stack[t] = forward(net, rand_image, rng=seeded_rng(seed, t)).values
+    mean, conf = infer_mcd(net, rand_image, T=len(order), seed=seed)
+    np.testing.assert_array_equal(stack.mean(axis=0), mean.values)
+    np.testing.assert_array_equal(stack.std(axis=0), conf.sigma)
 
 
 def test_binarize_threshold_semantics():
