@@ -4,6 +4,13 @@ All estimators consume BEV points (N, 2) in the sensor frame and produce
 either a per-azimuth range profile (PolarFov) or a bounding polygon
 (FovPolygon), plus rasterizers that turn both into grid masks comparable with
 the ground-truth masks.
+
+The concave hull's closure test and the polygon rasterizer share one
+even-odd rule (Haines 1994, "Point in Polygon Strategies"): point (px, py)
+crosses edge (x1, y1)-(x2, y2) iff min(y1, y2) <= py < max(y1, y2) and
+px < x1 + (py - y1) * (x2 - x1) / (y2 - y1), and is inside iff it crosses an
+odd number of edges, or lies on the boundary: within _BOUNDARY_TOL of the line
+of an edge of nonzero length and of that edge's bounding box.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
 _BOUNDARY_TOL = 1e-9  # a point this close to a polygon edge (m) lies on it
+_STRIP_PAD = 1e-6  # (m) slack of the boundary candidate strip, far above rounding
 
 
 @dataclass
@@ -246,89 +254,75 @@ def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
     return FovMask(spec, r <= pf.max_range_per_bin[bins])
 
 
+def _flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of every range [lo[i], hi[i]), with the i it came from."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) + (lo - np.cumsum(n) + n)[owner]
+
+
 def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd point-in-polygon test; points within _BOUNDARY_TOL of the
-    boundary count as inside."""
+    """Which (N, 2) points lie inside or on the closed (V, 2) polygon.
+
+    Points are grouped into rows of equal y. An edge is evaluated only on the
+    rows it spans; its boundary candidates in a row are the points within
+    _BOUNDARY_TOL + _STRIP_PAD of its line and inside its padded box.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    px, py = pts[:, 0], pts[:, 1]
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    on_edge = np.zeros(pts.shape[0], dtype=bool)
-    v1 = np.asarray(poly, dtype=np.float64)
-    v2 = np.roll(v1, -1, axis=0)
+    keys = pts[:, 1] + 1j * pts[:, 0]  # complex keys sort by y, then by x
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    px, py = keys.imag, keys.real
+    rows = np.unique(py)
+    x1, y1 = np.asarray(poly, dtype=np.float64).T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    ex, ey = x2 - x1, y2 - y1
+    elen = np.hypot(ex, ey)
     tol = _BOUNDARY_TOL
-    for (x1, y1), (x2, y2) in zip(v1, v2):
-        crosses = ((y1 <= py) & (y2 > py)) | ((y2 <= py) & (y1 > py))
-        if np.any(crosses):
-            x_int = x1 + (py[crosses] - y1) * (x2 - x1) / (y2 - y1)
-            hit = np.zeros_like(inside)
-            hit[crosses] = px[crosses] < x_int
-            inside ^= hit
-        ex, ey = x2 - x1, y2 - y1
-        elen = np.hypot(ex, ey)
-        if elen == 0.0:
-            continue
-        cross = ex * (py - y1) - ey * (px - x1)
-        within = (np.abs(cross) / elen <= tol) \
-            & (px >= min(x1, x2) - tol) & (px <= max(x1, x2) + tol) \
-            & (py >= min(y1, y2) - tol) & (py <= max(y1, y2) + tol)
-        on_edge |= within
-    return inside | on_edge
+    xlo, xhi = np.minimum(x1, x2) - tol, np.maximum(x1, x2) + tol
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    # the (edge, row) pairs an edge may cross or touch; a zero-length edge has none
+    live = elen != 0.0
+    e, r = _flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
+                        np.searchsorted(rows, yhi + tol, side="right") * live)
+    y = rows[r]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at = x1[e] + (y - y1[e]) * ex[e] / ey[e]  # not finite on horizontal edges
+        half = ((tol + _STRIP_PAD) * elen / np.abs(ey))[e]
+        strip_lo, strip_hi = np.fmax(x_at - half, xlo[e]), np.fmin(x_at + half, xhi[e])
+
+    # a row has an even number of crossings, so the count to a point's right
+    # has the parity of the count at or before it in (y, x) order
+    crosses = (ylo[e] <= y) & (y < yhi[e])
+    before = np.searchsorted(keys, y[crosses] + 1j * x_at[crosses], side="left")
+    inside = (np.cumsum(np.bincount(before, minlength=keys.size + 1))[:-1] & 1).astype(bool)
+
+    pair, c = _flat_ranges(np.searchsorted(keys, y + 1j * strip_lo, side="left"),
+                           np.searchsorted(keys, y + 1j * strip_hi, side="right"))
+    ce = e[pair]
+    cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
+    inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
+             & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
+    out = np.empty_like(inside)
+    out[order] = inside
+    return out
+
+
+# the rasterizer's own name for the rule, out of reach of a wrapper on points_in_polygon
+_contains = points_in_polygon
+
+
+@lru_cache(maxsize=32)
+def _centers_by_row(spec: GridSpec) -> np.ndarray:
+    """Cell centers as (x, y) in (iy, ix) order, i.e. sorted by y, then x."""
+    return np.column_stack([a.T.ravel() for a in spec.cell_centers()])
 
 
 def rasterize_polygon(poly: FovPolygon, spec: GridSpec) -> FovMask:
-    """Cell visible iff its center is inside the polygon (even-odd rule).
-
-    Scanline fill: per row of cell centers, collect edge crossings and mark
-    centers with an odd crossing count to their left. Centers that coincide
-    with the boundary are counted visible.
-    """
+    """Cell visible iff its center is inside or on the polygon."""
     res = spec.resolution
-    centers = spec.cell_centers_1d()
-    v1 = poly.vertices
-    v2 = np.roll(v1, -1, axis=0)
-    inside = np.zeros((res, res), dtype=bool)  # [ix, iy]
-
-    # crossing x per row, half-open in y so vertices are not double counted
-    rows_of, xs_of = [], []
-    for (x1, y1), (x2, y2) in zip(v1, v2):
-        if y1 == y2:
-            continue
-        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
-        i0 = int(np.searchsorted(centers, ylo, side="left"))
-        i1 = int(np.searchsorted(centers, yhi, side="left"))
-        if i1 > i0:
-            ys = centers[i0:i1]
-            rows_of.append(np.arange(i0, i1))
-            xs_of.append(x1 + (ys - y1) * (x2 - x1) / (y2 - y1))
-    if rows_of:
-        rows = np.concatenate(rows_of)
-        xs = np.concatenate(xs_of)
-        order = np.lexsort((xs, rows))
-        rows, xs = rows[order], xs[order]
-        starts = np.searchsorted(rows, np.arange(res), side="left")
-        ends = np.searchsorted(rows, np.arange(res), side="right")
-        for iy in range(res):
-            row_xs = xs[starts[iy]:ends[iy]]
-            if row_xs.size:
-                inside[:, iy] = (np.searchsorted(row_xs, centers, side="left") % 2) == 1
-
-    # boundary-coincident centers are visible; only cells near each edge qualify
-    tol = _BOUNDARY_TOL
-    for (x1, y1), (x2, y2) in zip(v1, v2):
-        elen = np.hypot(x2 - x1, y2 - y1)
-        if elen == 0.0:
-            continue
-        ix0 = int(np.searchsorted(centers, min(x1, x2) - tol, side="left"))
-        ix1 = int(np.searchsorted(centers, max(x1, x2) + tol, side="right"))
-        iy0 = int(np.searchsorted(centers, min(y1, y2) - tol, side="left"))
-        iy1 = int(np.searchsorted(centers, max(y1, y2) + tol, side="right"))
-        if ix1 <= ix0 or iy1 <= iy0:
-            continue
-        cx = centers[ix0:ix1][:, None]
-        cy = centers[iy0:iy1][None, :]
-        cross = (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)
-        inside[ix0:ix1, iy0:iy1] |= np.abs(cross) / elen <= tol
-    return FovMask(spec, inside)
+    inside = _contains(_centers_by_row(spec), poly.vertices).reshape(res, res)
+    return FovMask(spec, np.ascontiguousarray(inside.T))
 
 
 __all__ = [

@@ -10,9 +10,9 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 succeeds.
 
 Exit codes: 0 ok, 2 usage (including an unknown estimator name, a malformed
-sweep --counts or --mcd, a malformed crossval --base-channels, and a bench
---frames or train/crossval --epochs below 1), 3 data error, 4 numeric
-failure.
+sweep --counts or --mcd, a bench --frames or train/crossval --epochs below 1,
+a train --lr that TrainConfig refuses, and a crossval --base-channels,
+--dropout or --lr outside the search grid), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .attacks import AttackSpec
 from .config import load_config, parse_config, resolved_dict
 from .datasets import attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
 from .errors import DataError, FovlabError, NumericError
-from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_DROPOUT, CROSSVAL_LR, ESTIMATORS,
-                          crossval, evaluate, format_table, make_estimator, measure_hz,
-                          security_sweep, write_csv, write_jsonl)
+from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_BASE_CHANNELS, CROSSVAL_DROPOUT,
+                          CROSSVAL_LR, ESTIMATORS, crossval, evaluate, format_table,
+                          make_estimator, measure_hz, security_sweep, write_csv, write_jsonl)
 from .metrics import iou
 from .segnet import NetConfig, TrainConfig, load_checkpoint, save_checkpoint, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
@@ -47,10 +47,7 @@ def _echo_config(args, extra: dict | None = None) -> None:
 
 
 def _load_experiment(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config({}, where="<defaults>")
+    cfg = load_config(args.config) if args.config else parse_config({}, where="<defaults>")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed,
                                   train=dataclasses.replace(cfg.train, seed=args.seed))
@@ -213,10 +210,7 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, args.split)
-    clouds = [f.cloud for f in frames]
-    while len(clouds) < args.frames:
-        clouds = clouds + clouds[: args.frames - len(clouds)]
-    clouds = clouds[: args.frames]
+    clouds = [frames[i % len(frames)].cloud for i in range(args.frames)]
     net = load_checkpoint(args.checkpoint) if args.checkpoint else None
     estimate = make_estimator(args.method, grid, filt, net=net, n_bins=args.n_bins, k=args.k)
     estimate(clouds[0], 0)  # warm caches before timing
@@ -236,8 +230,8 @@ def _estimator_list(text: str) -> list[str]:
     return names
 
 
-def _int_list(minimum: int):
-    """argparse type: comma-separated integers, each >= `minimum`."""
+def _int_list(minimum: int, grid: tuple | None = None):
+    """argparse type: comma-separated integers, each >= `minimum` (and in `grid`)."""
     def parse(text: str) -> list[int]:
         try:
             values = [int(c) for c in text.split(",")]
@@ -246,6 +240,8 @@ def _int_list(minimum: int):
                 f"need comma-separated integers, got {text!r}") from None
         if min(values) < minimum:
             raise argparse.ArgumentTypeError(f"need integers >= {minimum}, got {text!r}")
+        if grid is not None and not set(values) <= set(grid):
+            raise argparse.ArgumentTypeError(f"need integers from {grid}, got {text!r}")
         return values
     return parse
 
@@ -258,6 +254,13 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
     return n
+
+
+def _learning_rate(text: str) -> float:
+    try:
+        return TrainConfig(learning_rate=float(text)).learning_rate
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need a number > 0, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="experiment config JSON (net/train sections)")
     sp.add_argument("--out", required=True, help="checkpoint path")
     sp.add_argument("--epochs", type=_positive_int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
+    sp.add_argument("--lr", type=_learning_rate, default=None)
 
     sp = add("infer", cmd_infer, "write probability maps and masks for a split")
     sp.add_argument("--checkpoint", required=True)
@@ -326,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--folds", type=int, default=5)
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--epochs", type=_positive_int, default=5)
-    sp.add_argument("--base-channels", type=_int_list(1), default="4,8")
-    sp.add_argument("--dropout", type=float, default=None)
-    sp.add_argument("--lr", type=float, default=None)
+    sp.add_argument("--base-channels", type=_int_list(1, CROSSVAL_BASE_CHANNELS), default="4,8")
+    sp.add_argument("--dropout", type=float, choices=CROSSVAL_DROPOUT, default=None)
+    sp.add_argument("--lr", type=float, choices=CROSSVAL_LR, default=None)
     sp.add_argument("--out")
 
     sp = add("sweep", cmd_sweep, "metrics vs spoof count for a set of estimators")

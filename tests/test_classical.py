@@ -1,13 +1,101 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fovlab.classical import (FovPolygon, PolarFov, concave_hull, points_in_polygon,
-                              polar_to_mask, rasterize_polygon, raytrace_continuous,
-                              raytrace_quantized)
+from fovlab.attacks import AttackSpec, spoof
+from fovlab.classical import (_BOUNDARY_TOL, FovPolygon, PolarFov, concave_hull,
+                              points_in_polygon, polar_to_mask, rasterize_polygon,
+                              raytrace_continuous, raytrace_quantized)
+from fovlab.geometry import filter_points, project_to_bev
 from fovlab.metrics import iou
-from fovlab.scenes import ground_truth_fov
-from fovlab.types import GridSpec
+from fovlab.scenes import (FAMILY_NAMES, SceneFamily, default_lidar, generate_scene,
+                           ground_truth_fov, simulate_lidar)
+from fovlab.types import FilterSpec, FovMask, GridSpec
+
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+def _points_in_polygon_reference(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """The former per-edge loop of points_in_polygon, kept as its oracle."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    px, py = pts[:, 0], pts[:, 1]
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    on_edge = np.zeros(pts.shape[0], dtype=bool)
+    v1 = np.asarray(poly, dtype=np.float64)
+    v2 = np.roll(v1, -1, axis=0)
+    tol = _BOUNDARY_TOL
+    for (x1, y1), (x2, y2) in zip(v1, v2):
+        crosses = ((y1 <= py) & (y2 > py)) | ((y2 <= py) & (y1 > py))
+        if np.any(crosses):
+            x_int = x1 + (py[crosses] - y1) * (x2 - x1) / (y2 - y1)
+            hit = np.zeros_like(inside)
+            hit[crosses] = px[crosses] < x_int
+            inside ^= hit
+        ex, ey = x2 - x1, y2 - y1
+        elen = np.hypot(ex, ey)
+        if elen == 0.0:
+            continue
+        cross = ex * (py - y1) - ey * (px - x1)
+        within = (np.abs(cross) / elen <= tol) \
+            & (px >= min(x1, x2) - tol) & (px <= max(x1, x2) + tol) \
+            & (py >= min(y1, y2) - tol) & (py <= max(y1, y2) + tol)
+        on_edge |= within
+    return inside | on_edge
+
+
+def _rasterize_polygon_reference(poly: FovPolygon, spec: GridSpec) -> FovMask:
+    """The former scanline fill of rasterize_polygon, kept as its oracle: per
+    row of cell centers, an odd count of crossings to a center's left marks it
+    inside; then the centers on an edge are marked."""
+    res = spec.resolution
+    centers = spec.cell_centers_1d()
+    v1 = poly.vertices
+    v2 = np.roll(v1, -1, axis=0)
+    inside = np.zeros((res, res), dtype=bool)  # [ix, iy]
+
+    # crossing x per row, half-open in y so vertices are not double counted
+    rows_of, xs_of = [], []
+    for (x1, y1), (x2, y2) in zip(v1, v2):
+        if y1 == y2:
+            continue
+        ylo, yhi = (y1, y2) if y1 < y2 else (y2, y1)
+        i0 = int(np.searchsorted(centers, ylo, side="left"))
+        i1 = int(np.searchsorted(centers, yhi, side="left"))
+        if i1 > i0:
+            ys = centers[i0:i1]
+            rows_of.append(np.arange(i0, i1))
+            xs_of.append(x1 + (ys - y1) * (x2 - x1) / (y2 - y1))
+    if rows_of:
+        rows = np.concatenate(rows_of)
+        xs = np.concatenate(xs_of)
+        order = np.lexsort((xs, rows))
+        rows, xs = rows[order], xs[order]
+        starts = np.searchsorted(rows, np.arange(res), side="left")
+        ends = np.searchsorted(rows, np.arange(res), side="right")
+        for iy in range(res):
+            row_xs = xs[starts[iy]:ends[iy]]
+            if row_xs.size:
+                inside[:, iy] = (np.searchsorted(row_xs, centers, side="left") % 2) == 1
+
+    # boundary-coincident centers are visible; only cells near each edge qualify
+    tol = _BOUNDARY_TOL
+    for (x1, y1), (x2, y2) in zip(v1, v2):
+        elen = np.hypot(x2 - x1, y2 - y1)
+        if elen == 0.0:
+            continue
+        ix0 = int(np.searchsorted(centers, min(x1, x2) - tol, side="left"))
+        ix1 = int(np.searchsorted(centers, max(x1, x2) + tol, side="right"))
+        iy0 = int(np.searchsorted(centers, min(y1, y2) - tol, side="left"))
+        iy1 = int(np.searchsorted(centers, max(y1, y2) + tol, side="right"))
+        if ix1 <= ix0 or iy1 <= iy0:
+            continue
+        cx = centers[ix0:ix1][:, None]
+        cy = centers[iy0:iy1][None, :]
+        cross = (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)
+        inside[ix0:ix1, iy0:iy1] |= np.abs(cross) / elen <= tol
+    return FovMask(spec, inside)
 
 
 def test_polarfov_validation():
@@ -139,6 +227,43 @@ def test_concave_hull_contains_all_points():
         assert points_in_polygon(pts, poly.vertices).all(), f"trial {trial}"
 
 
+def _proper_crossings(poly: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j) of non-adjacent edges i -> i+1 and j -> j+1 that cross."""
+    a, b = poly, np.roll(poly, -1, axis=0)
+
+    def orient(p, q, r):  # sign of (q - p) x (r - p), over all (i, j) pairs
+        return np.sign((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                       - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    ai, bi, aj, bj = a[:, None], b[:, None], a[None, :], b[None, :]
+    cross = (orient(ai, bi, aj) * orient(ai, bi, bj) < 0) \
+        & (orient(aj, bj, ai) * orient(aj, bj, bi) < 0)
+    i, j = np.nonzero(np.triu(cross, 2))
+    v = len(poly)
+    return [(int(p), int(q)) for p, q in zip(i, j) if (q + 1) % v != p]
+
+
+@settings(max_examples=60, **PROPERTY)
+@given(n=st.integers(3, 40), k=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["square", "ring", "lattice"]))
+def test_concave_hull_simple_and_contains_points_property(n, k, seed, layout):
+    """The hull of a small cloud is a simple polygon holding every input point."""
+    rng = np.random.default_rng(seed)
+    if layout == "square":
+        pts = rng.uniform(-10, 10, (n, 2))
+    elif layout == "ring":
+        theta = rng.uniform(0.25 * np.pi, 1.75 * np.pi, n)
+        pts = rng.uniform(8, 10, (n, 1)) * np.column_stack([np.cos(theta), np.sin(theta)])
+    else:  # collinear runs and repeated points
+        pts = rng.integers(-3, 4, (n, 2)).astype(float)
+    try:
+        poly = concave_hull(pts, k)
+    except ValueError:  # fewer than 3 distinct points, or all collinear
+        return
+    assert _proper_crossings(poly.vertices) == []
+    assert points_in_polygon(pts, poly.vertices).all()
+
+
 def test_concave_hull_tighter_than_convex():
     # C-shaped cloud: concave hull with small k has less area than convex hull
     rng = np.random.default_rng(5)
@@ -172,19 +297,80 @@ def test_rasterize_boundary_center_visible():
     assert mask.mask[on_edge].all()
 
 
-def test_rasterize_matches_point_in_polygon_oracle():
-    rng = np.random.default_rng(17)
-    spec = GridSpec(extent=10.0, resolution=32)
+@st.composite
+def _polygon_cases(draw):
+    """A grid of res 8-64 and a polygon of 3-40 vertices on it, with repeated
+    vertices, horizontal and near-horizontal edges, vertices on cell centers
+    and spikes far past the grid."""
+    spec = GridSpec(extent=draw(st.sampled_from([1.0, 10.0, 75.0])),
+                    resolution=draw(st.integers(8, 64)))
+    e = spec.extent
+    free = st.floats(-1.2 * e, 1.2 * e, allow_nan=False)
+    center = st.sampled_from(spec.cell_centers_1d().tolist())
+    tiny = st.sampled_from([1e-15, -1e-12, 5e-10, -1e-9, 2e-9, 1e-6]).map(lambda d: d * e)
+    verts = [draw(st.tuples(free, free))]
+    for _ in range(draw(st.integers(2, 39))):
+        px, py = verts[-1]
+        kind = draw(st.sampled_from(["free", "center", "spike", "repeat", "flat", "near-flat"]))
+        if kind == "free":
+            verts.append(draw(st.tuples(free, free)))
+        elif kind == "center":
+            verts.append(draw(st.tuples(center, center)))
+        elif kind == "spike":
+            verts.append(draw(st.tuples(st.sampled_from([-40 * e, 40 * e]), free)))
+        elif kind == "repeat":
+            verts.append((px, py))
+        elif kind == "flat":
+            verts.append((draw(st.one_of(free, center)), py))
+        else:
+            verts.append((draw(free), py + draw(tiny)))
+    return spec, np.array(verts)
+
+
+@settings(max_examples=150, **PROPERTY)
+@given(case=_polygon_cases(), seed=st.integers(0, 2**32 - 1))
+def test_polygon_kernel_matches_references_property(case, seed):
+    """rasterize_polygon equals the former scanline fill, which equals the
+    former points_in_polygon on the cell centers; points_in_polygon equals
+    its former loop on random points, on points on edges and on points that
+    share a vertex's y."""
+    spec, verts = case
+    poly = FovPolygon(verts)
     X, Y = spec.cell_centers()
-    centers = np.column_stack([X.ravel(), Y.ravel()])
-    for trial in range(10):
-        k = int(rng.integers(3, 10))
-        ang = np.sort(rng.uniform(0, 2 * np.pi, k))
-        rad = rng.uniform(2, 9, k)
-        poly = FovPolygon(np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]))
-        got = rasterize_polygon(poly, spec).mask
-        want = points_in_polygon(centers, poly.vertices).reshape(32, 32)
-        np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+    want = _rasterize_polygon_reference(poly, spec).mask
+    np.testing.assert_array_equal(
+        want, _points_in_polygon_reference(np.column_stack([X.ravel(), Y.ravel()]), verts)
+        .reshape(X.shape))
+    np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask, want)
+
+    rng = np.random.default_rng(seed)
+    e = spec.extent
+    ends = np.roll(verts, -1, axis=0)
+    t = rng.uniform(0.0, 1.0, (len(verts), 1))
+    points = np.vstack([
+        rng.uniform(-1.5 * e, 1.5 * e, (200, 2)),
+        verts, verts + t * (ends - verts),
+        np.column_stack([rng.uniform(-1.5 * e, 1.5 * e, len(verts)), verts[:, 1]]),
+    ])
+    np.testing.assert_array_equal(points_in_polygon(points, verts),
+                                  _points_in_polygon_reference(points, verts))
+
+
+def test_rasterize_matches_reference_on_rayc_polygons():
+    """Cell for cell on the continuous ray trace of benign and spoofed frames."""
+    filt = FilterSpec(max_range=75.0)
+    for name in FAMILY_NAMES:
+        scene = generate_scene(SceneFamily.preset(name), 1)
+        cloud = simulate_lidar(scene, default_lidar(name), 1)
+        for n_spoof in (0, 150):
+            pts = filter_points(project_to_bev(
+                spoof(cloud, AttackSpec(n_points=n_spoof, budget=150, seed=2))), filt)[:, :2]
+            poly = raytrace_continuous(pts)
+            for res in (64, 129):
+                spec = GridSpec(extent=75.0, resolution=res)
+                np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask,
+                                              _rasterize_polygon_reference(poly, spec).mask,
+                                              err_msg=f"{name} {n_spoof} {res}")
 
 
 def test_rasterize_area_close_to_shoelace():

@@ -127,8 +127,11 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
     ("bench", ["--frames", "-2"], 2, "--frames: need an integer >= 1, got '-2'"),
     ("train", ["--epochs", "0"], 2, "--epochs: need an integer >= 1, got '0'"),
     ("crossval", ["--epochs", "0"], 2, "--epochs: need an integer >= 1, got '0'"),
-    ("train", ["--lr", "0"], 3, "learning_rate=0.0"),
-    ("crossval", ["--dropout", "0"], 3, "dropout_rate 0.0"),
+    ("train", ["--lr", "0"], 2, "--lr: need a number > 0, got '0'"),
+    ("crossval", ["--dropout", "0"], 2, "--dropout: invalid choice: 0.0"),
+    ("crossval", ["--base-channels", "4,5"], 2,
+     "--base-channels: need integers from (4, 8, 16, 32), got '4,5'"),
+    ("crossval", ["--lr", "0"], 2, "--lr: invalid choice: 0.0"),
 ])
 def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
     ckpt = tmp_path / "net.fvnt"

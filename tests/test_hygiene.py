@@ -1,13 +1,16 @@
 """Source hygiene: no unused top-level imports, no dangling ``__all__`` entries,
-and random streams built only by the seeding helpers in ``types.py``."""
+random streams built only by the seeding helpers in ``types.py``, and every
+function the benchmark traces still there under its name."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fovlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fovlab"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
@@ -66,3 +69,22 @@ def _seeding_calls(path: Path) -> list[str]:
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_random_streams_come_from_seeded_rng(path):
     assert _seeding_calls(path) == []
+
+
+def test_benchmark_traced_functions_exist():
+    """fovbench wraps fovlab functions by module attribute, so renaming or
+    removing one breaks a traced benchmark run; install and undo its tracer."""
+    spec = importlib.util.spec_from_file_location("fovbench_recorder",
+                                                  ROOT / "fovbench" / "recorder.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    rec = recorder.Recorder()
+    try:
+        recorder.install(rec)
+        patched = list(rec._patched)
+    finally:
+        rec.restore()
+    assert len(patched) > 20
+    for owner, attr, orig in patched:
+        now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert now is orig, f"{attr} not restored"

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fovlab import io as fio
 from fovlab.errors import DataError
@@ -80,6 +83,44 @@ def test_pgm_bytes_deterministic(tmp_path):
     fio.save_mask_pgm(tmp_path / "a.pgm", mask)
     fio.save_mask_pgm(tmp_path / "b.pgm", mask)
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+@settings(max_examples=40, **PROPERTY)
+@given(points=st.integers(0, 64).flatmap(lambda n: arrays(
+           np.float32, (n, 3), elements=st.floats(width=32, allow_nan=False, allow_infinity=False))),
+       position=arrays(np.float64, 3, elements=st.floats(-1e6, 1e6)),
+       quaternion=st.one_of(st.just((1.0, 0.0, 0.0, 0.0)), st.tuples(
+           *[st.floats(0.1, 1.0) | st.floats(-1.0, -0.1) for _ in range(4)])))
+def test_fvpc_round_trip_property(tmp_path_factory, points, position, quaternion):
+    """Any float32-representable cloud and pose, the empty cloud included,
+    loads back bit for bit and saves back to the same bytes."""
+    q = np.asarray(quaternion) / np.linalg.norm(quaternion)
+    cloud = PointCloud(points.astype(np.float64), Pose(position, q))
+    path = tmp_path_factory.mktemp("fvpc") / "c.fvpc"
+    fio.save_point_cloud(path, cloud)
+    back = fio.load_point_cloud(path)
+    assert back.points.tobytes() == cloud.points.tobytes()
+    assert back.pose.position.tobytes() == cloud.pose.position.tobytes()
+    assert back.pose.quaternion.tobytes() == cloud.pose.quaternion.tobytes()
+    fio.save_point_cloud(path.with_suffix(".again"), back)
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=30, **PROPERTY)
+@given(mask=st.integers(8, 70).flatmap(lambda res: arrays(bool, (res, res))))
+def test_pgm_round_trip_property(tmp_path_factory, mask):
+    """A mask at any resolution, odd or even, loads back cell for cell and
+    saves back to the same bytes."""
+    spec = GridSpec(extent=12.5, resolution=mask.shape[0])
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    fio.save_mask_pgm(path, FovMask(spec, mask))
+    back = fio.load_mask_pgm(path, spec)
+    np.testing.assert_array_equal(back.mask, mask)
+    fio.save_mask_pgm(path.with_suffix(".again"), back)
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
 
 def test_scene_json_round_trip(tmp_path, sample_scene):
