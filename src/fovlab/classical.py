@@ -24,6 +24,8 @@ from .geometry import to_polar
 from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
+MIN_BINS = 8  # fewest azimuth bins raytrace_quantized accepts
+MIN_K = 3  # smallest neighbour count concave_hull accepts
 _BOUNDARY_TOL = 1e-9  # a point this close to a polygon edge (m) lies on it
 _STRIP_PAD = 1e-6  # (m) slack of the boundary candidate strip, far above rounding
 
@@ -64,8 +66,8 @@ class FovPolygon:
 
 def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> PolarFov:
     """Max range per azimuth bin; bins with no points get range 0 (invisible)."""
-    if n_bins < 8:
-        raise ValueError("n_bins must be >= 8")
+    if n_bins < MIN_BINS:
+        raise ValueError(f"n_bins must be >= {MIN_BINS}")
     polar = to_polar(points_xy)
     ranges = np.zeros(n_bins)
     if polar.shape[0]:
@@ -115,8 +117,8 @@ def concave_hull(points_xy: np.ndarray, k: int = 16) -> FovPolygon:
     boundary built so far. Retries with k+1 whenever the walk gets stuck or
     some point falls outside the closed hull.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    if k < MIN_K:
+        raise ValueError(f"k must be >= {MIN_K}")
     pts = np.unique(np.asarray(points_xy, dtype=np.float64).reshape(-1, 2), axis=0)
     n = pts.shape[0]
     if n < 3:

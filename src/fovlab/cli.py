@@ -9,10 +9,10 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 "error" message, is left out of pooled and mean metrics, and the command still
 succeeds.
 
-Exit codes: 0 ok, 2 usage (including an unknown estimator name, a malformed
-sweep --counts or --mcd, a bench --frames or train/crossval --epochs below 1,
-a train --lr that TrainConfig refuses, and a crossval --base-channels,
---dropout or --lr outside the search grid), 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure. A flag value
+that a library check would refuse (an unknown estimator, a count, depth, rate
+or threshold out of range, a crossval value outside the search grid) is a
+usage error: the flag's parser type applies the same rule.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import io as fio
 from .attacks import AttackSpec
+from .classical import MIN_BINS, MIN_K
 from .config import load_config, parse_config, resolved_dict
 from .datasets import attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
 from .errors import DataError, FovlabError, NumericError
@@ -246,21 +247,30 @@ def _int_list(minimum: int, grid: tuple | None = None):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return n
+def _checked(convert, ok, need: str):
+    """argparse type: `convert(text)`, refused unless `ok(value)` is true.
+
+    `ok` may also be a library constructor that raises ValueError on a value
+    it refuses, so the flag applies the library's own rule.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+    return parse
 
 
-def _learning_rate(text: str) -> float:
-    try:
-        return TrainConfig(learning_rate=float(text)).learning_rate
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"need a number > 0, got {text!r}") from None
+def _int_at_least(minimum: int):
+    return _checked(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+
+
+_learning_rate = _checked(float, lambda lr: TrainConfig(learning_rate=lr), "a number > 0")
+_depth = _checked(int, lambda d: NetConfig(depth=d), "an integer in [3, 6]")
+_threshold = _checked(float, lambda t: 0.0 < t < 1.0, "a number in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--kind", default="uniform", choices=("uniform", "cluster"))
-    sp.add_argument("--n-points", type=int, default=150)
+    sp.add_argument("--n-points", type=_int_at_least(0), default=150)
     sp.add_argument("--bounds", type=float, default=75.0)
     sp.add_argument("--center-x", type=float, default=0.0)
     sp.add_argument("--center-y", type=float, default=0.0)
@@ -297,38 +307,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--method", required=True, choices=CLASSICAL_ESTIMATORS)
-    sp.add_argument("--n-bins", type=int, default=360)
-    sp.add_argument("--k", type=int, default=16)
+    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=360)
+    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
     sp.add_argument("--out", required=True, help="directory for masks and metrics.jsonl")
 
     sp = add("train", cmd_train, "train the segmentation network on a dataset")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--config", help="experiment config JSON (net/train sections)")
     sp.add_argument("--out", required=True, help="checkpoint path")
-    sp.add_argument("--epochs", type=_positive_int, default=None)
+    sp.add_argument("--epochs", type=_int_at_least(1), default=None)
     sp.add_argument("--lr", type=_learning_rate, default=None)
 
     sp = add("infer", cmd_infer, "write probability maps and masks for a split")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--mcd", type=int, default=0, help="MC-dropout passes (0 = MLE)")
-    sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    sp.add_argument("--mcd", type=_int_at_least(0), default=0, help="MC-dropout passes (0 = MLE)")
+    sp.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     sp.add_argument("--out", required=True)
 
     sp = add("eval", cmd_eval, "evaluate a checkpoint against ground truth")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--mcd", type=int, default=0)
-    sp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    sp.add_argument("--mcd", type=_int_at_least(0), default=0)
+    sp.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     sp.add_argument("--out", help="metrics JSON-lines path")
 
     sp = add("crossval", cmd_crossval, "grid search via k-fold cross-validation")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--folds", type=int, default=5)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--epochs", type=_positive_int, default=5)
+    sp.add_argument("--folds", type=_int_at_least(2), default=5)
+    sp.add_argument("--depth", type=_depth, default=4)
+    sp.add_argument("--epochs", type=_int_at_least(1), default=5)
     sp.add_argument("--base-channels", type=_int_list(1, CROSSVAL_BASE_CHANNELS), default="4,8")
     sp.add_argument("--dropout", type=float, choices=CROSSVAL_DROPOUT, default=None)
     sp.add_argument("--lr", type=float, choices=CROSSVAL_LR, default=None)
@@ -341,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--counts", type=_int_list(0), default="0,25,50,75,100,125,150",
                     help="spoofed point counts, comma-separated")
     sp.add_argument("--checkpoint", help="checkpoint for mle/mcd estimators")
-    sp.add_argument("--mcd", type=_positive_int, default=20,
+    sp.add_argument("--mcd", type=_int_at_least(1), default=20,
                     help="MC-dropout passes of the mcd estimator")
-    sp.add_argument("--n-bins", type=int, default=360)
-    sp.add_argument("--k", type=int, default=16)
+    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=360)
+    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = add("bench", cmd_bench, "throughput of the full preprocess+estimate path")
@@ -352,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--split", default="test", choices=("train", "val", "test"))
     sp.add_argument("--method", default="rayq", choices=ESTIMATORS)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--frames", type=_positive_int, default=50)
-    sp.add_argument("--n-bins", type=int, default=720)
-    sp.add_argument("--k", type=int, default=16)
+    sp.add_argument("--frames", type=_int_at_least(1), default=50)
+    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=720)
+    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
 
     return p
 

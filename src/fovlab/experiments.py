@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec, spoof
-from .classical import concave_hull, polar_to_mask, rasterize_polygon, raytrace_continuous, raytrace_quantized
+from .classical import (MIN_BINS, MIN_K, concave_hull, polar_to_mask, rasterize_polygon,
+                        raytrace_continuous, raytrace_quantized)
 from .datasets import Frame
 from .errors import DataError
 from .geometry import cloud_to_bev, filter_points, project_to_bev
@@ -74,8 +75,9 @@ def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network 
                             f"resolution {grid.resolution}")
         infer = _image_estimator(name, net, mcd_passes, threshold)
         return lambda cloud, seed: infer(cloud_to_bev(cloud, grid, filt), seed)
-    if (name == "rayq" and n_bins < 8) or (name == "concave" and k < 3):
-        raise ValueError(f"{name} needs n_bins >= 8 and k >= 3, got n_bins={n_bins}, k={k}")
+    if (name == "rayq" and n_bins < MIN_BINS) or (name == "concave" and k < MIN_K):
+        raise ValueError(f"{name} needs n_bins >= {MIN_BINS} and k >= {MIN_K}, "
+                         f"got n_bins={n_bins}, k={k}")
 
     def estimate(cloud, seed):
         pts = filter_points(project_to_bev(cloud), filt)[:, :2]
@@ -168,8 +170,8 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
     for testing; it defaults to segnet.train.
     """
     n = len(dataset)
-    if n < folds:
-        raise ValueError(f"need at least {folds} samples for {folds}-fold cross-validation")
+    if not 2 <= folds <= n:
+        raise ValueError(f"need 2 <= folds <= {n} samples, got {folds} folds")
     if not grid_configs:
         raise ValueError("empty cross-validation grid")
     for net_cfg, train_cfg in grid_configs:

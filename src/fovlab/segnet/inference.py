@@ -20,14 +20,17 @@ def infer_mcd(net: Network, image: BevImage, T: int = 20,
     """T stochastic forward passes with dropout active.
 
     Pass t draws its dropout masks from `seeded_rng(seed, t)`, so passes may
-    run in any order (or in parallel) with identical results. Returns the per-cell mean
-    map and the population standard deviation as a confidence map.
+    run in any order (or in parallel) with identical results. The stem before
+    the first dropout is the same in every pass and is computed once. Returns
+    the per-cell mean map and the population standard deviation as a
+    confidence map.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     stack = np.empty((T, net.config.resolution, net.config.resolution))
+    stem = {}
     for t in range(T):
-        stack[t] = forward(net, image, rng=seeded_rng(seed, t)).values
+        stack[t] = forward(net, image, rng=seeded_rng(seed, t), stem=stem).values
     mean = stack.mean(axis=0)
     sigma = stack.std(axis=0)  # population std (divide by T)
     return ProbMap(image.spec, mean), ConfidenceMap(image.spec, sigma)

@@ -4,6 +4,11 @@ Activations are channels-last (N, H, W, C) for cache-friendly im2col;
 parameter tensors keep the (out, in, kh, kw) layout used by checkpoints.
 Convolutions are stride-1 with "same" padding (3x3) or pointwise (1x1);
 pooling and upsampling use factor 2.
+
+Every forward returns (output, cache). The cache holds what the matching
+backward reads, for a 3x3 conv the whole im2col matrix: a caller that will
+not run backward drops it at once, so the matrix is freed right after its
+GEMM (see `network.forward_batch`).
 """
 
 from __future__ import annotations
@@ -28,22 +33,33 @@ def _w_mat(W: np.ndarray) -> np.ndarray:
 
 def conv3x3_forward(x, W, b):
     cols = _im2col3(x)
-    out = cols @ _w_mat(W) + b
+    out = cols @ _w_mat(W)
+    out += b
     return out, (cols, x.shape, W)
 
 
 def conv3x3_backward(dout, cache):
+    """Gradients (dx, dW, db) of a 3x3 conv from its (cols, x_shape, W) cache.
+
+    dx is col2im of dcols = dout @ W_mat^T, built one sample at a time so that
+    only an (H, W, 9C) dcols is live instead of (N, H, W, 9C). This is the
+    same arithmetic as the whole-batch form: numpy's matmul issues one BLAS
+    call per (sample, row) matrix in both, and every cell still receives its
+    nine taps in the same (di, dj) order, so dx is equal bit for bit.
+    """
     cols, x_shape, W = cache
     n, h, w, c = x_shape
     o = W.shape[0]
     dmat = np.tensordot(cols, dout, axes=([0, 1, 2], [0, 1, 2]))  # (9C, O)
     dW = dmat.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
     db = dout.sum(axis=(0, 1, 2))
-    dcols = (dout @ _w_mat(W).T).reshape(n, h, w, 3, 3, c)
+    w_t = _w_mat(W).T
     dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
-    for di in range(3):
-        for dj in range(3):
-            dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
+    for i in range(n):
+        dcols = (dout[i] @ w_t).reshape(h, w, 3, 3, c)
+        for di in range(3):
+            for dj in range(3):
+                dxp[i, di:di + h, dj:dj + w, :] += dcols[:, :, di, dj, :]
     return dxp[:, 1:h + 1, 1:w + 1, :], dW, db
 
 

@@ -121,88 +121,113 @@ def normalize_counts(counts: np.ndarray, dtype=np.float32) -> np.ndarray:
     return x.astype(dtype)
 
 
-def forward_batch(net: Network, x: np.ndarray, drop_rng=None):
+def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool = False,
+                  stem: dict | None = None):
     """Run the network on a normalized channels-last (N, H, W, 1) batch.
 
-    Returns (probs (N, H, W, 1) raw sigmoid output, caches) — caches feed
-    backward_batch. Dropout is active iff drop_rng is given.
+    Returns (probs (N, H, W, 1) raw sigmoid output, caches). Dropout is
+    active iff drop_rng is given.
+
+    `caches` feeds backward_batch. It is built only with `keep_caches`, which
+    the training step and grad_check set; inference and the validation loss
+    leave it off, so caches is None and each layer's cache, im2col matrix
+    included, is dropped as soon as the layer returns.
+
+    `stem` carries the stem (enc0.c1 -> ReLU -> enc0.c2 -> ReLU) across calls
+    on the same `x`: the first call with an empty dict stores it, and later
+    calls start from it. The stem comes before the first dropout and draws
+    nothing from drop_rng, so it is the same in every MC-dropout pass. It
+    cannot be combined with `keep_caches`, whose backward needs the stem's
+    caches.
     """
+    if keep_caches and stem is not None:
+        raise ValueError("keep_caches and stem are exclusive")
     cfg = net.config
     p = net.params
     rate = cfg.dropout_rate
+    caches = {} if keep_caches else None
+
+    def kept(key, result):
+        out, cache = result
+        if caches is not None:
+            caches[key] = cache
+        return out
+
+    def conv(x, name):
+        return kept(name, L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"]))
+
+    def conv_relu(x, name):
+        return kept(f"{name}.relu", L.relu_forward(conv(x, name)))
 
     def double_conv(x, name):
-        a, c1 = L.conv3x3_forward(x, p[f"{name}.c1.W"], p[f"{name}.c1.b"])
-        a, r1 = L.relu_forward(a)
-        a, c2 = L.conv3x3_forward(a, p[f"{name}.c2.W"], p[f"{name}.c2.b"])
-        a, r2 = L.relu_forward(a)
-        a, dm = L.dropout_forward(a, rate, drop_rng)
-        return a, (c1, r1, c2, r2, dm)
+        x = conv_relu(conv_relu(x, f"{name}.c1"), f"{name}.c2")
+        return kept(f"{name}.drop", L.dropout_forward(x, rate, drop_rng))
 
-    caches = {}
     skips = []
     for l in range(cfg.depth):
-        x, caches[f"enc{l}"] = double_conv(x, f"enc{l}")
+        if l == 0 and stem is not None:
+            if "enc0" not in stem:
+                stem["enc0"] = conv_relu(conv_relu(x, "enc0.c1"), "enc0.c2")
+            x = L.dropout_forward(stem["enc0"], rate, drop_rng)[0]
+        else:
+            x = double_conv(x, f"enc{l}")
         skips.append(x)
-        x, caches[f"pool{l}"] = L.maxpool2_forward(x)
-    x, caches["bott"] = double_conv(x, "bott")
+        x = kept(f"pool{l}", L.maxpool2_forward(x))
+    x = double_conv(x, "bott")
     for l in reversed(range(cfg.depth)):
-        x = L.upsample2_forward(x)
-        x, caches[f"dec{l}.up"] = L.conv3x3_forward(x, p[f"dec{l}.up.W"], p[f"dec{l}.up.b"])
-        x = np.concatenate([x, skips[l]], axis=3)
-        x, caches[f"dec{l}"] = double_conv(x, f"dec{l}")
-    logits, caches["head"] = L.conv1x1_forward(x, p["head.W"], p["head.b"])
-    probs = L.sigmoid(logits)
-    return probs, caches
+        x = conv(L.upsample2_forward(x), f"dec{l}.up")
+        x = double_conv(np.concatenate([x, skips[l]], axis=3), f"dec{l}")
+    logits = kept("head", L.conv1x1_forward(x, p["head.W"], p["head.b"]))
+    return L.sigmoid(logits), caches
 
 
 def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
-    """Gradients of every parameter given dLoss/dlogits."""
+    """Gradients of every parameter given dLoss/dlogits and forward_batch's
+    caches (kept with keep_caches=True)."""
     cfg = net.config
     grads = {}
 
-    def double_conv_bw(d, name, cache):
-        c1, r1, c2, r2, dm = cache
-        d = L.dropout_backward(d, dm)
-        d = L.relu_backward(d, r2)
-        d, dW, db = L.conv3x3_backward(d, c2)
-        grads[f"{name}.c2.W"], grads[f"{name}.c2.b"] = dW, db
-        d = L.relu_backward(d, r1)
-        d, dW, db = L.conv3x3_backward(d, c1)
-        grads[f"{name}.c1.W"], grads[f"{name}.c1.b"] = dW, db
+    def conv_bw(d, name):
+        d, grads[f"{name}.W"], grads[f"{name}.b"] = L.conv3x3_backward(d, caches[name])
         return d
 
-    d, dW, db = L.conv1x1_backward(dlogits, caches["head"])
-    grads["head.W"], grads["head.b"] = dW, db
+    def conv_relu_bw(d, name):
+        return conv_bw(L.relu_backward(d, caches[f"{name}.relu"]), name)
+
+    def double_conv_bw(d, name):
+        d = L.dropout_backward(d, caches[f"{name}.drop"])
+        return conv_relu_bw(conv_relu_bw(d, f"{name}.c2"), f"{name}.c1")
+
+    d, grads["head.W"], grads["head.b"] = L.conv1x1_backward(dlogits, caches["head"])
 
     d_skip = {}
     for l in range(cfg.depth):  # reverse of decoder execution order
-        d = double_conv_bw(d, f"dec{l}", caches[f"dec{l}"])
+        d = double_conv_bw(d, f"dec{l}")
         ch = cfg.base_channels * (2 ** l)
         d_up, d_skip[l] = d[..., :ch], d[..., ch:]
-        d, dW, db = L.conv3x3_backward(d_up, caches[f"dec{l}.up"])
-        grads[f"dec{l}.up.W"], grads[f"dec{l}.up.b"] = dW, db
-        d = L.upsample2_backward(d)
+        d = L.upsample2_backward(conv_bw(d_up, f"dec{l}.up"))
 
-    d = double_conv_bw(d, "bott", caches["bott"])
+    d = double_conv_bw(d, "bott")
     for l in reversed(range(cfg.depth)):
         d = L.maxpool2_backward(d, caches[f"pool{l}"])
         d = d + d_skip[l]
-        d = double_conv_bw(d, f"enc{l}", caches[f"enc{l}"])
+        d = double_conv_bw(d, f"enc{l}")
     return grads
 
 
-def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None) -> ProbMap:
+def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None,
+            stem: dict | None = None) -> ProbMap:
     """Single-image forward pass -> probability map.
 
     Dropout is active iff `rng` is given, and its masks are drawn from `rng`;
-    without it the output is deterministic.
+    without it the output is deterministic. `stem` is forward_batch's: one
+    dict shared by the passes over one image computes its stem once.
     """
     res = net.config.resolution
     if image.spec.resolution != res:
         raise ValueError(f"image resolution {image.spec.resolution} != network resolution {res}")
     x = normalize_counts(image.counts, np.float32 if net.dtype == np.float32 else np.float64)
-    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng)
+    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng, stem=stem)
     values = np.clip(probs[0, :, :, 0].astype(np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
     return ProbMap(image.spec, values)
 

@@ -118,13 +118,15 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
         train_loss = 0.0
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            probs, caches = forward_batch(net, xs[idx], drop_rng=seeded_rng(cfg.seed, epoch, b))
+            probs, caches = forward_batch(net, xs[idx], drop_rng=seeded_rng(cfg.seed, epoch, b),
+                                          keep_caches=True)
             loss, dlogits = _bce_and_dlogits(probs, ys[idx])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite training loss {loss!r} at epoch {epoch}, batch {b} "
                     f"(lr={cfg.learning_rate})")
             grads = backward_batch(net, caches, dlogits)
+            del caches  # else the next batch's forward runs with two sets of caches alive
             opt.step(net.params, grads)
             train_loss += loss * idx.size
         train_loss /= n
@@ -162,7 +164,7 @@ def grad_check(net: Network, image: BevImage, target: FovMask,
     x = normalize_counts(image.counts, net.dtype)[None, :, :, None]
     y = target.mask.astype(net.dtype)[None, :, :, None]
 
-    probs, caches = forward_batch(net, x)
+    probs, caches = forward_batch(net, x, keep_caches=True)
     _, dlogits = _bce_and_dlogits(probs, y)
     grads = backward_batch(net, caches, dlogits)
 

@@ -132,19 +132,39 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
     ("crossval", ["--base-channels", "4,5"], 2,
      "--base-channels: need integers from (4, 8, 16, 32), got '4,5'"),
     ("crossval", ["--lr", "0"], 2, "--lr: invalid choice: 0.0"),
+    ("estimate", ["--method", "concave", "--k", "2"], 2, "--k: need an integer >= 3, got '2'"),
+    ("estimate", ["--method", "rayq", "--n-bins", "4"], 2, "--n-bins: need an integer >= 8, got '4'"),
+    ("sweep", ["--k", "0"], 2, "--k: need an integer >= 3, got '0'"),
+    ("sweep", ["--n-bins", "7"], 2, "--n-bins: need an integer >= 8, got '7'"),
+    ("bench", ["--k", "-1"], 2, "--k: need an integer >= 3, got '-1'"),
+    ("bench", ["--n-bins", "x"], 2, "--n-bins: need an integer >= 8, got 'x'"),
+    ("crossval", ["--depth", "0"], 2, "--depth: need an integer in [3, 6], got '0'"),
+    ("crossval", ["--depth", "7"], 2, "--depth: need an integer in [3, 6], got '7'"),
+    ("crossval", ["--folds", "1"], 2, "--folds: need an integer >= 2, got '1'"),
+    ("attack", ["--n-points", "-1"], 2, "--n-points: need an integer >= 0, got '-1'"),
+    ("infer", ["--mcd", "-1"], 2, "--mcd: need an integer >= 0, got '-1'"),
+    ("eval", ["--mcd", "-1"], 2, "--mcd: need an integer >= 0, got '-1'"),
+    ("infer", ["--threshold", "0"], 2, "--threshold: need a number in (0, 1), got '0'"),
+    ("eval", ["--threshold", "1.5"], 2, "--threshold: need a number in (0, 1), got '1.5'"),
 ])
 def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
     ckpt = tmp_path / "net.fvnt"
+    out = str(tmp_path / "out")
     base = {"train": ["--out", str(ckpt), "--epochs", "1"],
             "crossval": ["--folds", "2", "--epochs", "1", "--base-channels", "4"],
-            "bench": ["--method", "rayq"]}[command]
+            "bench": ["--method", "rayq"],
+            "estimate": ["--out", out],
+            "sweep": ["--estimators", "rayq,concave", "--out", out],
+            "attack": ["--out", out],
+            "infer": ["--checkpoint", str(ckpt), "--out", out],
+            "eval": ["--checkpoint", str(ckpt)]}[command]
     try:
         got = main([command, "--dataset", str(dataset), *base, *flags])
     except SystemExit as exc:
         got = exc.code
     assert got == code
     assert named in capsys.readouterr().err
-    assert not ckpt.exists()
+    assert not ckpt.exists() and not (tmp_path / "out").exists()
 
 
 def _copy_dataset(dataset, tmp_path):

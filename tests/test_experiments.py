@@ -82,6 +82,14 @@ def test_crossval_rejects_off_grid(tiny_pairs):
         crossval(tiny_pairs, bad, folds=3, seed=0, train_fn=fake_train({4: 0.1}))
 
 
+@pytest.mark.parametrize("folds", [0, 1, 10**6])
+def test_crossval_rejects_fold_count(tiny_pairs, folds):
+    """One fold would train on nothing; more folds than samples leave some empty."""
+    with pytest.raises(ValueError, match=f"got {folds} folds"):
+        crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=folds, seed=0,
+                 train_fn=fake_train({4: 0.5}))
+
+
 def test_crossval_too_few_samples(tiny_pairs):
     with pytest.raises(ValueError):
         crossval(tiny_pairs[:3], grid_pairs(channels=(4,)), folds=5, seed=0,

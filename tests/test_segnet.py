@@ -7,8 +7,8 @@ from fovlab.errors import NumericError
 from fovlab.segnet import (NetConfig, TrainConfig, binarize, forward, grad_check,
                            infer_mcd, infer_mle, load_checkpoint, loss_bce,
                            parameter_count, save_checkpoint, train, unet_init)
-from fovlab.segnet.layers import (conv1x1_forward, conv3x3_forward, maxpool2_forward,
-                                  sigmoid, upsample2_forward)
+from fovlab.segnet.layers import (_w_mat, conv1x1_forward, conv3x3_backward, conv3x3_forward,
+                                  maxpool2_forward, sigmoid, upsample2_forward)
 from fovlab.segnet.network import conv_specs, forward_batch, normalize_counts
 from fovlab.segnet.training import tiny_check_net
 from fovlab.types import BevImage, FovMask, GridSpec, ProbMap, seeded_rng
@@ -180,6 +180,73 @@ def test_forward_matches_scalar_reference():
     np.testing.assert_allclose(got, np.clip(want, 1e-7, 1 - 1e-7), atol=1e-12)
 
 
+def _conv3x3_backward_reference(dout, cache):
+    """conv3x3_backward as it was before per-sample col2im: one (N, H, W, 9C)
+    dcols for the whole batch."""
+    cols, x_shape, W = cache
+    n, h, w, c = x_shape
+    o = W.shape[0]
+    dmat = np.tensordot(cols, dout, axes=([0, 1, 2], [0, 1, 2]))  # (9C, O)
+    dW = dmat.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
+    db = dout.sum(axis=(0, 1, 2))
+    dcols = (dout @ _w_mat(W).T).reshape(n, h, w, 3, 3, c)
+    dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
+    return dxp[:, 1:h + 1, 1:w + 1, :], dW, db
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 5]), c=st.sampled_from([1, 3, 8, 16]),
+       o=st.sampled_from([1, 4, 8, 16]), h=st.sampled_from([1, 2, 8, 16]),
+       w=st.sampled_from([2, 8, 16]), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv3x3_backward_matches_reference_property(n, c, o, h, w, dtype, seed):
+    """Per-sample col2im gives the whole-batch dx, dW and db bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, h, w, c)).astype(dtype)
+    W = rng.standard_normal((o, c, 3, 3)).astype(dtype)
+    _, cache = conv3x3_forward(x, W, np.zeros(o, dtype))
+    dout = rng.standard_normal((n, h, w, o)).astype(dtype)
+    for got, want in zip(conv3x3_backward(dout, cache), _conv3x3_backward_reference(dout, cache)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_forward_batch_probs_same_with_and_without_caches(dtype, dropout):
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16),
+                    seed=1, dtype=dtype)
+    x = np.random.default_rng(2).uniform(size=(3, 16, 16, 1)).astype(dtype)
+    rng = (lambda: seeded_rng(5)) if dropout else (lambda: None)
+    kept, caches = forward_batch(net, x, drop_rng=rng(), keep_caches=True)
+    free, none = forward_batch(net, x, drop_rng=rng())
+    assert caches and none is None
+    assert kept.tobytes() == free.tobytes()
+    with pytest.raises(ValueError):
+        forward_batch(net, x, keep_caches=True, stem={})
+
+
+def test_cache_free_forward_peak_memory_below_half_of_cached():
+    """Dropping each layer's cache, im2col matrix included, at once is what
+    keeps inference memory down."""
+    import tracemalloc
+    net = unet_init(NetConfig(depth=4, base_channels=8, resolution=64), seed=0)
+    x = np.random.default_rng(0).uniform(size=(1, 64, 64, 1)).astype(np.float32)
+    peaks = {}
+    for keep in (True, False):
+        tracemalloc.start()
+        try:
+            out = forward_batch(net, x, keep_caches=keep)
+            peaks[keep] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+    assert peaks[False] < 0.5 * peaks[True]
+
+
 def test_bce_half_is_ln2():
     spec = SPEC16
     pm = ProbMap(spec, np.full((16, 16), 0.5))
@@ -342,16 +409,21 @@ def test_mcd_reproducible_and_matches_welford(rand_image):
 @given(seed=st.integers(0, 2**32 - 1),
        order=st.integers(1, 6).flatmap(lambda T: st.permutations(range(T))))
 def test_mcd_sub_seed_independent_of_pass_order(seed, order):
-    """Passes run in any order give infer_mcd's mean and sigma bit for bit."""
-    rand_image = BevImage(SPEC16, np.random.default_rng(3).integers(0, 6, (16, 16)))
-    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2,
-                              resolution=16), seed=1)
-    stack = np.empty((len(order), 16, 16))
-    for t in order:
-        stack[t] = forward(net, rand_image, rng=seeded_rng(seed, t)).values
-    mean, conf = infer_mcd(net, rand_image, T=len(order), seed=seed)
-    np.testing.assert_array_equal(stack.mean(axis=0), mean.values)
-    np.testing.assert_array_equal(stack.std(axis=0), conf.sigma)
+    """Passes run in any order, each computing its own stem, give infer_mcd's
+    mean and sigma (one shared stem) bit for bit: on a small net, and on the
+    benchmark's float32 depth-4, width-8 net."""
+    for depth, base, rate, res in ((3, 4, 0.2, 16), (4, 8, 0.1, 32)):
+        image = BevImage(GridSpec(extent=8.0, resolution=res),
+                         np.random.default_rng(3).integers(0, 6, (res, res)))
+        net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
+                                  resolution=res), seed=1)
+        assert net.dtype == np.float32
+        stack = np.empty((len(order), res, res))
+        for t in order:
+            stack[t] = forward(net, image, rng=seeded_rng(seed, t)).values
+        mean, conf = infer_mcd(net, image, T=len(order), seed=seed)
+        np.testing.assert_array_equal(stack.mean(axis=0), mean.values)
+        np.testing.assert_array_equal(stack.std(axis=0), conf.sigma)
 
 
 def test_binarize_threshold_semantics():
