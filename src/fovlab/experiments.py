@@ -1,20 +1,16 @@
 """Experiment harness: the estimator factory and the scoring core, and on top
-of them cross-validation, transfer matrices, security sweeps, the parametric
-architecture study and throughput benchmarking.
+of them cross-validation, the security sweep and throughput timing.
 
-Every experiment cell derives its RNG from (global seed, cell labels), so
-parallel and serial runs produce identical tables. Parallelism across cells
-is capped by the FOVLAB_THREADS environment variable.
+Every estimator is built by `make_estimator` and scored by `evaluate`; the
+CLI commands are loops over these. Every random stream is derived from
+(global seed, labels), so a run is reproducible from its config and seed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,12 +22,10 @@ from .classical import (MIN_BINS, MIN_K, concave_hull, polar_to_mask, rasterize_
 from .datasets import Frame
 from .errors import DataError
 from .geometry import cloud_to_bev, filter_points, project_to_bev
-from .metrics import ConfusionCounts, MetricRecord, auprc_arrays, confusion, metrics
-from .segnet import NetConfig, Network, TrainConfig, binarize, infer_mcd, infer_mle, parameter_count, train, unet_init
+from .metrics import ConfusionCounts, auprc_arrays, confusion, metrics
+from .segnet import Network, binarize, infer_mcd, infer_mle, parameter_count, train, unet_init
 from .segnet.inference import DEFAULT_THRESHOLD
 from .types import FilterSpec, GridSpec, derive_seed, seeded_rng
-
-log = logging.getLogger(__name__)
 
 CROSSVAL_BASE_CHANNELS = (4, 8, 16, 32)
 CROSSVAL_DROPOUT = (0.05, 0.10, 0.15)
@@ -39,16 +33,6 @@ CROSSVAL_LR = (1e-4, 1e-3, 1e-2)
 
 ESTIMATORS = ("rayq", "rayc", "concave", "mle", "mcd")
 CLASSICAL_ESTIMATORS, LEARNED_ESTIMATORS = ESTIMATORS[:3], ESTIMATORS[3:]
-
-
-def max_workers() -> int:
-    cap = os.environ.get("FOVLAB_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            log.warning("ignoring malformed FOVLAB_THREADS=%r", cap)
-    return max(1, os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------------
@@ -73,8 +57,19 @@ def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network 
         if net.config.resolution != grid.resolution:
             raise DataError(f"checkpoint resolution {net.config.resolution} != dataset "
                             f"resolution {grid.resolution}")
-        infer = _image_estimator(name, net, mcd_passes, threshold)
-        return lambda cloud, seed: infer(cloud_to_bev(cloud, grid, filt), seed)
+        if (name == "mcd" and mcd_passes < 1) or not 0.0 < threshold < 1.0:
+            raise ValueError(f"need mcd_passes >= 1 and threshold in (0, 1), "
+                             f"got {mcd_passes}, {threshold}")
+
+        def infer(cloud, seed):
+            img = cloud_to_bev(cloud, grid, filt)
+            if name == "mcd":
+                pm, conf = infer_mcd(net, img, T=mcd_passes, seed=seed)
+                sigma = conf.sigma
+            else:
+                pm, sigma = infer_mle(net, img), None
+            return binarize(pm, threshold), pm.values, sigma
+        return infer
     if (name == "rayq" and n_bins < MIN_BINS) or (name == "concave" and k < MIN_K):
         raise ValueError(f"{name} needs n_bins >= {MIN_BINS} and k >= {MIN_K}, "
                          f"got n_bins={n_bins}, k={k}")
@@ -88,22 +83,6 @@ def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network 
         else:
             mask = rasterize_polygon(concave_hull(pts, k), grid)
         return mask, mask.mask.astype(float), None
-    return estimate
-
-
-def _image_estimator(name: str, net: Network, mcd_passes: int, threshold: float):
-    """The learned estimators on a ready BEV image: `(image, seed) -> (mask, scores, sigma)`."""
-    if (name == "mcd" and mcd_passes < 1) or not 0.0 < threshold < 1.0:
-        raise ValueError(f"need mcd_passes >= 1 and threshold in (0, 1), "
-                         f"got {mcd_passes}, {threshold}")
-
-    def estimate(img, seed):
-        if name == "mcd":
-            pm, conf = infer_mcd(net, img, T=mcd_passes, seed=seed)
-            sigma = conf.sigma
-        else:
-            pm, sigma = infer_mle(net, img), None
-        return binarize(pm, threshold), pm.values, sigma
     return estimate
 
 
@@ -143,15 +122,6 @@ def evaluate(predict, truths, labels: dict | None = None) -> tuple[list[dict], d
     if scored:
         pooled["auprc"] = _auprc(np.concatenate(scored), np.concatenate(truth))
     return rows, pooled
-
-
-def _pooled(predict, truths) -> dict:
-    """Pooled row for callers that keep no per-frame rows, so a failed frame is an error."""
-    rows, pooled = evaluate(predict, truths)
-    for row in rows:
-        if "error" in row:
-            raise ValueError(f"frame {row['frame']}: {row['error']}")
-    return pooled
 
 
 # ----------------------------------------------------------------------------
@@ -212,48 +182,6 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
 
 
 # ----------------------------------------------------------------------------
-# transfer matrix
-
-
-def transfer_matrix(models: dict, test_sets: dict, threshold: float = DEFAULT_THRESHOLD,
-                    mcd_passes: int = 20, seed: int = 0) -> list[MetricRecord]:
-    """Evaluate every (train family, test family, variant, model kind) cell.
-
-    `models` maps train-family name -> Network; `test_sets` maps
-    (test-family, variant) -> list of (BevImage, FovMask). Metrics are pooled
-    over cells of all frames in a test set.
-    """
-    families = sorted(models)
-    cells = []
-    for train_family in families:
-        for (test_family, variant) in sorted(test_sets):
-            for kind in LEARNED_ESTIMATORS:
-                cells.append((train_family, test_family, variant, kind))
-    if not cells:
-        raise DataError("transfer matrix has no cells: missing models or test sets")
-
-    def run(cell):
-        train_family, test_family, variant, kind = cell
-        net = models.get(train_family)
-        if net is None:
-            raise DataError(f"missing checkpoint for cell train={train_family}")
-        labels = {"train": train_family, "test": test_family,
-                  "variant": variant, "model": kind}
-        pairs = test_sets[(test_family, variant)]
-        estimate = _image_estimator(kind, net, mcd_passes, threshold)
-        pooled = _pooled(lambda i: estimate(pairs[i][0], derive_seed(seed, i)),
-                         [gt for _, gt in pairs])
-        return MetricRecord(pooled["precision"], pooled["recall"], pooled["accuracy"],
-                            pooled["f1"], pooled["auprc"], labels)
-
-    workers = min(max_workers(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, cells))
-    return [run(c) for c in cells]
-
-
-# ----------------------------------------------------------------------------
 # security sweep
 
 
@@ -298,7 +226,7 @@ def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
 
 
 # ----------------------------------------------------------------------------
-# parametric study and timing
+# timing
 
 
 def measure_hz(fn, frames) -> dict:
@@ -316,50 +244,6 @@ def measure_hz(fn, frames) -> dict:
         "median_ms": float(np.median(times) * 1e3),
         "p95_ms": float(np.quantile(times, 0.95) * 1e3),
     }
-
-
-def parametric_study(make_pairs, widths=(8, 16, 32, 64), depths=(3, 4, 5, 6),
-                     resolutions=(64, 128, 256, 512), train_cfg: TrainConfig | None = None,
-                     dropout_rate: float = 0.10, threshold: float = DEFAULT_THRESHOLD,
-                     timing_frames: int = 50, seed: int = 0) -> list[dict]:
-    """Sweep width x depth x resolution; returns metrics + timing per cell.
-
-    `make_pairs(resolution) -> (train_pairs, val_pairs, test_pairs)` supplies
-    data at each resolution (so grid extent and frame counts stay caller
-    controlled). Combinations where the resolution is not divisible by
-    2^depth are skipped with a logged reason.
-    """
-    train_cfg = train_cfg or TrainConfig()
-    rows = []
-    for resolution in resolutions:
-        data = None
-        for depth in depths:
-            if resolution % (2 ** depth) != 0:
-                log.info("skipping depth=%d at resolution=%d (not divisible by 2^depth)",
-                         depth, resolution)
-                continue
-            if data is None:
-                data = make_pairs(resolution)
-            tr, va, te = data
-            for width in widths:
-                cfg = NetConfig(depth=depth, base_channels=width,
-                                dropout_rate=dropout_rate, resolution=resolution)
-                net = unet_init(cfg, seed=seed)
-                net, _ = train(net, tr, va, train_cfg)
-                estimate = _image_estimator("mle", net, 0, threshold)
-                pooled = _pooled(lambda i: (estimate(te[i][0], 0)[0], None), [gt for _, gt in te])
-                frames = [img for img, _ in te][:timing_frames]
-                while len(frames) < timing_frames:
-                    frames = frames + frames[: timing_frames - len(frames)]
-                timing = measure_hz(lambda img: infer_mle(net, img), frames)
-                rows.append({
-                    "width": width, "depth": depth, "resolution": resolution,
-                    "parameters": parameter_count(cfg),
-                    "precision": pooled["precision"], "f1": pooled["f1"],
-                    "median_ms": timing["median_ms"], "median_hz": timing["median_hz"],
-                    "p95_ms": timing["p95_ms"],
-                })
-    return rows
 
 
 # ----------------------------------------------------------------------------
@@ -403,8 +287,8 @@ def _fmt(v) -> str:
 
 
 __all__ = [
-    "make_estimator", "evaluate", "crossval", "transfer_matrix", "security_sweep",
-    "parametric_study", "measure_hz", "write_jsonl", "write_csv", "format_table",
-    "max_workers", "CROSSVAL_BASE_CHANNELS", "CROSSVAL_DROPOUT", "CROSSVAL_LR",
+    "make_estimator", "evaluate", "crossval", "security_sweep", "measure_hz",
+    "write_jsonl", "write_csv", "format_table",
+    "CROSSVAL_BASE_CHANNELS", "CROSSVAL_DROPOUT", "CROSSVAL_LR",
     "ESTIMATORS", "CLASSICAL_ESTIMATORS", "LEARNED_ESTIMATORS",
 ]

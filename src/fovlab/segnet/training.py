@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.max_epochs, self.batch_size, self.patience) <= 0:
-            raise ValueError(f"TrainConfig values must be positive, got {self}")
+        if not math.isfinite(self.learning_rate) or \
+                min(self.learning_rate, self.max_epochs, self.batch_size, self.patience) <= 0:
+            raise ValueError(f"TrainConfig values must be positive and finite, got {self}")
 
 
 def _bce(probs: np.ndarray, targets: np.ndarray) -> float:

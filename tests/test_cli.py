@@ -146,6 +146,12 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
     ("eval", ["--mcd", "-1"], 2, "--mcd: need an integer >= 0, got '-1'"),
     ("infer", ["--threshold", "0"], 2, "--threshold: need a number in (0, 1), got '0'"),
     ("eval", ["--threshold", "1.5"], 2, "--threshold: need a number in (0, 1), got '1.5'"),
+    ("train", ["--lr", "nan"], 2, "--lr: need a number > 0, got 'nan'"),
+    ("train", ["--lr", "inf"], 2, "--lr: need a number > 0, got 'inf'"),
+    ("attack", ["--sigma", "-1"], 2, "--sigma: need a number >= 0, got '-1'"),
+    ("attack", ["--bounds", "0"], 2, "--bounds: need a number > 0, got '0'"),
+    ("attack", ["--sigma", "nan"], 2, "--sigma: need a number >= 0, got 'nan'"),
+    ("attack", ["--bounds", "inf"], 2, "--bounds: need a number > 0, got 'inf'"),
 ])
 def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
     ckpt = tmp_path / "net.fvnt"
@@ -319,6 +325,10 @@ def test_bad_config_rejected(tmp_path, dataset, capsys):
     bad.write_text(json.dumps({"family": "indoor"}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
     assert "family: expected an object" in capsys.readouterr().err
+    for rate in ("NaN", "Infinity"):
+        bad.write_text(f'{{"train": {{"learning_rate": {rate}}}}}')
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "positive and finite" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
 

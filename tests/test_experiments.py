@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from fovlab.datasets import Frame
-from fovlab.experiments import (CROSSVAL_DROPOUT, CROSSVAL_LR, crossval, format_table,
-                                make_estimator, measure_hz, parametric_study, security_sweep,
-                                transfer_matrix, write_csv, write_jsonl)
+from fovlab.experiments import (LEARNED_ESTIMATORS, crossval, evaluate, format_table,
+                                make_estimator, measure_hz, security_sweep, write_csv,
+                                write_jsonl)
 from fovlab.errors import DataError
-from fovlab.geometry import cloud_to_bev
 from fovlab.scenes import (LidarModel, SceneFamily, generate_scene, ground_truth_fov,
                            simulate_lidar)
 from fovlab.segnet import NetConfig, TrainConfig, unet_init
@@ -157,60 +156,17 @@ def test_make_estimator_checks_parameters_up_front(small_grid, default_filter):
         make_estimator("mle", GridSpec(extent=75.0, resolution=32), default_filter, net=net)
 
 
-def test_transfer_matrix_shapes_and_missing(tiny_pairs):
+def test_evaluate_all_invisible_auprc_null(sweep_setup):
+    """With no visible cell in any frame AUPRC ranks nothing: null per frame and pooled."""
+    frames, grid, filt = sweep_setup
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
                               resolution=64), seed=0)
-    test_sets = {("outdoor-sparse", "benign"): tiny_pairs[:3],
-                 ("outdoor-sparse", "attacked"): tiny_pairs[3:6]}
-    rows = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=3, seed=0)
-    assert len(rows) == 4  # 1 family x 2 variants x {mle, mcd}
-    kinds = {(r.labels["variant"], r.labels["model"]) for r in rows}
-    assert kinds == {("benign", "mle"), ("benign", "mcd"),
-                     ("attacked", "mle"), ("attacked", "mcd")}
-    for r in rows:
-        assert 0.0 <= r.f1 <= 1.0 and 0.0 <= r.auprc <= 1.0
-
-
-def test_transfer_matrix_row_count_multi_family(tiny_pairs):
-    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
-                              resolution=64), seed=0)
-    models = {"outdoor-sparse": net, "indoor": net, "outdoor-dense": net}
-    test_sets = {(fam, var): tiny_pairs[:2]
-                 for fam in models for var in ("benign", "attacked")}
-    rows = transfer_matrix(models, test_sets, mcd_passes=2, seed=0)
-    assert len(rows) == 36  # 3 train x 3 test x 2 variants x 2 kinds
-
-
-def test_transfer_matrix_reproducible(tiny_pairs):
-    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
-                              resolution=64), seed=0)
-    test_sets = {("outdoor-sparse", "benign"): tiny_pairs[:3]}
-    a = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=3, seed=4)
-    b = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=3, seed=4)
-    assert [(r.precision, r.recall, r.f1, r.auprc) for r in a] == \
-           [(r.precision, r.recall, r.f1, r.auprc) for r in b]
-
-
-def test_transfer_matrix_all_invisible_auprc_null(tiny_pairs, small_grid):
-    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.05,
-                              resolution=64), seed=0)
-    blank = FovMask(small_grid, np.zeros((64, 64), dtype=bool))
-    test_sets = {("outdoor-sparse", "blank"): [(img, blank) for img, _ in tiny_pairs[:2]]}
-    rows = transfer_matrix({"outdoor-sparse": net}, test_sets, mcd_passes=2, seed=0)
-    assert len(rows) == 2
-    for r in rows:
-        assert r.auprc is None and r.recall == 0.0
-
-
-def test_parametric_study_rows(tiny_pairs):
-    rows = parametric_study(lambda res: (tiny_pairs[:4], tiny_pairs[4:6], tiny_pairs[6:8]),
-                            widths=(4,), depths=(3,), resolutions=(64,),
-                            train_cfg=TrainConfig(max_epochs=1, batch_size=4, seed=0),
-                            timing_frames=2)
-    assert len(rows) == 1
-    assert set(rows[0]) == {"width", "depth", "resolution", "parameters", "precision", "f1",
-                            "median_ms", "median_hz", "p95_ms"}
-    assert 0.0 <= rows[0]["precision"] <= 1.0 and 0.0 <= rows[0]["f1"] <= 1.0
+    blank = [FovMask(grid, np.zeros((64, 64), dtype=bool))] * 2
+    for name in LEARNED_ESTIMATORS:
+        estimate = make_estimator(name, grid, filt, net=net, mcd_passes=2)
+        rows, pooled = evaluate(lambda i: estimate(frames[i].cloud, i), blank)
+        assert [r["auprc"] for r in rows] == [None, None]
+        assert pooled["auprc"] is None and pooled["recall"] == 0.0
 
 
 def test_measure_hz_reports_quantiles():

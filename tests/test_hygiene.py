@@ -1,6 +1,7 @@
 """Source hygiene: no unused top-level imports, no dangling ``__all__`` entries,
-random streams built only by the seeding helpers in ``types.py``, and every
-function the benchmark traces still there under its name."""
+random streams built only by the seeding helpers in ``types.py``, every
+function the benchmark traces still there under its name, and a ledger of the
+module-level functions and classes that nothing in the program reaches."""
 
 import ast
 import importlib
@@ -19,6 +20,12 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+def _is_all(node) -> bool:
+    """Whether a module-level statement assigns ``__all__``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     imported = {}
@@ -31,8 +38,7 @@ def _unused_imports(path: Path) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        if _is_all(node):
             used |= {elt.value for elt in node.value.elts}
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -88,3 +94,51 @@ def test_benchmark_traced_functions_exist():
     for owner, attr, orig in patched:
         now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert now is orig, f"{attr} not restored"
+
+
+# Module-level functions and classes of src/fovlab that no code of the program
+# names, each with the reason it is kept. Code added without a caller fails
+# the test below; code that gets wired must leave this set.
+UNREACHED = {
+    "anomaly.calibrate": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
+    "anomaly.detect": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
+    "anomaly.save_model": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
+    "anomaly.load_model": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
+    "segnet.training.grad_check": "test oracle: backprop against finite differences",
+    "segnet.training.tiny_check_net": "test fixture: the small net grad_check runs on",
+    "segnet.training.loss_bce": "test fixture: the training loss on typed maps, which the BCE tests check",
+}
+
+
+def _references(node) -> set[str]:
+    """Every name, attribute and string literal inside `node`."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.add(n.value)
+    return found
+
+
+def test_unreached_definitions_are_the_ledger():
+    """A definition counts as reached when src/ (outside ``__init__`` files,
+    ``__all__`` lists and its own body) or fovbench/ names it, by name,
+    attribute or string literal."""
+    defined, reached = [], set()
+    for path in MODULES + sorted((ROOT / "fovbench").rglob("*.py")):
+        in_package = PACKAGE in path.parents
+        if in_package and path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if _is_all(node):
+                continue
+            found = _references(node)
+            if in_package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((_module_name(path).removeprefix("fovlab."), node.name))
+                found.discard(node.name)
+            reached |= found
+    unreached = {f"{module}.{name}" for module, name in defined if name not in reached}
+    assert unreached == set(UNREACHED)
