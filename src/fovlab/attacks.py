@@ -37,6 +37,8 @@ class AttackSpec:
         if not (math.isfinite(self.cluster_sigma) and self.cluster_sigma >= 0
                 and math.isfinite(self.bounds) and self.bounds > 0):
             raise ValueError("cluster_sigma must be finite and >= 0, bounds finite and > 0")
+        if not all(map(math.isfinite, self.cluster_center)):
+            raise ValueError("cluster_center must be finite")
 
 
 def spoof(cloud: PointCloud, spec: AttackSpec) -> PointCloud:

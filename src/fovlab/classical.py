@@ -5,10 +5,11 @@ either a per-azimuth range profile (PolarFov) or a bounding polygon
 (FovPolygon), plus rasterizers that turn both into grid masks comparable with
 the ground-truth masks.
 
-The concave hull's closure test and the polygon rasterizer share one
-even-odd rule (Haines 1994, "Point in Polygon Strategies"): point (px, py)
-crosses edge (x1, y1)-(x2, y2) iff min(y1, y2) <= py < max(y1, y2) and
-px < x1 + (py - y1) * (x2 - x1) / (y2 - y1), and is inside iff it crosses an
+The concave hull's closure test (points_in_polygon) and the polygon rasterizer
+share one even-odd rule (Haines 1994, "Point in Polygon Strategies") and one
+core that applies it; only the locator differs (complex keys, or the grid axis).
+Point (px, py) crosses edge (x1, y1)-(x2, y2) iff min(y1, y2) <= py < max(y1, y2)
+and px < x1 + (py - y1) * (x2 - x1) / (y2 - y1), and is inside iff it crosses an
 odd number of edges, or lies on the boundary: within _BOUNDARY_TOL of the line
 of an edge of nonzero length and of that edge's bounding box.
 """
@@ -54,8 +55,8 @@ class FovPolygon:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("polygon needs >= 3 (x, y) vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not np.isfinite(v).all():
+            raise ValueError("polygon needs >= 3 finite (x, y) vertices")
         self.vertices = v
 
     def area(self) -> float:
@@ -241,18 +242,19 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=32)
-def _center_polar(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _center_polar(spec: GridSpec, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     X, Y = spec.cell_centers()
     r = np.hypot(X, Y)
     az = np.mod(np.arctan2(Y, X), _TWO_PI)
     az[az >= _TWO_PI] = 0.0
-    return az, r
+    bins = np.minimum((az / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+    r.flags.writeable = bins.flags.writeable = False  # every later call reuses them
+    return r, bins
 
 
 def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
     """Cell visible iff its center range <= the range of its azimuth bin."""
-    az, r = _center_polar(spec)
-    bins = np.minimum((az / _TWO_PI * pf.n_bins).astype(np.int64), pf.n_bins - 1)
+    r, bins = _center_polar(spec, pf.n_bins)
     return FovMask(spec, r <= pf.max_range_per_bin[bins])
 
 
@@ -263,19 +265,10 @@ def _flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return owner, np.arange(owner.size) + (lo - np.cumsum(n) + n)[owner]
 
 
-def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Which (N, 2) points lie inside or on the closed (V, 2) polygon.
-
-    Points are grouped into rows of equal y. An edge is evaluated only on the
-    rows it spans; its boundary candidates in a row are the points within
-    _BOUNDARY_TOL + _STRIP_PAD of its line and inside its padded box.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    keys = pts[:, 1] + 1j * pts[:, 0]  # complex keys sort by y, then by x
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    px, py = keys.imag, keys.real
-    rows = np.unique(py)
+def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
+    """points_in_polygon on points (px, py) already in (y, x) order, whose
+    distinct y values are `rows`; `locate(r, q, side)` is the np.searchsorted
+    position of (rows[r], q) among them."""
     x1, y1 = np.asarray(poly, dtype=np.float64).T
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     ex, ey = x2 - x1, y2 - y1
@@ -296,34 +289,48 @@ def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     # a row has an even number of crossings, so the count to a point's right
     # has the parity of the count at or before it in (y, x) order
     crosses = (ylo[e] <= y) & (y < yhi[e])
-    before = np.searchsorted(keys, y[crosses] + 1j * x_at[crosses], side="left")
-    inside = (np.cumsum(np.bincount(before, minlength=keys.size + 1))[:-1] & 1).astype(bool)
+    before = locate(r[crosses], x_at[crosses], "left")
+    inside = (np.cumsum(np.bincount(before, minlength=px.size + 1))[:-1] & 1).astype(bool)
 
-    pair, c = _flat_ranges(np.searchsorted(keys, y + 1j * strip_lo, side="left"),
-                           np.searchsorted(keys, y + 1j * strip_hi, side="right"))
+    pair, c = _flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
     ce = e[pair]
     cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
     inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
              & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
-    out = np.empty_like(inside)
-    out[order] = inside
+    return inside
+
+
+def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Which (N, 2) points lie inside or on the closed (V, 2) polygon.
+
+    Points are grouped into rows of equal y. An edge is evaluated only on the
+    rows it spans; its boundary candidates in a row are the points within
+    _BOUNDARY_TOL + _STRIP_PAD of its line and inside its padded box.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    keys = pts[:, 1] + 1j * pts[:, 0]  # complex keys sort by y, then by x
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rows = np.unique(keys.real)
+    out = np.empty(keys.size, dtype=bool)
+    out[order] = _even_odd(rows, keys.imag, keys.real,
+                           lambda r, q, side: np.searchsorted(keys, rows[r] + 1j * q, side), poly)
     return out
 
 
-# the rasterizer's own name for the rule, out of reach of a wrapper on points_in_polygon
-_contains = points_in_polygon
-
-
 @lru_cache(maxsize=32)
-def _centers_by_row(spec: GridSpec) -> np.ndarray:
-    """Cell centers as (x, y) in (iy, ix) order, i.e. sorted by y, then x."""
-    return np.column_stack([a.T.ravel() for a in spec.cell_centers()])
+def _grid_rows(spec: GridSpec) -> tuple:
+    """_even_odd's arguments for the cell centers, whose rows share one x axis."""
+    axis, res = spec.cell_centers_1d(), spec.resolution
+    px, py = np.tile(axis, res), np.repeat(axis, res)
+    axis.flags.writeable = px.flags.writeable = py.flags.writeable = False
+    return axis, px, py, lambda r, q, side: r * res + np.searchsorted(axis, q, side)
 
 
 def rasterize_polygon(poly: FovPolygon, spec: GridSpec) -> FovMask:
     """Cell visible iff its center is inside or on the polygon."""
     res = spec.resolution
-    inside = _contains(_centers_by_row(spec), poly.vertices).reshape(res, res)
+    inside = _even_odd(*_grid_rows(spec), poly.vertices).reshape(res, res)
     return FovMask(spec, np.ascontiguousarray(inside.T))
 
 

@@ -11,9 +11,9 @@ succeeds.
 
 Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure. A flag value
 that a library check would refuse (an unknown estimator, a count, depth,
-threshold or attack sigma or bounds out of range, a learning rate that is not
-finite and positive, a crossval value outside the search grid) is a usage
-error: the flag's parser type applies the same rule.
+threshold or attack sigma, bounds or center out of range, a learning rate
+that is not finite and positive, a crossval value outside the search grid) is
+a usage error: the flag's parser type applies the same rule, so nothing is written.
 """
 
 from __future__ import annotations
@@ -272,6 +272,7 @@ def _int_at_least(minimum: int):
 _learning_rate = _checked(float, lambda lr: TrainConfig(learning_rate=lr), "a number > 0")
 _sigma = _checked(float, lambda s: AttackSpec(cluster_sigma=s), "a number >= 0")
 _bounds = _checked(float, lambda b: AttackSpec(bounds=b), "a number > 0")
+_center = _checked(float, lambda c: AttackSpec(cluster_center=(c, c)), "a finite number")
 _depth = _checked(int, lambda d: NetConfig(depth=d), "an integer in [3, 6]")
 _threshold = _checked(float, lambda t: 0.0 < t < 1.0, "a number in (0, 1)")
 
@@ -301,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", default="uniform", choices=("uniform", "cluster"))
     sp.add_argument("--n-points", type=_int_at_least(0), default=150)
     sp.add_argument("--bounds", type=_bounds, default=75.0)
-    sp.add_argument("--center-x", type=float, default=0.0)
-    sp.add_argument("--center-y", type=float, default=0.0)
+    sp.add_argument("--center-x", type=_center, default=0.0)
+    sp.add_argument("--center-y", type=_center, default=0.0)
     sp.add_argument("--sigma", type=_sigma, default=1.0)
     sp.add_argument("--force", action="store_true")
 

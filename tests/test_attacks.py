@@ -20,6 +20,9 @@ def test_attack_spec_validation():
     for bounds, sigma in [(-1.0, 1.0), (float("inf"), 1.0), (75.0, -1.0), (75.0, float("nan"))]:
         with pytest.raises(ValueError):
             AttackSpec(bounds=bounds, cluster_sigma=sigma)
+    for center in [(float("nan"), 0.0), (0.0, float("inf"))]:
+        with pytest.raises(ValueError):
+            AttackSpec(kind="cluster", cluster_center=center)
 
 
 def test_spoof_cluster_zero_points_is_identity(cloud):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from fovlab import classical
 from fovlab.attacks import AttackSpec, spoof
-from fovlab.classical import (_BOUNDARY_TOL, FovPolygon, PolarFov, concave_hull,
+from fovlab.classical import (_BOUNDARY_TOL, MIN_BINS, FovPolygon, PolarFov, concave_hull,
                               points_in_polygon, polar_to_mask, rasterize_polygon,
                               raytrace_continuous, raytrace_quantized)
 from fovlab.geometry import filter_points, project_to_bev
@@ -103,6 +104,13 @@ def test_polarfov_validation():
         PolarFov(4, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         PolarFov(3, np.array([1.0, -2.0, 3.0]))
+
+
+def test_fovpolygon_validation():
+    for bad in ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]],
+                [[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            FovPolygon(np.array(bad))
 
 
 def test_rayq_single_point():
@@ -331,17 +339,19 @@ def _polygon_cases(draw):
 @given(case=_polygon_cases(), seed=st.integers(0, 2**32 - 1))
 def test_polygon_kernel_matches_references_property(case, seed):
     """rasterize_polygon equals the former scanline fill, which equals the
-    former points_in_polygon on the cell centers; points_in_polygon equals
-    its former loop on random points, on points on edges and on points that
-    share a vertex's y."""
+    former points_in_polygon on the cell centers, and equals points_in_polygon
+    on the cell centers, so the grid locator agrees with the complex-key one;
+    points_in_polygon equals its former loop on random points, on points on
+    edges and on points that share a vertex's y."""
     spec, verts = case
     poly = FovPolygon(verts)
     X, Y = spec.cell_centers()
+    centers = np.column_stack([X.ravel(), Y.ravel()])
     want = _rasterize_polygon_reference(poly, spec).mask
     np.testing.assert_array_equal(
-        want, _points_in_polygon_reference(np.column_stack([X.ravel(), Y.ravel()]), verts)
-        .reshape(X.shape))
+        want, _points_in_polygon_reference(centers, verts).reshape(X.shape))
     np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask, want)
+    np.testing.assert_array_equal(points_in_polygon(centers, verts).reshape(X.shape), want)
 
     rng = np.random.default_rng(seed)
     e = spec.extent
@@ -366,11 +376,35 @@ def test_rasterize_matches_reference_on_rayc_polygons():
             pts = filter_points(project_to_bev(
                 spoof(cloud, AttackSpec(n_points=n_spoof, budget=150, seed=2))), filt)[:, :2]
             poly = raytrace_continuous(pts)
-            for res in (64, 129):
+            for res in (64, 129, 256):
                 spec = GridSpec(extent=75.0, resolution=res)
                 np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask,
                                               _rasterize_polygon_reference(poly, spec).mask,
                                               err_msg=f"{name} {n_spoof} {res}")
+
+
+def test_rasterize_never_calls_points_in_polygon(monkeypatch):
+    """The rasterizer reaches the even-odd core directly, so a wrapper on
+    points_in_polygon (the benchmark's counter) sees only concave closures."""
+    spec = GridSpec(extent=10.0, resolution=32)
+    poly = FovPolygon(np.array([[-9.0, -7.0], [8.0, -2.0], [1.0, 0.5], [3.0, 9.0]]))
+    want = rasterize_polygon(poly, spec).mask
+
+    def refuse(*_args):
+        raise AssertionError("rasterize_polygon called points_in_polygon")
+
+    monkeypatch.setattr(classical, "points_in_polygon", refuse)
+    np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask, want)
+
+
+def test_per_spec_caches_are_read_only():
+    """The cached center arrays are shared by every later call for the spec."""
+    spec = GridSpec(extent=16.0, resolution=32)
+    polar_to_mask(PolarFov(16, np.full(16, 10.0)), spec)
+    rasterize_polygon(FovPolygon(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])), spec)
+    for a in (*classical._center_polar(spec, 16), *classical._grid_rows(spec)[:3]):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_rasterize_area_close_to_shoelace():
@@ -413,6 +447,22 @@ def test_polar_to_mask_matches_per_cell_oracle():
             b = min(int(az / (2 * np.pi) * 24), 23)
             want = np.hypot(X[ix, iy], Y[ix, iy]) <= ranges[b]
             assert mask.mask[ix, iy] == want
+
+
+def test_polar_to_mask_bins_per_spec_and_bin_count():
+    """Equal to the uncached binning for every (spec, n_bins) pair, with the
+    calls interleaved so that bins cached for one pair cannot serve another."""
+    rng = np.random.default_rng(31)
+    specs = (GridSpec(extent=16.0, resolution=32), GridSpec(extent=75.0, resolution=48))
+    for n in (MIN_BINS, 360, 361, MIN_BINS):
+        for spec in specs:
+            ranges = rng.uniform(0, 1.2 * spec.extent, n)
+            X, Y = spec.cell_centers()
+            az = np.mod(np.arctan2(Y, X), 2 * np.pi)
+            az[az >= 2 * np.pi] = 0.0
+            bins = np.minimum((az / (2 * np.pi) * n).astype(np.int64), n - 1)
+            np.testing.assert_array_equal(polar_to_mask(PolarFov(n, ranges), spec).mask,
+                                          np.hypot(X, Y) <= ranges[bins], err_msg=f"{spec} {n}")
 
 
 def test_classical_mask_grows_under_spoofing(sample_points):

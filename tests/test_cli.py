@@ -152,6 +152,10 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
     ("attack", ["--bounds", "0"], 2, "--bounds: need a number > 0, got '0'"),
     ("attack", ["--sigma", "nan"], 2, "--sigma: need a number >= 0, got 'nan'"),
     ("attack", ["--bounds", "inf"], 2, "--bounds: need a number > 0, got 'inf'"),
+    ("attack", ["--kind", "cluster", "--center-x", "nan"], 2,
+     "--center-x: need a finite number, got 'nan'"),
+    ("attack", ["--kind", "cluster", "--center-y", "nan"], 2,
+     "--center-y: need a finite number, got 'nan'"),
 ])
 def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
     ckpt = tmp_path / "net.fvnt"
