@@ -51,12 +51,12 @@ class PolarFov:
 class FovPolygon:
     """Ordered polygon boundary of the estimated visible region (sensor frame)."""
 
-    vertices: np.ndarray  # (V, 2)
+    vertices: np.ndarray  # (V, 2); |x|, |y| <= 1e150, so that edge arithmetic cannot overflow
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not np.isfinite(v).all():
-            raise ValueError("polygon needs >= 3 finite (x, y) vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not (np.abs(v) <= 1e150).all():
+            raise ValueError("polygon needs >= 3 finite (x, y) vertices, each |x|, |y| <= 1e150")
         self.vertices = v
 
     def area(self) -> float:

@@ -5,24 +5,26 @@ parameter tensors keep the (out, in, kh, kw) layout used by checkpoints.
 Convolutions are stride-1 with "same" padding (3x3) or pointwise (1x1);
 pooling and upsampling use factor 2.
 
-Every forward returns (output, cache). The cache holds what the matching
-backward reads, for a 3x3 conv the whole im2col matrix: a caller that will
-not run backward drops it at once, so the matrix is freed right after its
-GEMM (see `network.forward_batch`).
+Every forward returns (output, cache); the cache holds what the matching
+backward reads, for a 3x3 conv the whole im2col matrix. Passes that run no
+backward give each forward an `out` in a `network.Workspace` instead: it
+allocates nothing, keeps no cache, and a 3x3 conv reads a zero-bordered buffer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+COL_BLOCK_BYTES = 256 * 1024  # column block of a workspace conv: fits L2 with room for its GEMM
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """(N, H, W, C) -> (N, H, W, 9*C) patch matrix for a 3x3 same conv."""
-    n, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    # win is (N, H, W, C, 3, 3); put the window dims ahead of channels
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * c)
+
+def _im2col3(xp: np.ndarray) -> np.ndarray:
+    """Zero-bordered (N, H+2, W+2, C) -> (N, H, W, 3, 3*C) view of the 3x3 patches:
+    rows of 3*C contiguous values, so one strided copy gives _w_mat's column order."""
+    n, hp, wp, c = xp.shape
+    s = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, hp - 2, wp - 2, 3, 3 * c), (s[0], s[1], s[2], s[1], s[3]), writeable=False)
 
 
 def _w_mat(W: np.ndarray) -> np.ndarray:
@@ -31,11 +33,34 @@ def _w_mat(W: np.ndarray) -> np.ndarray:
     return W.transpose(2, 3, 1, 0).reshape(9 * c, o)
 
 
-def conv3x3_forward(x, W, b):
-    cols = _im2col3(x)
-    out = cols @ _w_mat(W)
-    out += b
-    return out, (cols, x.shape, W)
+def conv3x3_forward(x, W, b, xp=None, w_mat=None, cols=None, out=None):
+    """3x3 same conv of x, the interior of zero-bordered `xp` (padded if None).
+    With a column block `cols`, rows of patches are unfolded into it a few at a
+    time and multiplied by w_mat = _w_mat(W) into `out` while still in L2. Both
+    forms run one GEMM per (sample, row) on equal operands: equal bits."""
+    n, h, w, c = x.shape
+    if xp is None:
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    if cols is None:
+        cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
+        out = cols @ _w_mat(W)
+        out += b
+        return out, (cols, x.shape, W)
+    win = _im2col3(xp)
+    rows = cols.size // (w * 9 * c)
+    if rows == 0:  # one row is larger than the block
+        cols, rows = np.empty(w * 9 * c, cols.dtype), 1
+    blk = cols[:rows * w * 9 * c].reshape(rows, w, 9 * c)
+    # with contiguous output rows, the bias add runs over whole rows, not C at a time
+    flat = out.strides[2] == out.strides[3] * out.shape[3]
+    acc, bias = (np.reshape(out, (n, h, -1), copy=False), np.tile(b, w)) if flat else (out, b)
+    for i in range(n):
+        for r in range(0, h, rows):
+            k = min(rows, h - r)
+            np.copyto(blk[:k].reshape(k, w, 3, 3 * c), win[i, r:r + k])
+            np.matmul(blk[:k], w_mat, out=out[i, r:r + k])
+            acc[i, r:r + k] += bias
+    return out, None
 
 
 def conv3x3_backward(dout, cache):
@@ -76,15 +101,21 @@ def conv1x1_backward(dout, cache):
     return dx, dW, db
 
 
-def relu_forward(x):
-    return np.maximum(x, 0.0), x > 0
+def relu_forward(x, out=None):
+    """ReLU; into `out` (which may be x) without the backward mask."""
+    return np.maximum(x, 0.0, out=out), (x > 0 if out is None else None)
 
 
 def relu_backward(dout, mask):
     return dout * mask
 
 
-def maxpool2_forward(x):
+def maxpool2_forward(x, out=None):
+    """2x2 max-pool; into `out` as max(max(x00, x01), max(x10, x11)) (ReLU left no -0.0
+    to tie with 0.0, so it is the argmax's value), without the argmax."""
+    if out is not None:
+        np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2], out=out)
+        return np.maximum(out, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out), None
     n, h, w, c = x.shape
     xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
           .reshape(n, h // 2, w // 2, 4, c)
@@ -102,8 +133,12 @@ def maxpool2_backward(dout, cache):
               .reshape(n, h, w, c)
 
 
-def upsample2_forward(x):
-    return x.repeat(2, axis=1).repeat(2, axis=2)
+def upsample2_forward(x, out=None):
+    """Nearest-neighbour 2x upsample, into `out` as one broadcast copy."""
+    n, h, w, c = x.shape
+    out = np.empty((n, 2 * h, 2 * w, c), x.dtype) if out is None else out
+    np.reshape(out, (n, h, 2, w, 2, c), copy=False)[...] = x[:, :, None, :, None, :]
+    return out
 
 
 def upsample2_backward(dout):
@@ -111,12 +146,14 @@ def upsample2_backward(dout):
     return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
 
 
-def dropout_forward(x, rate: float, rng):
-    """Inverted dropout; identity when inactive (rng is None) or rate == 0."""
+def dropout_forward(x, rate: float, rng, out=None):
+    """Inverted dropout into `out` (may be x); identity if rng is None or rate == 0."""
     if rng is None or rate <= 0.0:
-        return x, None
+        if out is not None:
+            out[...] = x
+        return x if out is None else out, None
     mask = (rng.uniform(size=x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * mask, mask
+    return np.multiply(x, mask, out=out), mask
 
 
 def dropout_backward(dout, mask):

@@ -121,31 +121,36 @@ def normalize_counts(counts: np.ndarray, dtype=np.float32) -> np.ndarray:
     return x.astype(dtype)
 
 
+class Workspace:
+    """Buffers, weight matrices and enc0 stem of the passes of one call that runs no
+    backward; `net` must not change, and a pass that raises leaves it unusable."""
+
+    def __init__(self, net: Network):
+        self.w_mats = {n: L._w_mat(net.params[f"{n}.W"])
+                       for n, _, _, k in conv_specs(net.config) if k == 3}
+        self.cols = np.empty(L.COL_BLOCK_BYTES // net.dtype.itemsize, net.dtype)
+        self.bufs, self.stem_of = {}, None
+
+
 def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool = False,
-                  stem: dict | None = None):
+                  ws: Workspace | None = None):
     """Run the network on a normalized channels-last (N, H, W, 1) batch.
 
     Returns (probs (N, H, W, 1) raw sigmoid output, caches). Dropout is
     active iff drop_rng is given.
 
     `caches` feeds backward_batch. It is built only with `keep_caches`, which
-    the training step and grad_check set; inference and the validation loss
-    leave it off, so caches is None and each layer's cache, im2col matrix
-    included, is dropped as soon as the layer returns.
-
-    `stem` carries the stem (enc0.c1 -> ReLU -> enc0.c2 -> ReLU) across calls
-    on the same `x`: the first call with an empty dict stores it, and later
-    calls start from it. The stem comes before the first dropout and draws
-    nothing from drop_rng, so it is the same in every MC-dropout pass. It
-    cannot be combined with `keep_caches`, whose backward needs the stem's
-    caches.
+    the training step and grad_check set, and every layer then allocates its
+    output. Otherwise the pass runs on `ws` (a new Workspace when None): each
+    layer writes into the next one's buffer, and the stem is reused while the
+    input bytes are unchanged.
     """
-    if keep_caches and stem is not None:
-        raise ValueError("keep_caches and stem are exclusive")
-    cfg = net.config
-    p = net.params
-    rate = cfg.dropout_rate
+    if keep_caches and ws is not None:
+        raise ValueError("keep_caches and ws are exclusive")
+    ws = None if keep_caches else ws or Workspace(net)
+    cfg, p, rate = net.config, net.params, net.config.dropout_rate
     caches = {} if keep_caches else None
+    n, res = x.shape[:2]
 
     def kept(key, result):
         out, cache = result
@@ -153,30 +158,46 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool 
             caches[key] = cache
         return out
 
-    def conv(x, name):
-        return kept(name, L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"]))
+    def buf(key, level, ch, pad=1, chans=slice(None)):  # None when caches are kept
+        if ws is None:
+            return None
+        side, b = res >> level, ws.bufs.get(key)
+        if b is None or b.shape[:2] != (n, side + 2 * pad):
+            b = ws.bufs[key] = np.zeros((n, side + 2 * pad, side + 2 * pad, ch), net.dtype)
+        return b[:, pad:pad + side, pad:pad + side, chans]
 
-    def conv_relu(x, name):
-        return kept(f"{name}.relu", L.relu_forward(conv(x, name)))
+    def conv(x, name, out):
+        extra = () if ws is None else (ws.bufs.get(name), ws.w_mats[name], ws.cols, out)
+        return kept(name, L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"], *extra))
 
-    def double_conv(x, name):
-        x = conv_relu(conv_relu(x, f"{name}.c1"), f"{name}.c2")
-        return kept(f"{name}.drop", L.dropout_forward(x, rate, drop_rng))
+    def conv_relu(x, name, out):
+        return kept(f"{name}.relu", L.relu_forward(conv(x, name, out), out=out))
 
+    def double_conv(x, name, level, ch, out=None, stem=False):  # stem: reuse the kept c2 output
+        x = buf(f"{name}.drop", level, ch, 0) if stem else \
+            conv_relu(conv_relu(x, f"{name}.c1", buf(f"{name}.c2", level, ch)),
+                      f"{name}.c2", buf(f"{name}.drop", level, ch, 0))
+        return kept(f"{name}.drop", L.dropout_forward(x, rate, drop_rng, x if out is None else out))
+
+    stem = None if ws is None else (x.shape, x.tobytes())
+    reuse = stem is not None and ws.stem_of == stem
     skips = []
     for l in range(cfg.depth):
+        c = cfg.base_channels << l
+        skip = buf(f"dec{l}.c1", l, 2 * c, chans=slice(c, None))
+        x = double_conv(x, f"enc{l}", l, c, skip, stem=l == 0 and reuse)
         if l == 0 and stem is not None:
-            if "enc0" not in stem:
-                stem["enc0"] = conv_relu(conv_relu(x, "enc0.c1"), "enc0.c2")
-            x = L.dropout_forward(stem["enc0"], rate, drop_rng)[0]
-        else:
-            x = double_conv(x, f"enc{l}")
+            ws.stem_of = stem
         skips.append(x)
-        x = kept(f"pool{l}", L.maxpool2_forward(x))
-    x = double_conv(x, "bott")
+        nxt = f"enc{l + 1}.c1" if l + 1 < cfg.depth else "bott.c1"
+        x = kept(f"pool{l}", L.maxpool2_forward(x, out=buf(nxt, l + 1, c)))
+    x = double_conv(x, "bott", cfg.depth, cfg.base_channels << cfg.depth)
     for l in reversed(range(cfg.depth)):
-        x = conv(L.upsample2_forward(x), f"dec{l}.up")
-        x = double_conv(np.concatenate([x, skips[l]], axis=3), f"dec{l}")
+        c = cfg.base_channels << l
+        x = L.upsample2_forward(x, out=buf(f"dec{l}.up", l, 2 * c))
+        x = conv(x, f"dec{l}.up", buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
+        x = np.concatenate([x, skips[l]], axis=3) if ws is None else buf(f"dec{l}.c1", l, 2 * c)
+        x = double_conv(x, f"dec{l}", l, c)
     logits = kept("head", L.conv1x1_forward(x, p["head.W"], p["head.b"]))
     return L.sigmoid(logits), caches
 
@@ -216,18 +237,18 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
 
 
 def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None,
-            stem: dict | None = None) -> ProbMap:
+            ws: Workspace | None = None) -> ProbMap:
     """Single-image forward pass -> probability map.
 
     Dropout is active iff `rng` is given, and its masks are drawn from `rng`;
-    without it the output is deterministic. `stem` is forward_batch's: one
-    dict shared by the passes over one image computes its stem once.
+    without it the output is deterministic. `ws` is forward_batch's: passes
+    over one image that share a Workspace share its buffers and its stem.
     """
     res = net.config.resolution
     if image.spec.resolution != res:
         raise ValueError(f"image resolution {image.spec.resolution} != network resolution {res}")
     x = normalize_counts(image.counts, np.float32 if net.dtype == np.float32 else np.float64)
-    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng, stem=stem)
+    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng, ws=ws)
     values = np.clip(probs[0, :, :, 0].astype(np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
     return ProbMap(image.spec, values)
 

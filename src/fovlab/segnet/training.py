@@ -10,8 +10,8 @@ import numpy as np
 
 from ..errors import NumericError
 from ..types import BevImage, FovMask, ProbMap, seeded_rng
-from .network import (Network, NetConfig, PROB_CLIP, backward_batch, forward_batch,
-                      normalize_counts, unet_init)
+from .network import (Network, NetConfig, PROB_CLIP, Workspace, backward_batch,
+                      forward_batch, normalize_counts, unet_init)
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ def _stack_dataset(net: Network, dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def _eval_loss(net: Network, xs: np.ndarray, ys: np.ndarray, batch_size: int) -> float:
     total = 0.0
+    ws = Workspace(net)
     for i in range(0, xs.shape[0], batch_size):
-        probs, _ = forward_batch(net, xs[i:i + batch_size])
+        probs, _ = forward_batch(net, xs[i:i + batch_size], ws=ws)
         chunk = xs[i:i + batch_size].shape[0]
         total += _bce(probs, ys[i:i + batch_size]) * chunk
     return total / xs.shape[0]

@@ -107,10 +107,14 @@ def test_polarfov_validation():
 
 
 def test_fovpolygon_validation():
+    # the last triangle is finite, but its edge arithmetic overflows: on GridSpec(10, 8)
+    # it rasterized to 64 cells where the true answer is 32
     for bad in ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]],
-                [[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]):
+                [[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]],
+                [[-1e308, -9.0], [1e308, 9.0], [-5.0, 9.0]]):
         with pytest.raises(ValueError):
             FovPolygon(np.array(bad))
+    FovPolygon(np.array([[-1e150, -9.0], [1e150, 9.0], [-5.0, 9.0]]))  # the bound is inclusive
 
 
 def test_rayq_single_point():

@@ -77,13 +77,18 @@ def test_random_streams_come_from_seeded_rng(path):
     assert _seeding_calls(path) == []
 
 
-def test_benchmark_traced_functions_exist():
-    """fovbench wraps fovlab functions by module attribute, so renaming or
-    removing one breaks a traced benchmark run; install and undo its tracer."""
+def _recorder_module():
     spec = importlib.util.spec_from_file_location("fovbench_recorder",
                                                   ROOT / "fovbench" / "recorder.py")
     recorder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recorder)
+    return recorder
+
+
+def test_benchmark_traced_functions_exist():
+    """fovbench wraps fovlab functions by module attribute, so renaming or
+    removing one breaks a traced benchmark run; install and undo its tracer."""
+    recorder = _recorder_module()
     rec = recorder.Recorder()
     try:
         recorder.install(rec)
@@ -94,6 +99,47 @@ def test_benchmark_traced_functions_exist():
     for owner, attr, orig in patched:
         now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert now is orig, f"{attr} not restored"
+
+
+def test_traced_mcd_sees_every_layer():
+    """A traced MC-dropout run on the benchmark's net sees each pass, each conv
+    with its closed-form FLOP and im2col byte counts, and each layer primitive.
+    The stem convs run once per frame, every other layer once per pass."""
+    import numpy as np
+
+    from fovlab.segnet import network
+    from fovlab.segnet.inference import infer_mcd
+    from fovlab.types import BevImage, GridSpec
+
+    recorder = _recorder_module()
+    T, res = 3, 32
+    cfg = network.NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=res)
+    net = network.unet_init(cfg, seed=1)
+    image = BevImage(GridSpec(extent=8.0, resolution=res),
+                     np.random.default_rng(3).integers(0, 6, (res, res)))
+    rec = recorder.Recorder()
+    recorder.install(rec)
+    try:
+        with rec.stage("mcd"):
+            infer_mcd(net, image, T=T, seed=0)
+    finally:
+        rec.restore()
+    assert rec.span_stats("network.forward_batch.infer")[0] == T
+    flop = im2col = 0
+    for name, out_ch, in_ch, k in network.conv_specs(cfg):
+        calls = 1 if name in ("enc0.c1", "enc0.c2") else T
+        assert rec.span_stats(f"layers.{name}.fwd")[0] == calls, name
+        level = cfg.depth if name.startswith("bott") else int(name[3]) if k == 3 else 0
+        cells = (res >> level) ** 2
+        flop += calls * 2 * cells * k * k * in_ch * out_ch
+        if k == 3:
+            im2col += calls * cells * 9 * in_ch * 4
+    assert rec.counts["layers.conv.flop"] == flop
+    assert rec.counts["layers.im2col.bytes"] == im2col
+    for fn in ("relu_forward", "dropout_forward", "maxpool2_forward", "upsample2_forward",
+               "sigmoid"):
+        calls, ns = rec.span_stats(f"layers.{fn}")
+        assert calls > 0 and ns > 0, fn
 
 
 # Module-level functions and classes of src/fovlab that no code of the program

@@ -9,7 +9,7 @@ from fovlab.segnet import (NetConfig, TrainConfig, binarize, forward, grad_check
                            parameter_count, save_checkpoint, train, unet_init)
 from fovlab.segnet.layers import (_w_mat, conv1x1_forward, conv3x3_backward, conv3x3_forward,
                                   maxpool2_forward, sigmoid, upsample2_forward)
-from fovlab.segnet.network import conv_specs, forward_batch, normalize_counts
+from fovlab.segnet.network import Workspace, conv_specs, forward_batch, normalize_counts
 from fovlab.segnet.training import tiny_check_net
 from fovlab.types import BevImage, FovMask, GridSpec, ProbMap, seeded_rng
 
@@ -197,6 +197,115 @@ def _conv3x3_backward_reference(dout, cache):
     return dxp[:, 1:h + 1, 1:w + 1, :], dW, db
 
 
+def _forward_reference(net, x, drop_rng=None, stem=None):
+    """forward_batch's cache-free pass as it was before the workspace: np.pad
+    and sliding_window_view im2col, np.concatenate, argmax pooling, and a
+    `stem` dict that the first pass over `x` fills and later passes read."""
+    cfg, p, rate = net.config, net.params, net.config.dropout_rate
+
+    def conv(x, name):
+        n, h, w, c = x.shape
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * c)
+        out = cols @ _w_mat(p[f"{name}.W"])
+        out += p[f"{name}.b"]
+        return out
+
+    def conv_relu(x, name):
+        return np.maximum(conv(x, name), 0.0)
+
+    def dropout(x):
+        if drop_rng is None or rate <= 0.0:
+            return x
+        return x * ((drop_rng.uniform(size=x.shape) >= rate).astype(x.dtype) / (1.0 - rate))
+
+    def pool(x):
+        n, h, w, c = x.shape
+        xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
+              .reshape(n, h // 2, w // 2, 4, c)
+        arg = xr.argmax(axis=3)
+        return np.take_along_axis(xr, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+
+    def double_conv(x, name):
+        return dropout(conv_relu(conv_relu(x, f"{name}.c1"), f"{name}.c2"))
+
+    skips = []
+    for l in range(cfg.depth):
+        if l == 0 and stem is not None:
+            if "enc0" not in stem:
+                stem["enc0"] = conv_relu(conv_relu(x, "enc0.c1"), "enc0.c2")
+            x = dropout(stem["enc0"])
+        else:
+            x = double_conv(x, f"enc{l}")
+        skips.append(x)
+        x = pool(x)
+    x = double_conv(x, "bott")
+    for l in reversed(range(cfg.depth)):
+        x = conv(x.repeat(2, axis=1).repeat(2, axis=2), f"dec{l}.up")
+        x = double_conv(np.concatenate([x, skips[l]], axis=3), f"dec{l}")
+    return sigmoid(conv1x1_forward(x, p["head.W"], p["head.b"])[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(depth=st.sampled_from([3, 4]), base=st.sampled_from([1, 4, 8]),
+       n=st.sampled_from([1, 2, 5]), res=st.sampled_from([16, 32]),
+       dtype=st.sampled_from([np.float32, np.float64]), rate=st.sampled_from([0.0, 0.1, 0.2]),
+       seed=st.integers(0, 2**32 - 1),
+       passes=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=3, max_size=5))
+def test_workspace_forward_matches_reference_property(depth, base, n, res, dtype, rate, seed,
+                                                      passes):
+    """Passes on one workspace equal the former cache-free forward byte for
+    byte, with nonzero biases, dropout on and off, and the input switched
+    between passes, so that a stale buffer, a stale stem or a written border
+    shows."""
+    rng = np.random.default_rng(seed)
+    net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
+                              resolution=res), seed=seed % 1000, dtype=dtype)
+    for name in net.params:
+        if name.endswith(".b"):
+            net.params[name][:] = rng.normal(scale=0.1, size=net.params[name].shape)
+    inputs = [rng.uniform(size=(n, res, res, 1)).astype(dtype) for _ in range(2)]
+    ws = Workspace(net)
+    for t, (which, dropout) in enumerate(passes):
+        drop = (lambda: seeded_rng(seed, t)) if dropout else (lambda: None)
+        got, caches = forward_batch(net, inputs[which], drop_rng=drop(), ws=ws)
+        want = _forward_reference(net, inputs[which], drop_rng=drop())
+        assert caches is None and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    for buf in (ws.bufs[name] for name in ws.w_mats if name in ws.bufs):  # conv inputs' borders
+        assert not buf[:, 0].any() and not buf[:, -1].any()
+        assert not buf[:, :, 0].any() and not buf[:, :, -1].any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2]), c=st.sampled_from([1, 3, 8]), o=st.sampled_from([1, 4, 8]),
+       h=st.sampled_from([1, 2, 7, 16]), w=st.sampled_from([1, 2, 16]),
+       block=st.sampled_from([1, 100, 1000, 100000]), half=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_conv3x3_workspace_form_matches_reference_property(n, c, o, h, w, block, half, dtype,
+                                                           seed):
+    """The blocked form, for any column block (smaller than one row too), into
+    a bordered interior or one channel half of it, gives the allocating form's
+    output bit for bit; that form's im2col matrix is the former one."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, h, w, c)).astype(dtype)
+    W = rng.standard_normal((o, c, 3, 3)).astype(dtype)
+    b = rng.standard_normal(o).astype(dtype)
+    want, (cols, _, _) = conv3x3_forward(x, W, b)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    assert cols.tobytes() == win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * c).tobytes()
+    dst = np.zeros((n, h + 2, w + 2, 2 * o if half else o), dtype)
+    out = dst[:, 1:-1, 1:-1, :o]
+    got, cache = conv3x3_forward(x, W, b, xp, _w_mat(W), np.empty(block, dtype), out)
+    assert got is out and cache is None
+    assert out.tobytes() == want.tobytes()
+    rest = dst.copy()
+    rest[:, 1:-1, 1:-1, :o] = 0
+    assert not rest.any()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from([1, 2, 5]), c=st.sampled_from([1, 3, 8, 16]),
        o=st.sampled_from([1, 4, 8, 16]), h=st.sampled_from([1, 2, 8, 16]),
@@ -226,12 +335,13 @@ def test_forward_batch_probs_same_with_and_without_caches(dtype, dropout):
     assert caches and none is None
     assert kept.tobytes() == free.tobytes()
     with pytest.raises(ValueError):
-        forward_batch(net, x, keep_caches=True, stem={})
+        forward_batch(net, x, keep_caches=True, ws=Workspace(net))
 
 
 def test_cache_free_forward_peak_memory_below_half_of_cached():
-    """Dropping each layer's cache, im2col matrix included, at once is what
-    keeps inference memory down."""
+    """Passes on a workspace keep no cache, im2col matrix included, and reuse
+    its buffers: two of them, workspace and all, peak below half of one pass
+    that keeps the caches."""
     import tracemalloc
     net = unet_init(NetConfig(depth=4, base_channels=8, resolution=64), seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 64, 64, 1)).astype(np.float32)
@@ -239,12 +349,48 @@ def test_cache_free_forward_peak_memory_below_half_of_cached():
     for keep in (True, False):
         tracemalloc.start()
         try:
-            out = forward_batch(net, x, keep_caches=keep)
+            if keep:
+                out = forward_batch(net, x, keep_caches=True)
+            else:
+                ws = Workspace(net)
+                out = [forward_batch(net, x, drop_rng=seeded_rng(t), ws=ws) for t in range(2)]
             peaks[keep] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         del out
     assert peaks[False] < 0.5 * peaks[True]
+
+
+def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
+    """infer_mcd builds one workspace and nothing holds it after return; its
+    peak grows with T by no more than the larger stack of T maps."""
+    import tracemalloc
+    import weakref
+
+    import fovlab.segnet.inference as inference
+
+    refs = []
+
+    class Tracked(Workspace):
+        def __init__(self, net):
+            super().__init__(net)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(inference, "Workspace", Tracked)
+    res = 64
+    net = unet_init(NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=res), seed=0)
+    image = BevImage(GridSpec(extent=8.0, resolution=res),
+                     np.random.default_rng(3).integers(0, 6, (res, res)))
+    peaks = {}
+    for T in (2, 8):
+        tracemalloc.start()
+        try:
+            infer_mcd(net, image, T=T, seed=1)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    assert peaks[8] - peaks[2] <= 8 * res * res * 8
 
 
 def test_bce_half_is_ln2():
