@@ -9,9 +9,10 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 "error" message, is left out of pooled and mean metrics, and the command still
 succeeds.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure. A flag value
-that a library check would refuse (an unknown estimator, a count, depth,
-threshold or attack sigma, bounds or center out of range, a learning rate
+Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError), 4 numeric
+failure; any other exception, ValueError included, is a bug and propagates. A
+flag value that a library check would refuse (an unknown estimator, a count,
+depth, threshold or attack sigma, bounds or center out of range, a learning rate
 that is not finite and positive, a crossval value outside the search grid) is
 a usage error: the flag's parser type applies the same rule, so nothing is written.
 """
@@ -31,7 +32,7 @@ from .attacks import AttackSpec
 from .classical import MIN_BINS, MIN_K
 from .config import load_config, parse_config, resolved_dict
 from .datasets import attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
-from .errors import DataError, FovlabError, NumericError
+from .errors import DataError, NumericError
 from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_BASE_CHANNELS, CROSSVAL_DROPOUT,
                           CROSSVAL_LR, ESTIMATORS, crossval, evaluate, format_table,
                           make_estimator, measure_hz, security_sweep, write_csv, write_jsonl)
@@ -171,6 +172,9 @@ def cmd_crossval(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, "train")
     pairs = frames_to_pairs(frames, grid, filt)
+    if len(pairs) < args.folds or grid.resolution % (2 ** args.depth):
+        raise DataError(f"--folds {args.folds} --depth {args.depth} do not fit the train split: "
+                        f"{len(pairs)} frames at resolution {grid.resolution}")
     grid_cfgs = []
     for b in args.base_channels:
         for d in CROSSVAL_DROPOUT if args.dropout is None else (args.dropout,):
@@ -381,7 +385,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
-    except (DataError, FovlabError, ValueError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..types import BevImage, ConfidenceMap, FovMask, ProbMap, seeded_rng
-from .network import Network, Workspace, forward
+from .network import Network, forward, forward_maps
 
 DEFAULT_THRESHOLD = 0.7  # visibility decision threshold on probability maps
 
@@ -20,18 +18,12 @@ def infer_mcd(net: Network, image: BevImage, T: int = 20,
     """T stochastic forward passes with dropout active.
 
     Pass t draws its dropout masks from `seeded_rng(seed, t)`, so passes may
-    run in any order (or in parallel) with identical results. The passes share
-    one Workspace, dropped on return: its buffers, weight matrices and the stem
-    before the first dropout are made once. Returns the per-cell mean map and
-    the population standard deviation as a confidence map.
+    run in any order (or in parallel) with identical results. Returns the
+    per-cell mean map and the population standard deviation as a confidence map.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    stack = np.empty((T, net.config.resolution, net.config.resolution))
-    ws = Workspace(net)
-    for t in range(T):
-        stack[t] = forward(net, image, rng=seeded_rng(seed, t), ws=ws).values
-    del ws  # else its buffers stay alive beside the temporaries of std
+    stack = forward_maps(net, image, [seeded_rng(seed, t) for t in range(T)])
     mean = stack.mean(axis=0)
     sigma = stack.std(axis=0)  # population std (divide by T)
     return ProbMap(image.spec, mean), ConfidenceMap(image.spec, sigma)

@@ -5,17 +5,17 @@ parameter tensors keep the (out, in, kh, kw) layout used by checkpoints.
 Convolutions are stride-1 with "same" padding (3x3) or pointwise (1x1);
 pooling and upsampling use factor 2.
 
-Every forward returns (output, cache); the cache holds what the matching
-backward reads, for a 3x3 conv the whole im2col matrix. Passes that run no
-backward give each forward an `out` in a `network.Workspace` instead: it
-allocates nothing, keeps no cache, and a 3x3 conv reads a zero-bordered buffer.
+Every forward writes into an `out` in a `network.Workspace`. A backward's
+cache is a view of those buffers: a 3x3 conv keeps its zero-bordered input and
+rebuilds the im2col matrix from it, so one such matrix is alive at a time;
+ReLU takes its mask from its output, max-pool its routing from its input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-COL_BLOCK_BYTES = 256 * 1024  # column block of a workspace conv: fits L2 with room for its GEMM
+COL_BLOCK_BYTES = 256 * 1024  # column block of a conv forward: fits L2 with room for its GEMM
 
 
 def _im2col3(xp: np.ndarray) -> np.ndarray:
@@ -33,19 +33,12 @@ def _w_mat(W: np.ndarray) -> np.ndarray:
     return W.transpose(2, 3, 1, 0).reshape(9 * c, o)
 
 
-def conv3x3_forward(x, W, b, xp=None, w_mat=None, cols=None, out=None):
-    """3x3 same conv of x, the interior of zero-bordered `xp` (padded if None).
-    With a column block `cols`, rows of patches are unfolded into it a few at a
-    time and multiplied by w_mat = _w_mat(W) into `out` while still in L2. Both
-    forms run one GEMM per (sample, row) on equal operands: equal bits."""
+def conv3x3_forward(x, W, b, xp, w_mat, cols, out):
+    """3x3 same conv of x, the interior of zero-bordered `xp`, into `out`; cache
+    (xp, x_shape, W). Rows of patches are unfolded into the column block `cols`
+    and multiplied by w_mat = _w_mat(W) while still in L2: one GEMM per (sample,
+    row), as on the whole im2col matrix, so the bits are equal."""
     n, h, w, c = x.shape
-    if xp is None:
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    if cols is None:
-        cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
-        out = cols @ _w_mat(W)
-        out += b
-        return out, (cols, x.shape, W)
     win = _im2col3(xp)
     rows = cols.size // (w * 9 * c)
     if rows == 0:  # one row is larger than the block
@@ -60,22 +53,25 @@ def conv3x3_forward(x, W, b, xp=None, w_mat=None, cols=None, out=None):
             np.copyto(blk[:k].reshape(k, w, 3, 3 * c), win[i, r:r + k])
             np.matmul(blk[:k], w_mat, out=out[i, r:r + k])
             acc[i, r:r + k] += bias
-    return out, None
+    return out, (xp, x.shape, W)
 
 
 def conv3x3_backward(dout, cache):
-    """Gradients (dx, dW, db) of a 3x3 conv from its (cols, x_shape, W) cache.
+    """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache.
 
-    dx is col2im of dcols = dout @ W_mat^T, built one sample at a time so that
-    only an (H, W, 9C) dcols is live instead of (N, H, W, 9C). This is the
-    same arithmetic as the whole-batch form: numpy's matmul issues one BLAS
-    call per (sample, row) matrix in both, and every cell still receives its
-    nine taps in the same (di, dj) order, so dx is equal bit for bit.
+    dW multiplies the im2col matrix rebuilt from xp by the forward's copy, so
+    the GEMM sees the operands of a kept matrix; it is freed before col2im.
+    dx is col2im of dcols = dout @ W_mat^T one sample at a time, so only an
+    (H, W, 9C) dcols is live: numpy's matmul issues one BLAS call per (sample,
+    row) matrix either way, and every cell receives its nine taps in the same
+    (di, dj) order, so dx equals the whole-batch form bit for bit.
     """
-    cols, x_shape, W = cache
+    xp, x_shape, W = cache
     n, h, w, c = x_shape
     o = W.shape[0]
+    cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
     dmat = np.tensordot(cols, dout, axes=([0, 1, 2], [0, 1, 2]))  # (9C, O)
+    del cols
     dW = dmat.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
     db = dout.sum(axis=(0, 1, 2))
     w_t = _w_mat(W).T
@@ -101,42 +97,41 @@ def conv1x1_backward(dout, cache):
     return dx, dW, db
 
 
-def relu_forward(x, out=None):
-    """ReLU; into `out` (which may be x) without the backward mask."""
-    return np.maximum(x, 0.0, out=out), (x > 0 if out is None else None)
+def relu_forward(x, out):
+    """ReLU into `out` (which may be x); the output is the backward's cache."""
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(dout, mask):
-    return dout * mask
+def relu_backward(dout, out):
+    """ReLU gradient from its output (out > 0 iff x > 0). A dropout in place on
+    `out` zeroed only cells whose dout is already +-0, equal under either mask."""
+    return dout * (out > 0)
 
 
-def maxpool2_forward(x, out=None):
-    """2x2 max-pool; into `out` as max(max(x00, x01), max(x10, x11)) (ReLU left no -0.0
-    to tie with 0.0, so it is the argmax's value), without the argmax."""
-    if out is not None:
-        np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2], out=out)
-        return np.maximum(out, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out), None
-    n, h, w, c = x.shape
-    xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
-          .reshape(n, h // 2, w // 2, 4, c)
-    arg = xr.argmax(axis=3)
-    out = np.take_along_axis(xr, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, (arg, x.shape)
+def maxpool2_forward(x, out):
+    """2x2 max-pool into `out` as max(max(x00, x01), max(x10, x11)) (ReLU left no
+    -0.0 to tie with 0.0, so it is the argmax's value)."""
+    np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2], out=out)
+    return np.maximum(out, np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]), out=out)
 
 
 def maxpool2_backward(dout, cache):
-    arg, x_shape = cache
-    n, h, w, c = x_shape
-    dxr = np.zeros((n, h // 2, w // 2, 4, c), dtype=dout.dtype)
-    np.put_along_axis(dxr, arg[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-    return dxr.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
-              .reshape(n, h, w, c)
+    """Route each gradient to the first cell of its window, in (00, 01, 10, 11)
+    order, that equals the pooled output (cache (x, out)): the argmax's cell."""
+    x, out = cache
+    dx = np.zeros(x.shape, dout.dtype)
+    free = np.ones(out.shape, bool)
+    for i in (0, 1):
+        for j in (0, 1):
+            hit = free & (x[:, i::2, j::2] == out)
+            np.copyto(dx[:, i::2, j::2], dout, where=hit)
+            free &= ~hit
+    return dx
 
 
-def upsample2_forward(x, out=None):
-    """Nearest-neighbour 2x upsample, into `out` as one broadcast copy."""
+def upsample2_forward(x, out):
+    """Nearest-neighbour 2x upsample into `out`, as one broadcast copy."""
     n, h, w, c = x.shape
-    out = np.empty((n, 2 * h, 2 * w, c), x.dtype) if out is None else out
     np.reshape(out, (n, h, 2, w, 2, c), copy=False)[...] = x[:, :, None, :, None, :]
     return out
 
@@ -146,12 +141,12 @@ def upsample2_backward(dout):
     return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
 
 
-def dropout_forward(x, rate: float, rng, out=None):
-    """Inverted dropout into `out` (may be x); identity if rng is None or rate == 0."""
+def dropout_forward(x, rate: float, rng, out):
+    """Inverted dropout into `out` (may be x) -> (out, mask); a copy with mask
+    None if rng is None or rate == 0."""
     if rng is None or rate <= 0.0:
-        if out is not None:
-            out[...] = x
-        return x if out is None else out, None
+        out[...] = x
+        return out, None
     mask = (rng.uniform(size=x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return np.multiply(x, mask, out=out), mask
 

@@ -122,14 +122,13 @@ def normalize_counts(counts: np.ndarray, dtype=np.float32) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers, weight matrices and enc0 stem of the passes of one call that runs no
-    backward; `net` must not change, and a pass that raises leaves it unusable."""
+    """Buffers, weight matrices (made by the first pass) and enc0 stem of the passes
+    of one call; `net` must not change while it is in use, and a pass that raises
+    leaves it unusable."""
 
     def __init__(self, net: Network):
-        self.w_mats = {n: L._w_mat(net.params[f"{n}.W"])
-                       for n, _, _, k in conv_specs(net.config) if k == 3}
         self.cols = np.empty(L.COL_BLOCK_BYTES // net.dtype.itemsize, net.dtype)
-        self.bufs, self.stem_of = {}, None
+        self.bufs, self.w_mats, self.stem_of = {}, {}, None
 
 
 def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool = False,
@@ -139,72 +138,73 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool 
     Returns (probs (N, H, W, 1) raw sigmoid output, caches). Dropout is
     active iff drop_rng is given.
 
-    `caches` feeds backward_batch. It is built only with `keep_caches`, which
-    the training step and grad_check set, and every layer then allocates its
-    output. Otherwise the pass runs on `ws` (a new Workspace when None): each
-    layer writes into the next one's buffer, and the stem is reused while the
-    input bytes are unchanged.
+    The pass runs on `ws` (a new Workspace when None): each activation is the
+    interior of a zero-bordered buffer its producer writes into, and the stem
+    is reused while the input bytes are unchanged. `caches`, for backward_batch,
+    is built only with `keep_caches` (training steps and grad_check), as views
+    of the buffers of a workspace of the pass's own: the parameters change
+    between steps, and a shared workspace's weight matrices and stem would not.
     """
     if keep_caches and ws is not None:
         raise ValueError("keep_caches and ws are exclusive")
-    ws = None if keep_caches else ws or Workspace(net)
+    ws = ws or Workspace(net)
     cfg, p, rate = net.config, net.params, net.config.dropout_rate
+    ws.w_mats = ws.w_mats or {name: L._w_mat(p[f"{name}.W"])
+                              for name, *_, k in conv_specs(cfg) if k == 3}
     caches = {} if keep_caches else None
     n, res = x.shape[:2]
 
-    def kept(key, result):
-        out, cache = result
+    def kept(key, out, cache):
         if caches is not None:
             caches[key] = cache
         return out
 
-    def buf(key, level, ch, pad=1, chans=slice(None)):  # None when caches are kept
-        if ws is None:
-            return None
+    def buf(key, level, ch, pad=1, chans=slice(None)):
         side, b = res >> level, ws.bufs.get(key)
         if b is None or b.shape[:2] != (n, side + 2 * pad):
             b = ws.bufs[key] = np.zeros((n, side + 2 * pad, side + 2 * pad, ch), net.dtype)
         return b[:, pad:pad + side, pad:pad + side, chans]
 
     def conv(x, name, out):
-        extra = () if ws is None else (ws.bufs.get(name), ws.w_mats[name], ws.cols, out)
-        return kept(name, L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"], *extra))
+        return kept(name, *L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"], ws.bufs[name],
+                                             ws.w_mats[name], ws.cols, out))
 
     def conv_relu(x, name, out):
-        return kept(f"{name}.relu", L.relu_forward(conv(x, name, out), out=out))
+        y = L.relu_forward(conv(x, name, out), out=out)
+        return kept(f"{name}.relu", y, y)
 
     def double_conv(x, name, level, ch, out=None, stem=False):  # stem: reuse the kept c2 output
         x = buf(f"{name}.drop", level, ch, 0) if stem else \
             conv_relu(conv_relu(x, f"{name}.c1", buf(f"{name}.c2", level, ch)),
                       f"{name}.c2", buf(f"{name}.drop", level, ch, 0))
-        return kept(f"{name}.drop", L.dropout_forward(x, rate, drop_rng, x if out is None else out))
+        out, mask = L.dropout_forward(x, rate, drop_rng, x if out is None else out)
+        return kept(f"{name}.drop", out, mask)
 
-    stem = None if ws is None else (x.shape, x.tobytes())
-    reuse = stem is not None and ws.stem_of == stem
-    skips = []
+    stem = (x.shape, x.tobytes())
+    reuse, ws.stem_of = ws.stem_of == stem, stem
+    x, x_in = buf("enc0.c1", 0, 1), x
+    x[...] = x_in
     for l in range(cfg.depth):
         c = cfg.base_channels << l
         skip = buf(f"dec{l}.c1", l, 2 * c, chans=slice(c, None))
         x = double_conv(x, f"enc{l}", l, c, skip, stem=l == 0 and reuse)
-        if l == 0 and stem is not None:
-            ws.stem_of = stem
-        skips.append(x)
         nxt = f"enc{l + 1}.c1" if l + 1 < cfg.depth else "bott.c1"
-        x = kept(f"pool{l}", L.maxpool2_forward(x, out=buf(nxt, l + 1, c)))
+        pooled = L.maxpool2_forward(x, out=buf(nxt, l + 1, c))
+        x = kept(f"pool{l}", pooled, (x, pooled))
     x = double_conv(x, "bott", cfg.depth, cfg.base_channels << cfg.depth)
     for l in reversed(range(cfg.depth)):
         c = cfg.base_channels << l
         x = L.upsample2_forward(x, out=buf(f"dec{l}.up", l, 2 * c))
-        x = conv(x, f"dec{l}.up", buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
-        x = np.concatenate([x, skips[l]], axis=3) if ws is None else buf(f"dec{l}.c1", l, 2 * c)
-        x = double_conv(x, f"dec{l}", l, c)
-    logits = kept("head", L.conv1x1_forward(x, p["head.W"], p["head.b"]))
+        conv(x, f"dec{l}.up", buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
+        x = double_conv(buf(f"dec{l}.c1", l, 2 * c), f"dec{l}", l, c)
+    logits = kept("head", *L.conv1x1_forward(x, p["head.W"], p["head.b"]))
     return L.sigmoid(logits), caches
 
 
 def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     """Gradients of every parameter given dLoss/dlogits and forward_batch's
-    caches (kept with keep_caches=True)."""
+    caches (kept with keep_caches=True). A 3x3 conv rebuilds its im2col matrix
+    from the bordered input it kept and drops it before the next conv runs."""
     cfg = net.config
     grads = {}
 
@@ -236,21 +236,25 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     return grads
 
 
-def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None,
-            ws: Workspace | None = None) -> ProbMap:
-    """Single-image forward pass -> probability map.
-
-    Dropout is active iff `rng` is given, and its masks are drawn from `rng`;
-    without it the output is deterministic. `ws` is forward_batch's: passes
-    over one image that share a Workspace share its buffers and its stem.
-    """
+def forward_maps(net: Network, image: BevImage, rngs) -> np.ndarray:
+    """(len(rngs), H, W) float64 probability maps of `image`, one pass per rng
+    (dropout off for None), clipped into [PROB_CLIP, 1 - PROB_CLIP]. The image
+    is normalized once, and the passes share one Workspace, dropped on return:
+    its buffers, weight matrices and the stem before the first dropout are made once."""
     res = net.config.resolution
     if image.spec.resolution != res:
         raise ValueError(f"image resolution {image.spec.resolution} != network resolution {res}")
     x = normalize_counts(image.counts, np.float32 if net.dtype == np.float32 else np.float64)
-    probs, _ = forward_batch(net, x[None, :, :, None], drop_rng=rng, ws=ws)
-    values = np.clip(probs[0, :, :, 0].astype(np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
-    return ProbMap(image.spec, values)
+    x, maps, ws = x[None, :, :, None], np.empty((len(rngs), res, res)), Workspace(net)
+    for t, rng in enumerate(rngs):
+        maps[t] = forward_batch(net, x, drop_rng=rng, ws=ws)[0][0, :, :, 0]
+    return np.clip(maps, PROB_CLIP, 1.0 - PROB_CLIP, out=maps)
+
+
+def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None) -> ProbMap:
+    """Single-image forward pass -> probability map. Dropout is active iff `rng` is
+    given, and its masks are drawn from `rng`; without it the output is deterministic."""
+    return ProbMap(image.spec, forward_maps(net, image, [rng])[0])
 
 
 def save_checkpoint(path, net: Network) -> None:

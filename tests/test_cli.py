@@ -7,6 +7,7 @@ import pytest
 
 from fovlab.cli import main
 from fovlab.datasets import load_manifest
+from fovlab.errors import FovlabError
 
 CONFIG = {
     "family": {"name": "outdoor-sparse"},
@@ -316,6 +317,35 @@ def test_missing_files_exit_code(tmp_path):
                  "--dataset", str(tmp_path), "--split", "test"]) == 3
     assert main(["train", "--dataset", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "x.fvnt")]) == 3
+
+
+def test_crossval_dataset_that_does_not_fit_is_data_error(dataset, tmp_path, capsys):
+    """Too few train frames for --folds, or a resolution that --depth cannot
+    halve that often, is the dataset's fault: exit 3, before any training."""
+    assert main(["crossval", "--dataset", str(dataset), "--folds", "7", "--depth", "3",
+                 "--epochs", "1", "--base-channels", "4"]) == 3
+    assert "do not fit the train split: 6 frames" in capsys.readouterr().err
+    cfg = tmp_path / "res40.json"
+    cfg.write_text(json.dumps({**CONFIG, "grid": {"extent": 75.0, "resolution": 40},
+                               "frames": {"train": 2, "val": 1, "test": 1}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds40")]) == 0
+    assert main(["crossval", "--dataset", str(tmp_path / "ds40"), "--folds", "2",
+                 "--depth", "4", "--epochs", "1", "--base-channels", "4"]) == 3
+    assert "at resolution 40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ValueError, FovlabError])
+def test_other_errors_are_not_data_errors(monkeypatch, tmp_path, exc):
+    """Only DataError and OSError read as exit 3; anything else a command
+    raises is a bug and propagates with its traceback."""
+    import fovlab.cli as cli
+
+    def broken(args):
+        raise exc("a bug")
+
+    monkeypatch.setattr(cli, "cmd_synth", broken)
+    with pytest.raises(exc, match="a bug"):
+        main(["synth", "--out", str(tmp_path / "o")])
 
 
 def test_bad_config_rejected(tmp_path, dataset, capsys):

@@ -142,6 +142,40 @@ def test_traced_mcd_sees_every_layer():
         assert calls > 0 and ns > 0, fn
 
 
+def test_traced_training_sees_every_layer():
+    """A traced training epoch on the benchmark's net names every conv's
+    backward from the weight at the end of its cache, once per batch, and
+    sees each backward primitive."""
+    import numpy as np
+
+    from fovlab.segnet import network, training
+    from fovlab.types import BevImage, FovMask, GridSpec
+
+    recorder = _recorder_module()
+    res, batch, frames = 32, 2, 4
+    spec = GridSpec(extent=8.0, resolution=res)
+    rng = np.random.default_rng(3)
+    pairs = [(BevImage(spec, rng.integers(0, 6, (res, res))),
+              FovMask(spec, rng.uniform(size=(res, res)) > 0.5)) for _ in range(frames)]
+    cfg = network.NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=res)
+    net = network.unet_init(cfg, seed=1)
+    rec = recorder.Recorder()
+    recorder.install(rec)
+    try:
+        with rec.stage("train"):
+            training.train(net, pairs, pairs[:1],
+                           training.TrainConfig(max_epochs=1, batch_size=batch, seed=0))
+    finally:
+        rec.restore()
+    assert rec.span_stats("network.backward_batch")[0] == frames // batch
+    for name, *_ in network.conv_specs(cfg):
+        assert rec.span_stats(f"layers.{name}.bwd")[0] == frames // batch, name
+    assert not [name for name, _ in rec.spans if name.startswith("layers.?")]
+    for fn in ("maxpool2_backward", "relu_backward", "upsample2_backward", "dropout_backward"):
+        calls, ns = rec.span_stats(f"layers.{fn}")
+        assert calls > 0 and ns > 0, fn
+
+
 # Module-level functions and classes of src/fovlab that no code of the program
 # names, each with the reason it is kept. Code added without a caller fails
 # the test below; code that gets wired must leave this set.

@@ -7,10 +7,11 @@ from fovlab.errors import NumericError
 from fovlab.segnet import (NetConfig, TrainConfig, binarize, forward, grad_check,
                            infer_mcd, infer_mle, load_checkpoint, loss_bce,
                            parameter_count, save_checkpoint, train, unet_init)
-from fovlab.segnet.layers import (_w_mat, conv1x1_forward, conv3x3_backward, conv3x3_forward,
-                                  maxpool2_forward, sigmoid, upsample2_forward)
-from fovlab.segnet.network import Workspace, conv_specs, forward_batch, normalize_counts
-from fovlab.segnet.training import tiny_check_net
+from fovlab.segnet.layers import (_im2col3, _w_mat, conv1x1_forward, conv3x3_backward,
+                                  conv3x3_forward, maxpool2_backward, maxpool2_forward, sigmoid)
+from fovlab.segnet.network import (Workspace, backward_batch, conv_specs, forward_batch,
+                                   normalize_counts)
+from fovlab.segnet.training import Adam, _bce_and_dlogits, tiny_check_net
 from fovlab.types import BevImage, FovMask, GridSpec, ProbMap, seeded_rng
 
 SPEC16 = GridSpec(extent=8.0, resolution=16)
@@ -247,6 +248,172 @@ def _forward_reference(net, x, drop_rng=None, stem=None):
     return sigmoid(conv1x1_forward(x, p["head.W"], p["head.b"])[0])
 
 
+def _conv3x3_forward_reference(x, W, b):
+    """The former allocating conv3x3_forward: np.pad, then the whole im2col
+    matrix, which it returned in its (cols, x_shape, W) cache."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
+    out = cols @ _w_mat(W)
+    out += b
+    return out, (cols, x.shape, W)
+
+
+def _forward_cached_reference(net, x, drop_rng=None):
+    """forward_batch with keep_caches as it was before training ran on a
+    workspace: every layer allocates its output, a 3x3 conv keeps its im2col
+    matrix, ReLU a bool mask, max-pool its argmax, and the decoder joins its
+    halves with np.concatenate. Returns (probs, caches) for _backward_reference."""
+    cfg, p, rate = net.config, net.params, net.config.dropout_rate
+    caches = {}
+
+    def conv(x, name):
+        out, caches[name] = _conv3x3_forward_reference(x, p[f"{name}.W"], p[f"{name}.b"])
+        return out
+
+    def conv_relu(x, name):
+        x = conv(x, name)
+        caches[f"{name}.relu"] = x > 0
+        return np.maximum(x, 0.0)
+
+    def double_conv(x, name):
+        x = conv_relu(conv_relu(x, f"{name}.c1"), f"{name}.c2")
+        mask = None
+        if drop_rng is not None and rate > 0.0:
+            mask = (drop_rng.uniform(size=x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+            x = x * mask
+        caches[f"{name}.drop"] = mask
+        return x
+
+    skips = []
+    for l in range(cfg.depth):
+        x = double_conv(x, f"enc{l}")
+        skips.append(x)
+        n, h, w, c = x.shape
+        xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
+              .reshape(n, h // 2, w // 2, 4, c)
+        arg = xr.argmax(axis=3)
+        caches[f"pool{l}"] = (arg, x.shape)
+        x = np.take_along_axis(xr, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    x = double_conv(x, "bott")
+    for l in reversed(range(cfg.depth)):
+        x = conv(x.repeat(2, axis=1).repeat(2, axis=2), f"dec{l}.up")
+        x = double_conv(np.concatenate([x, skips[l]], axis=3), f"dec{l}")
+    logits, caches["head"] = conv1x1_forward(x, p["head.W"], p["head.b"])
+    return sigmoid(logits), caches
+
+
+def _backward_reference(net, caches, dlogits):
+    """backward_batch on _forward_cached_reference's caches, with the former
+    backward forms: whole-batch col2im of the kept im2col matrix, bool ReLU
+    masks, and max-pool gradients put at the argmax."""
+    cfg, grads = net.config, {}
+
+    def conv_bw(d, name):
+        d, grads[f"{name}.W"], grads[f"{name}.b"] = _conv3x3_backward_reference(d, caches[name])
+        return d
+
+    def double_conv_bw(d, name):
+        mask = caches[f"{name}.drop"]
+        d = d if mask is None else d * mask
+        d = conv_bw(d * caches[f"{name}.c2.relu"], f"{name}.c2")
+        return conv_bw(d * caches[f"{name}.c1.relu"], f"{name}.c1")
+
+    x, W = caches["head"]
+    grads["head.W"] = np.tensordot(dlogits, x, axes=([0, 1, 2], [0, 1, 2]))[:, :, None, None]
+    grads["head.b"] = dlogits.sum(axis=(0, 1, 2))
+    d = dlogits @ W[:, :, 0, 0]
+    d_skip = {}
+    for l in range(cfg.depth):
+        d = double_conv_bw(d, f"dec{l}")
+        ch = cfg.base_channels * (2 ** l)
+        d_up, d_skip[l] = d[..., :ch], d[..., ch:]
+        d = conv_bw(d_up, f"dec{l}.up")
+        n, h2, w2, c = d.shape
+        d = d.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
+    d = double_conv_bw(d, "bott")
+    for l in reversed(range(cfg.depth)):
+        arg, (n, h, w, c) = caches[f"pool{l}"]
+        dxr = np.zeros((n, h // 2, w // 2, 4, c), dtype=d.dtype)
+        np.put_along_axis(dxr, arg[:, :, :, None, :], d[:, :, :, None, :], axis=3)
+        d = dxr.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
+        d = d + d_skip[l]
+        d = double_conv_bw(d, f"enc{l}")
+    return grads
+
+
+def _tied_input(rng, n, res, dtype):
+    """Counts-like input: 4x4 blocks of a few levels, about half of them exact
+    zeros, so that activations are constant over patches and pooling windows tie."""
+    levels = rng.choice([0.0, 0.0, 0.25, 0.5, 1.0], size=(n, res // 4, res // 4, 1))
+    return levels.repeat(4, axis=1).repeat(4, axis=2).astype(dtype)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(depth=st.sampled_from([3, 4]), base=st.sampled_from([1, 4, 8]),
+       n=st.sampled_from([1, 2, 5]), res=st.sampled_from([16, 32]),
+       dtype=st.sampled_from([np.float32, np.float64]), rate=st.sampled_from([0.0, 0.1, 0.2]),
+       tied=st.booleans(), batches=st.lists(st.integers(0, 1), min_size=2, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_training_steps_match_cached_reference_property(depth, base, n, res, dtype, rate, tied,
+                                                        batches, seed):
+    """Training steps whose caches are views of a workspace (bordered inputs,
+    ReLU outputs, first-match pooling) equal the former cache-keeping path
+    byte for byte: probs, every gradient, and the parameters after each Adam
+    step, with nonzero biases, inputs with exact zeros and tied pooling
+    windows, and a batch seen again after a step, so that a stale stem or
+    weight matrix shows."""
+    rng = np.random.default_rng(seed)
+    net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
+                              resolution=res), seed=seed % 1000, dtype=dtype)
+    for name in net.params:
+        if name.endswith(".b"):
+            net.params[name][:] = rng.normal(scale=0.1, size=net.params[name].shape)
+    ref = net.copy()
+    opt, ref_opt = Adam(net.params, 1e-2), Adam(ref.params, 1e-2)
+    data = [(_tied_input(rng, n, res, dtype) if tied else
+             rng.uniform(size=(n, res, res, 1)).astype(dtype),
+             (rng.uniform(size=(n, res, res, 1)) > 0.5).astype(dtype)) for _ in range(2)]
+    for step, which in enumerate(batches):
+        x, y = data[which]
+        got, caches = forward_batch(net, x, drop_rng=seeded_rng(seed, step), keep_caches=True)
+        want, ref_caches = _forward_cached_reference(ref, x, drop_rng=seeded_rng(seed, step))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        _, dlogits = _bce_and_dlogits(got, y)
+        grads = backward_batch(net, caches, dlogits)
+        ref_grads = _backward_reference(ref, ref_caches, dlogits)
+        assert grads.keys() == ref_grads.keys() == net.params.keys()
+        for k in grads:
+            assert grads[k].dtype == ref_grads[k].dtype and grads[k].shape == ref_grads[k].shape
+            assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+        opt.step(net.params, grads)
+        ref_opt.step(ref.params, ref_grads)
+        for k in net.params:
+            assert net.params[k].tobytes() == ref.params[k].tobytes(), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2]), h=st.sampled_from([2, 4, 8]), w=st.sampled_from([2, 6]),
+       c=st.sampled_from([1, 3]), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_maxpool2_backward_routes_to_argmax_property(n, h, w, c, dtype, seed):
+    """First-match routing against the pooled output puts each gradient where
+    argmax does, on values drawn from a few levels (signed zeros included), so
+    that most windows tie."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0], dtype), size=(n, h, w, c))
+    out = maxpool2_forward(x, out=np.empty((n, h // 2, w // 2, c), dtype))
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    xr = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5) \
+          .reshape(n, h // 2, w // 2, 4, c)
+    arg = xr.argmax(axis=3)
+    dxr = np.zeros(xr.shape, dtype)
+    np.put_along_axis(dxr, arg[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    want = dxr.reshape(n, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
+    got = maxpool2_backward(dout, (x, out))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(depth=st.sampled_from([3, 4]), base=st.sampled_from([1, 4, 8]),
        n=st.sampled_from([1, 2, 5]), res=st.sampled_from([16, 32]),
@@ -286,20 +453,21 @@ def test_workspace_forward_matches_reference_property(depth, base, n, res, dtype
 def test_conv3x3_workspace_form_matches_reference_property(n, c, o, h, w, block, half, dtype,
                                                            seed):
     """The blocked form, for any column block (smaller than one row too), into
-    a bordered interior or one channel half of it, gives the allocating form's
-    output bit for bit; that form's im2col matrix is the former one."""
+    a bordered interior or one channel half of it, gives the former allocating
+    form's output bit for bit, and caches its bordered input, not the im2col
+    matrix; that matrix is the sliding-window one."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, h, w, c)).astype(dtype)
     W = rng.standard_normal((o, c, 3, 3)).astype(dtype)
     b = rng.standard_normal(o).astype(dtype)
-    want, (cols, _, _) = conv3x3_forward(x, W, b)
+    want, (cols, _, _) = _conv3x3_forward_reference(x, W, b)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
     assert cols.tobytes() == win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * c).tobytes()
     dst = np.zeros((n, h + 2, w + 2, 2 * o if half else o), dtype)
     out = dst[:, 1:-1, 1:-1, :o]
     got, cache = conv3x3_forward(x, W, b, xp, _w_mat(W), np.empty(block, dtype), out)
-    assert got is out and cache is None
+    assert got is out and cache[0] is xp and cache[1] == x.shape and cache[2] is W
     assert out.tobytes() == want.tobytes()
     rest = dst.copy()
     rest[:, 1:-1, 1:-1, :o] = 0
@@ -312,13 +480,16 @@ def test_conv3x3_workspace_form_matches_reference_property(n, c, o, h, w, block,
        w=st.sampled_from([2, 8, 16]), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
 def test_conv3x3_backward_matches_reference_property(n, c, o, h, w, dtype, seed):
-    """Per-sample col2im gives the whole-batch dx, dW and db bit for bit."""
+    """Rebuilding the im2col matrix from the bordered input, with per-sample
+    col2im, gives the kept matrix's whole-batch dx, dW and db bit for bit."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, h, w, c)).astype(dtype)
     W = rng.standard_normal((o, c, 3, 3)).astype(dtype)
-    _, cache = conv3x3_forward(x, W, np.zeros(o, dtype))
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    _, ref_cache = _conv3x3_forward_reference(x, W, np.zeros(o, dtype))
     dout = rng.standard_normal((n, h, w, o)).astype(dtype)
-    for got, want in zip(conv3x3_backward(dout, cache), _conv3x3_backward_reference(dout, cache)):
+    for got, want in zip(conv3x3_backward(dout, (xp, x.shape, W)),
+                         _conv3x3_backward_reference(dout, ref_cache)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -341,33 +512,69 @@ def test_forward_batch_probs_same_with_and_without_caches(dtype, dropout):
 def test_cache_free_forward_peak_memory_below_half_of_cached():
     """Passes on a workspace keep no cache, im2col matrix included, and reuse
     its buffers: two of them, workspace and all, peak below half of one pass
-    that keeps the caches."""
+    that keeps the former caches. So does one pass that keeps today's caches,
+    views of its own workspace."""
     import tracemalloc
     net = unet_init(NetConfig(depth=4, base_channels=8, resolution=64), seed=0)
     x = np.random.default_rng(0).uniform(size=(1, 64, 64, 1)).astype(np.float32)
+
+    def free():
+        ws = Workspace(net)
+        return [forward_batch(net, x, drop_rng=seeded_rng(t), ws=ws) for t in range(2)]
+
+    runs = {
+        "former": lambda: _forward_cached_reference(net, x, drop_rng=seeded_rng(0)),
+        "cached": lambda: forward_batch(net, x, drop_rng=seeded_rng(0), keep_caches=True),
+        "free": free,
+    }
     peaks = {}
-    for keep in (True, False):
+    for key, run in runs.items():
         tracemalloc.start()
         try:
-            if keep:
-                out = forward_batch(net, x, keep_caches=True)
-            else:
-                ws = Workspace(net)
-                out = [forward_batch(net, x, drop_rng=seeded_rng(t), ws=ws) for t in range(2)]
-            peaks[keep] = tracemalloc.get_traced_memory()[1]
+            out = run()
+            peaks[key] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         del out
-    assert peaks[False] < 0.5 * peaks[True]
+    assert peaks["free"] < 0.5 * peaks["former"]
+    assert peaks["cached"] < 0.5 * peaks["former"]
 
 
-def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
-    """infer_mcd builds one workspace and nothing holds it after return; its
-    peak grows with T by no more than the larger stack of T maps."""
+def test_training_step_peak_memory_below_half_of_former():
+    """A training step (forward with caches, loss gradient, backward) holds one
+    im2col matrix at a time and no copied activations: at res 64, d4/w8,
+    batch 4 it peaks below half of the former cache-keeping step."""
     import tracemalloc
+    net = unet_init(NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=64), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(4, 64, 64, 1)).astype(np.float32)
+    y = (rng.uniform(size=(4, 64, 64, 1)) > 0.5).astype(np.float32)
+
+    def step(fwd, bwd):
+        probs, caches = fwd(net, x, drop_rng=seeded_rng(0))
+        return bwd(net, caches, _bce_and_dlogits(probs, y)[1])
+
+    peaks = {}
+    for key, fwd, bwd in (
+            ("former", _forward_cached_reference, _backward_reference),
+            ("now", lambda *a, **k: forward_batch(*a, **k, keep_caches=True), backward_batch)):
+        tracemalloc.start()
+        try:
+            grads = step(fwd, bwd)
+            peaks[key] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del grads
+    assert peaks["now"] < 0.5 * peaks["former"]
+
+
+def test_train_frees_every_workspace(monkeypatch, tiny_pairs):
+    """Each training step and validation pass runs on a workspace of its own;
+    nothing holds any of them after train returns."""
     import weakref
 
-    import fovlab.segnet.inference as inference
+    import fovlab.segnet.network as network
+    import fovlab.segnet.training as training
 
     refs = []
 
@@ -376,7 +583,52 @@ def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
             super().__init__(net)
             refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(inference, "Workspace", Tracked)
+    monkeypatch.setattr(network, "Workspace", Tracked)
+    monkeypatch.setattr(training, "Workspace", Tracked)
+    net = unet_init(NetConfig(depth=3, base_channels=4, resolution=64), seed=0)
+    train(net, tiny_pairs[:4], tiny_pairs[4:6],
+          TrainConfig(max_epochs=2, batch_size=2, patience=5, seed=0))
+    assert len(refs) == 2 * (2 + 1)  # per epoch: two steps and one validation pass
+    assert all(ref() is None for ref in refs)
+
+
+def test_infer_mcd_normalizes_once(monkeypatch, rand_image):
+    """infer_mcd checks and normalizes its image once, whatever T, and its
+    passes give forward's maps, clipped, bit for bit."""
+    import fovlab.segnet.network as network
+
+    calls = []
+    orig = network.normalize_counts
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16), seed=1)
+    monkeypatch.setattr(network, "normalize_counts", counted)
+    mean, conf = infer_mcd(net, rand_image, T=5, seed=2)
+    assert len(calls) == 1
+    stack = np.stack([forward(net, rand_image, rng=seeded_rng(2, t)).values for t in range(5)])
+    assert mean.values.tobytes() == stack.mean(axis=0).tobytes()
+    assert conf.sigma.tobytes() == stack.std(axis=0).tobytes()
+
+
+def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
+    """infer_mcd builds one workspace and nothing holds it after return; its
+    peak grows with T by no more than the larger stack of T maps."""
+    import tracemalloc
+    import weakref
+
+    import fovlab.segnet.network as network
+
+    refs = []
+
+    class Tracked(Workspace):
+        def __init__(self, net):
+            super().__init__(net)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(network, "Workspace", Tracked)
     res = 64
     net = unet_init(NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=res), seed=0)
     image = BevImage(GridSpec(extent=8.0, resolution=res),
