@@ -55,12 +55,9 @@ def confusion(pred: FovMask, gt: FovMask) -> ConfusionCounts:
     if pred.mask.shape != gt.mask.shape:
         raise ValueError("prediction and ground-truth shapes differ")
     p, g = pred.mask, gt.mask
-    return ConfusionCounts(
-        tp=int(np.count_nonzero(p & g)),
-        fp=int(np.count_nonzero(p & ~g)),
-        tn=int(np.count_nonzero(~p & ~g)),
-        fn=int(np.count_nonzero(~p & g)),
-    )
+    tp = int(np.count_nonzero(p & g))
+    n_p, n_g = int(np.count_nonzero(p)), int(np.count_nonzero(g))
+    return ConfusionCounts(tp=tp, fp=n_p - tp, tn=p.size - n_p - n_g + tp, fn=n_g - tp)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -83,8 +80,13 @@ def iou(pred: FovMask, gt: FovMask) -> float:
 def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     """Area under the precision-recall curve, step-wise (right-continuous) sum.
 
-    Cells are ranked by descending score; tied scores form one threshold
-    group. Requires at least one positive cell.
+    Cells are ranked by descending score, and cells of equal score form one
+    threshold group: -0.0 and 0.0 are one group, +inf ranks first and -inf
+    after every finite score. NaN scores rank last, each its own group, in
+    index order. Only the groups matter, not the order inside one, so the
+    scores are sorted by value and each group's true positives are counted
+    by searching its score among the sorted scores of the positive cells.
+    Requires at least one positive cell.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     positives = np.asarray(positives, dtype=bool).ravel()
@@ -93,12 +95,15 @@ def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     n_pos = int(np.count_nonzero(positives))
     if n_pos == 0:
         raise ValueError("AUPRC undefined: ground truth has no positive cells")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    t = positives[order].astype(np.float64)
-    # last index of each tied group
+    keys = -scores  # ascending keys rank descending scores, NaN last
+    s = np.sort(keys)
+    # last index of each tied group; NaN != NaN, so each NaN is a group of its own
     group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp = np.cumsum(t)[group_end]
+    tp = np.searchsorted(np.sort(keys[positives]), s[group_end], "right")
+    # a search for NaN counts every positive NaN, so each NaN group, one of the
+    # last, takes off the positive NaNs that come after it in index order
+    nan_pos = positives[np.isnan(scores)]
+    tp[tp.size - nan_pos.size:] -= np.count_nonzero(nan_pos) - np.cumsum(nan_pos)
     count = group_end + 1.0
     precision = tp / count
     recall = tp / n_pos

@@ -13,6 +13,7 @@ from convex pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -348,6 +349,24 @@ def _wedge_ranges(az: np.ndarray, origin: np.ndarray, p: np.ndarray,
     return first, np.maximum(first, np.searchsorted(around, hi, "right"))
 
 
+@lru_cache(maxsize=8)
+def _cells_by_azimuth(spec: GridSpec, max_range: float,
+                      origin: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of `spec` whose centers lie within `max_range` of the sensor,
+    sorted by azimuth from the sensor at `origin` (the bytes of its float64
+    (x, y), so that -0.0 and 0.0 are separate entries): read-only int32 flat
+    indices, and their azimuths."""
+    ox, oy = np.frombuffer(origin)
+    X, Y = (a.ravel() for a in spec.cell_centers())
+    cells = np.nonzero(np.hypot(X, Y) <= max_range)[0]
+    # azimuths from the same rounded differences the orientation tests use
+    az = np.arctan2((oy + Y[cells]) - oy, (ox + X[cells]) - ox)
+    order = np.argsort(az)
+    cells, az = cells[order].astype(np.int32), az[order]
+    cells.flags.writeable = az.flags.writeable = False  # every later call reuses them
+    return cells, az
+
+
 def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask:
     """Exact visibility: a cell is visible iff the segment from the sensor to
     its center is within max_range and touches no obstacle interior or boundary.
@@ -355,24 +374,21 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     A cell is visible exactly when `_segments_blocked` is false for it and
     every edge, and that test decides each cell on its own, so leaving out
     pairs that cannot be blocked changes no bit. In-range cells are sorted by
-    azimuth once, and each edge is tested only against the cells in the wedge
+    azimuth, and each edge is tested only against the cells in the wedge
     it spans from the sensor, padded by `_WEDGE_MARGIN`, that no nearer edge
     has already blocked. The cull is conservative: an edge whose line passes
     the sensor also takes its antipodal wedge, and an edge through the sensor
     takes every cell. The result therefore equals testing every cell against
-    every edge, at a cost near the number of cells each wedge holds.
+    every edge, at a cost near the number of cells each wedge holds. The
+    azimuth order is cached per (grid, max_range, sensor position), which
+    every synthesized scene on a grid shares: its sensor is at the origin.
 
     Deterministic and independent of sensor noise parameters.
     """
     origin = scene.sensor.position[:2]
-    X, Y = spec.cell_centers()
-    targets = np.column_stack([(origin[0] + X).ravel(), (origin[1] + Y).ravel()])
-    cells = np.nonzero(np.hypot(X.ravel(), Y.ravel()) <= model.max_range)[0]
-    # azimuths from the same rounded differences the orientation tests use
-    az = np.arctan2(targets[cells, 1] - origin[1], targets[cells, 0] - origin[0])
-    order = np.argsort(az)
-    cells, az = cells[order], az[order]
-    targets = targets[cells]
+    cells, az = _cells_by_azimuth(spec, model.max_range, origin.tobytes())
+    res, c = spec.resolution, spec.cell_centers_1d()
+    targets = np.column_stack([origin[0] + c[cells // res], origin[1] + c[cells % res]])
     visible = np.ones(cells.size, dtype=bool)
 
     edges = scene.edges()
@@ -391,13 +407,14 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
         edge = np.repeat(np.repeat(batch, 2), n)
         keep = visible[idx]
         idx, edge = idx[keep], edge[keep]
-        blocked = _segments_blocked(origin, targets[idx], (p[edge, 0], p[edge, 1]),
-                                    (q[edge, 0], q[edge, 1]))
+        # take() gathers the same values several times faster than indexing
+        blocked = _segments_blocked(origin, targets.take(idx, axis=0),
+                                    (p[:, 0].take(edge), p[:, 1].take(edge)),
+                                    (q[:, 0].take(edge), q[:, 1].take(edge)))
         visible[idx[blocked]] = False
 
-    mask = np.zeros(spec.resolution * spec.resolution, dtype=bool)
+    mask = np.zeros(res * res, dtype=bool)
     mask[cells] = visible
-    res = spec.resolution
     return FovMask(spec, mask.reshape(res, res))
 
 

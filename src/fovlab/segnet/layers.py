@@ -56,8 +56,9 @@ def conv3x3_forward(x, W, b, xp, w_mat, cols, out):
     return out, (xp, x.shape, W)
 
 
-def conv3x3_backward(dout, cache):
-    """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache.
+def conv3x3_backward(dout, cache, input_grad: bool = True):
+    """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache;
+    dx is None without `input_grad`, for a conv on the network's input.
 
     dW multiplies the im2col matrix rebuilt from xp by the forward's copy, so
     the GEMM sees the operands of a kept matrix; it is freed before col2im.
@@ -74,6 +75,8 @@ def conv3x3_backward(dout, cache):
     del cols
     dW = dmat.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
     db = dout.sum(axis=(0, 1, 2))
+    if not input_grad:
+        return None, dW, db
     w_t = _w_mat(W).T
     dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
     for i in range(n):

@@ -208,16 +208,17 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     cfg = net.config
     grads = {}
 
-    def conv_bw(d, name):
-        d, grads[f"{name}.W"], grads[f"{name}.b"] = L.conv3x3_backward(d, caches[name])
+    def conv_bw(d, name, input_grad=True):
+        d, grads[f"{name}.W"], grads[f"{name}.b"] = L.conv3x3_backward(
+            d, caches[name], input_grad=input_grad)
         return d
 
-    def conv_relu_bw(d, name):
-        return conv_bw(L.relu_backward(d, caches[f"{name}.relu"]), name)
+    def conv_relu_bw(d, name, input_grad=True):
+        return conv_bw(L.relu_backward(d, caches[f"{name}.relu"]), name, input_grad)
 
-    def double_conv_bw(d, name):
+    def double_conv_bw(d, name, input_grad=True):
         d = L.dropout_backward(d, caches[f"{name}.drop"])
-        return conv_relu_bw(conv_relu_bw(d, f"{name}.c2"), f"{name}.c1")
+        return conv_relu_bw(conv_relu_bw(d, f"{name}.c2"), f"{name}.c1", input_grad)
 
     d, grads["head.W"], grads["head.b"] = L.conv1x1_backward(dlogits, caches["head"])
 
@@ -232,7 +233,8 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     for l in reversed(range(cfg.depth)):
         d = L.maxpool2_backward(d, caches[f"pool{l}"])
         d = d + d_skip[l]
-        d = double_conv_bw(d, f"enc{l}")
+        # the network's input takes no gradient
+        d = double_conv_bw(d, f"enc{l}", input_grad=l > 0)
     return grads
 
 

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovlab.metrics import (ConfusionCounts, auprc_arrays, confusion, iou, metrics)
+from fovlab.scenes import SceneFamily, default_grid, default_lidar, generate_scene, ground_truth_fov
 from fovlab.types import FovMask, GridSpec
 
 
@@ -95,6 +98,78 @@ def brute_force_auprc(scores, labels):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+def _auprc_reference(scores, positives):
+    """auprc_arrays as it was: a stable argsort of the negated scores, so ties
+    keep index order, and a cumulative sum of the positives in that order."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positives = np.asarray(positives, dtype=bool).ravel()
+    n_pos = int(np.count_nonzero(positives))
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    t = positives[order].astype(np.float64)
+    # last index of each tied group
+    group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tp = np.cumsum(t)[group_end]
+    count = group_end + 1.0
+    precision = tp / count
+    recall = tp / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+# scores that rank specially: signed zeros, infinities and NaN of either sign
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.5, 1.0])
+
+
+@st.composite
+def scored_cells(draw):
+    """(scores, positives) of 1 to 300 cells with at least one positive."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["binary", "rounded", "signed_zeros", "special", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "binary":
+        scores = (rng.uniform(size=n) < rng.uniform()).astype(np.float64)
+    elif kind == "rounded":  # ties
+        scores = np.round(rng.uniform(size=n), int(rng.integers(0, 3)))
+    elif kind == "signed_zeros":
+        scores = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), n)
+    elif kind == "special":  # rounded scores, some replaced at random positions
+        scores = np.round(rng.standard_normal(n), 1)
+        hit = rng.uniform(size=n) < rng.uniform()
+        scores[hit] = rng.choice(SPECIAL, int(hit.sum()))
+    else:
+        scores = np.full(n, rng.choice(SPECIAL))
+    positives = rng.uniform(size=n) < rng.uniform()
+    positives[rng.integers(n)] = True
+    return scores, positives
+
+
+def assert_same_float(got: float, want: float) -> None:
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cells=scored_cells())
+def test_auprc_matches_reference_property(cells):
+    """Ranking by a value sort gives the argsort path's float exactly: the
+    threshold groups and their counts are the same, whatever the order of
+    cells inside a group."""
+    scores, positives = cells
+    assert_same_float(auprc_arrays(scores, positives), _auprc_reference(scores, positives))
+
+
+def test_auprc_matches_reference_on_res256_oracle_masks():
+    """Binary and tied scores over a whole res-256 oracle mask."""
+    family = SceneFamily.preset("outdoor-sparse")
+    grid, lidar = default_grid("outdoor-sparse", 256), default_lidar("outdoor-sparse")
+    truth, other = (ground_truth_fov(generate_scene(family, seed), lidar, grid).mask
+                    for seed in (0, 1))
+    rng = np.random.default_rng(5)
+    for scores in (other.astype(np.float64),
+                   np.round(np.clip(other + rng.normal(0.0, 0.3, other.shape), 0.0, 1.0), 2)):
+        assert_same_float(auprc_arrays(scores, truth), _auprc_reference(scores, truth))
 
 
 def test_auprc_perfect_separation():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovlab.geometry import project_to_bev, quantize
-from fovlab.scenes import (FAMILY_NAMES, LidarModel, Scene, SceneFamily, _segments_blocked,
-                           default_grid, default_lidar, generate_scene, ground_truth_fov,
-                           point_in_convex, simulate_lidar)
+from fovlab.scenes import (FAMILY_NAMES, LidarModel, Scene, SceneFamily, _cells_by_azimuth,
+                           _segments_blocked, default_grid, default_lidar, generate_scene,
+                           ground_truth_fov, point_in_convex, simulate_lidar)
 from fovlab.types import FovMask, GridSpec, Pose
 
 from conftest import wall_quad
@@ -258,6 +258,49 @@ def test_oracle_matches_reference_empty_scene():
 def test_oracle_matches_reference_property(family, seed, offset):
     scene = translated(generate_scene(SceneFamily.preset(family), seed), offset)
     assert_matches_reference(scene, default_lidar(family), default_grid(family, 64))
+
+
+def test_oracle_cache_interleaved_translated_scenes():
+    """Two translated copies of one scene on one grid, called in turn: each
+    sensor position gets its own cached order, and every result is exact."""
+    scene = generate_scene(SceneFamily.preset("indoor"), 3)
+    copies = [translated(scene, (1.25, -0.5)), translated(scene, (-3.0, 2.0))]
+    for copy in copies + copies[::-1] + copies:
+        assert_matches_reference(copy, default_lidar("indoor"), default_grid("indoor", 64))
+
+
+def test_oracle_cache_keeps_signed_zero_origins_apart():
+    spec = GridSpec(extent=16.0, resolution=32)
+    _cells_by_azimuth.cache_clear()
+    for x in (-0.0, 0.0, -0.0):
+        scene = Scene(obstacles=[wall_quad(10.0)], sensor=Pose.from_yaw(0.0, (x, 0.0, 0.0)),
+                      bounds=20.0)
+        assert_matches_reference(scene, OPEN_LIDAR, spec)
+    info = _cells_by_azimuth.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_oracle_cache_arrays_are_read_only():
+    """Every later call on the grid reuses them, so none may write to them."""
+    spec = GridSpec(extent=16.0, resolution=32)
+    cells, az = _cells_by_azimuth(spec, OPEN_LIDAR.max_range, np.zeros(2).tobytes())
+    assert cells.dtype == np.int32 and az.dtype == np.float64 and cells.shape == az.shape
+    assert not cells.flags.writeable and not az.flags.writeable
+    with pytest.raises(ValueError):
+        cells[0] = 0
+    with pytest.raises(ValueError):
+        az[0] = 0.0
+
+
+def test_oracle_cache_is_bounded():
+    maxsize = _cells_by_azimuth.cache_info().maxsize
+    assert maxsize is not None
+    _cells_by_azimuth.cache_clear()
+    scene = Scene(obstacles=[wall_quad(10.0)], sensor=Pose.identity(), bounds=20.0)
+    for k in range(maxsize + 3):
+        assert_matches_reference(translated(scene, (0.25 * k, 0.0)), OPEN_LIDAR,
+                                 GridSpec(extent=16.0, resolution=16))
+    assert _cells_by_azimuth.cache_info().currsize == maxsize
 
 
 @settings(max_examples=8, **PROPERTY)

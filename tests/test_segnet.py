@@ -488,10 +488,13 @@ def test_conv3x3_backward_matches_reference_property(n, c, o, h, w, dtype, seed)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     _, ref_cache = _conv3x3_forward_reference(x, W, np.zeros(o, dtype))
     dout = rng.standard_normal((n, h, w, o)).astype(dtype)
-    for got, want in zip(conv3x3_backward(dout, (xp, x.shape, W)),
-                         _conv3x3_backward_reference(dout, ref_cache)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    want = _conv3x3_backward_reference(dout, ref_cache)
+    for got, want_one in zip(conv3x3_backward(dout, (xp, x.shape, W)), want):
+        assert got.dtype == want_one.dtype and got.shape == want_one.shape
+        assert got.tobytes() == want_one.tobytes()
+    # without the input gradient, dW and db are unchanged and dx is not made
+    dx, dW, db = conv3x3_backward(dout, (xp, x.shape, W), input_grad=False)
+    assert dx is None and dW.tobytes() == want[1].tobytes() and db.tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -691,8 +694,8 @@ def test_grad_check_detects_corruption(rand_image, rand_target, monkeypatch):
     import fovlab.segnet.layers as L
     orig = L.conv3x3_backward
 
-    def corrupted(dout, cache):
-        dx, dW, db = orig(dout, cache)
+    def corrupted(dout, cache, **kwargs):
+        dx, dW, db = orig(dout, cache, **kwargs)
         return dx, dW * 1.05, db
 
     net = tiny_check_net(depth=3, base=4, resolution=16, seed=1)
