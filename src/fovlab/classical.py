@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import to_polar
+from .geometry import flat_ranges, to_polar
 from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
@@ -98,18 +98,6 @@ def raytrace_continuous(points_xy: np.ndarray) -> FovPolygon:
     return FovPolygon(np.column_stack([r * np.cos(az), r * np.sin(az)]))
 
 
-def _crosses_any(p1, p2, a: np.ndarray, b: np.ndarray) -> bool:
-    """Does segment p1->p2 properly intersect any of the segments a[i]->b[i]?
-
-    Shared endpoints and collinear touching do not count (strict test).
-    """
-    t1 = (p1[0] - p2[0]) * (a[:, 1] - p1[1]) + (p1[1] - p2[1]) * (p1[0] - a[:, 0])
-    t2 = (p1[0] - p2[0]) * (b[:, 1] - p1[1]) + (p1[1] - p2[1]) * (p1[0] - b[:, 0])
-    t3 = (a[:, 0] - b[:, 0]) * (p1[1] - a[:, 1]) + (a[:, 1] - b[:, 1]) * (a[:, 0] - p1[0])
-    t4 = (a[:, 0] - b[:, 0]) * (p2[1] - a[:, 1]) + (a[:, 1] - b[:, 1]) * (a[:, 0] - p2[0])
-    return bool(np.any((t1 * t2 < 0) & (t3 * t4 < 0)))
-
-
 def concave_hull(points_xy: np.ndarray, k: int = 16) -> FovPolygon:
     """k-nearest-neighbor gift wrapping (Moreira-Santos / Park-Oh style).
 
@@ -169,10 +157,12 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
     """One boundary walk at neighborhood size kk.
 
     Depth-first: at each vertex the k nearest unused candidates are tried in
-    order of largest clockwise turn, skipping edges that would cross the
-    boundary; dead ends backtrack instead of failing the whole attempt. The
+    order of largest clockwise turn, skipping edges that would properly cross
+    the boundary built so far (shared endpoints and collinear touching do not
+    count); dead ends backtrack instead of failing the whole attempt. The
     walk may close onto the start once three edges exist, and a closure is
-    accepted only if every unused point lies inside or on the polygon.
+    accepted only if every unused point lies inside or on the polygon. A vertex's
+    boundary stays fixed while its candidates are tried, so they are tested at once.
     """
     n = pts.shape[0]
     first = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest y, then lowest x
@@ -183,37 +173,38 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
     hull_idx = [first]
     budget = 12 * n  # cap on candidate trials before giving up on this kk
 
-    def candidates(current: int, prev_angle: float, m: int) -> np.ndarray:
+    def candidates(current: int, prev_angle: float, m: int):
+        """(candidate, crosses the boundary) pairs from hull vertex m - 1, in order."""
         avail = np.nonzero(~used)[0]
         if m >= 4 and used[first]:
             avail = np.append(avail, first)  # closing the loop becomes legal
-        if avail.size == 0:
-            return avail
         d2 = np.sum((pts[avail] - pts[current]) ** 2, axis=1)
         avail = avail[np.argsort(d2, kind="stable")[:kk]]
         v = pts[avail] - pts[current]
         turn = np.mod(np.arctan2(v[:, 1], -v[:, 0]) - prev_angle, _TWO_PI)
-        return avail[np.argsort(-turn, kind="stable")]
+        avail = avail[np.argsort(-turn, kind="stable")]
+        # every boundary edge a->b; the most recent one, and the first one when
+        # closing onto the start, share an endpoint with the trial edge, so one
+        # product below is exactly 0 and they never count
+        (x1, y1), (x2, y2) = pts[current], pts[avail].T[:, :, None]
+        (ax, ay), (bx, by) = hull[:m - 1].T, hull[1:m].T
+        dx, dy, ex, ey = x1 - x2, y1 - y2, ax - bx, ay - by
+        t1 = dx * (ay - y1) + dy * (x1 - ax)
+        t2 = dx * (by - y1) + dy * (x1 - bx)
+        t3 = ex * (y1 - ay) + ey * (ax - x1)
+        t4 = ex * (y2 - ay) + ey * (ax - x2)
+        cross = (t1 * t2 < 0) & (t3 * t4 < 0)
+        return zip(avail.tolist(), cross.any(axis=1).tolist())
 
-    stack = [candidates(first, 0.0, 1)]
-    pos = [0]
+    stack = [candidates(first, 0.0, 1)]  # one iterator per hull vertex
     trials = 0
     while stack:
         m = len(hull_idx)
-        cand_list = stack[-1]
-        moved = False
-        while pos[-1] < len(cand_list):
-            idx = int(cand_list[pos[-1]])
-            pos[-1] += 1
+        for idx, crosses in stack[-1]:
             trials += 1
             if trials > budget:
                 return None
-            # the most recent edge (shared endpoint) is skipped; so is the
-            # very first edge when closing back onto the start vertex
-            lo = 1 if idx == first else 0
-            hi = m - 2
-            if hi > lo and _crosses_any(pts[hull_idx[-1]], pts[idx],
-                                        hull[lo:hi], hull[lo + 1:hi + 1]):
+            if crosses:
                 continue
             if idx == first:
                 poly = hull[:m].copy()
@@ -227,12 +218,9 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
             back = pts[hull_idx[-2]] - pts[idx]
             angle = float(np.arctan2(back[1], -back[0]))
             stack.append(candidates(idx, angle, m + 1))
-            pos.append(0)
-            moved = True
             break
-        if not moved:
+        else:  # every candidate tried: backtrack
             stack.pop()
-            pos.pop()
             v = hull_idx.pop()
             if v != first:
                 used[v] = False
@@ -258,13 +246,6 @@ def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
     return FovMask(spec, r <= pf.max_range_per_bin[bins])
 
 
-def _flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of every range [lo[i], hi[i]), with the i it came from."""
-    n = np.maximum(hi - lo, 0)
-    owner = np.repeat(np.arange(n.size), n)
-    return owner, np.arange(owner.size) + (lo - np.cumsum(n) + n)[owner]
-
-
 def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     """points_in_polygon on points (px, py) already in (y, x) order, whose
     distinct y values are `rows`; `locate(r, q, side)` is the np.searchsorted
@@ -278,8 +259,8 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
     # the (edge, row) pairs an edge may cross or touch; a zero-length edge has none
     live = elen != 0.0
-    e, r = _flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
-                        np.searchsorted(rows, yhi + tol, side="right") * live)
+    e, r = flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
+                       np.searchsorted(rows, yhi + tol, side="right") * live)
     y = rows[r]
     with np.errstate(divide="ignore", invalid="ignore"):
         x_at = x1[e] + (y - y1[e]) * ex[e] / ey[e]  # not finite on horizontal edges
@@ -292,7 +273,7 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     before = locate(r[crosses], x_at[crosses], "left")
     inside = (np.cumsum(np.bincount(before, minlength=px.size + 1))[:-1] & 1).astype(bool)
 
-    pair, c = _flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
+    pair, c = flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
     ce = e[pair]
     cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
     inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])

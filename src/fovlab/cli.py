@@ -7,7 +7,8 @@ is reproducible from (config, seed) alone.
 estimate, eval and sweep score every frame on its own: a frame its estimator
 cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 "error" message, is left out of pooled and mean metrics, and the command still
-succeeds.
+succeeds. bench leaves such frames out of its timings and reports their number
+as "failed"; when no frame works, it is a data error.
 
 Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError), 4 numeric
 failure; any other exception, ValueError included, is a bug and propagates. A
@@ -219,7 +220,12 @@ def cmd_bench(args) -> int:
     clouds = [frames[i % len(frames)].cloud for i in range(args.frames)]
     net = load_checkpoint(args.checkpoint) if args.checkpoint else None
     estimate = make_estimator(args.method, grid, filt, net=net, n_bins=args.n_bins, k=args.k)
-    estimate(clouds[0], 0)  # warm caches before timing
+    for cloud in clouds:  # warm caches before timing, on the first frame that works
+        try:
+            estimate(cloud, 0)
+            break
+        except ValueError:
+            continue
     stats = measure_hz(lambda cloud: estimate(cloud, 0), clouds)
     stats["method"] = args.method
     stats["resolution"] = grid.resolution

@@ -230,15 +230,23 @@ def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
 
 
 def measure_hz(fn, frames) -> dict:
-    """Median and p95 frame rate of fn over the given frames."""
-    times = []
+    """Median and p95 frame rate of fn over the frames it handles. A frame on
+    which fn raises ValueError (a degenerate frame) is counted as failed and
+    left out; when every frame fails, that is a DataError."""
+    times, failed = [], 0
     for frame in frames:
         t0 = time.perf_counter()
-        fn(frame)
-        times.append(time.perf_counter() - t0)
+        try:
+            fn(frame)
+            times.append(time.perf_counter() - t0)
+        except ValueError:
+            failed += 1
+    if not times:
+        raise DataError(f"no frame could be estimated: all {failed} raised ValueError")
     times = np.array(times)
     return {
         "frames": len(times),
+        "failed": failed,
         "median_hz": float(1.0 / np.median(times)),
         "p95_hz": float(1.0 / np.quantile(times, 0.95)),
         "median_ms": float(np.median(times) * 1e3),

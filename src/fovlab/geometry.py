@@ -1,4 +1,4 @@
-"""BEV preprocessing: projection, filtering, quantization, polar transforms.
+"""BEV preprocessing (projection, filtering, quantization, polar transforms) and index ranges.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -63,6 +63,13 @@ def to_polar(points_xy: np.ndarray) -> np.ndarray:
     return np.column_stack([az, r])
 
 
+def flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of every range [lo[i], hi[i]), with the i it came from."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) + (lo - np.cumsum(n) + n)[owner]
+
+
 def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImage:
     """Standard preprocess chain: project, filter, quantize."""
     return quantize(filter_points(project_to_bev(cloud), filt)[:, :2], grid)
@@ -70,5 +77,5 @@ def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImag
 
 __all__ = [
     "project_to_bev", "filter_points", "quantize", "to_polar",
-    "cloud_to_bev", "Pose",
+    "flat_ranges", "cloud_to_bev", "Pose",
 ]

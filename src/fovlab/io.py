@@ -94,19 +94,25 @@ def load_mask_pgm(path, spec: GridSpec | None = None) -> FovMask:
     return FovMask(spec, grid)
 
 
-def scene_to_dict(scene) -> dict:
-    return {
-        "bounds": float(scene.bounds),
-        "sensor": {
-            "position": [float(v) for v in scene.sensor.position],
-            "quaternion": [float(v) for v in scene.sensor.quaternion],
-        },
-        "obstacles": [[[float(x), float(y)] for x, y in poly] for poly in scene.obstacles],
-    }
+def _json_list(items: list, indent: int) -> str:
+    """A list of encoded JSON values, laid out as json.dumps(indent=2) does."""
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]" if items else "[]"
 
 
 def save_scene(path, scene) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    """Write the bytes of json.dumps(doc, indent=2) plus a newline, where doc is
+    {"bounds", "sensor": {"position", "quaternion"}, "obstacles"} of floats. json
+    encodes in C only without indent, so one such call formats every number."""
+    flat = [float(scene.bounds), *scene.sensor.position.tolist(), *scene.sensor.quaternion.tolist()]
+    for poly in scene.obstacles:
+        flat += poly.ravel().tolist()
+    num = json.dumps(flat)[1:-1].split(", ")
+    vertices = iter([f"[\n        {x},\n        {y}\n      ]" for x, y in zip(num[8::2], num[9::2])])
+    polys = [_json_list([next(vertices) for _ in poly], 4) for poly in scene.obstacles]
+    Path(path).write_text(
+        f'{{\n  "bounds": {num[0]},\n  "sensor": {{\n    "position": {_json_list(num[1:4], 4)},\n'
+        f'    "quaternion": {_json_list(num[4:8], 4)}\n  }},\n  "obstacles": {_json_list(polys, 2)}\n}}\n')
 
 
 def load_scene(path):
@@ -124,5 +130,5 @@ def load_scene(path):
 __all__ = [
     "save_point_cloud", "load_point_cloud",
     "save_mask_pgm", "load_mask_pgm",
-    "save_scene", "load_scene", "scene_to_dict",
+    "save_scene", "load_scene",
 ]

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .geometry import flat_ranges
 from .types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
 FAMILY_NAMES = ("outdoor-sparse", "outdoor-dense", "indoor")
@@ -35,28 +36,49 @@ class Scene:
     bounds: float = 60.0
 
     def __post_init__(self):
-        polys = []
+        polys, fault = [], None
         for poly in self.obstacles:
-            p = np.asarray(poly, dtype=np.float64)
-            if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
-                raise ValueError("each obstacle needs >= 3 (x, y) vertices")
-            if not _is_convex_ccw(p):
-                raise ValueError("obstacles must be convex with CCW vertex order")
+            try:
+                p = np.asarray(poly, dtype=np.float64)
+                if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
+                    raise ValueError("each obstacle needs >= 3 (x, y) vertices")
+            except (TypeError, ValueError, OverflowError) as e:
+                fault = e  # raised unless an earlier polygon is not convex
+                break
             polys.append(p)
+        sx, sy = self.sensor.position[:2]
+        if polys:
+            # convex and CCW: every turn a->b->c is left or straight, and one is
+            # left; the sensor is in or on a polygon if left of or on every edge
+            v, nxt, nxt2, starts = _rings(polys)
+            a, b, c = v, v[nxt], v[nxt2]
+            turn = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+            if not (np.logical_and.reduceat(turn > -1e-12, starts)
+                    & np.logical_or.reduceat(turn > 1e-12, starts)).all():
+                raise ValueError("obstacles must be convex with CCW vertex order")
+            side = (b[:, 0] - a[:, 0]) * (sy - a[:, 1]) - (b[:, 1] - a[:, 1]) * (sx - a[:, 0])
+        if fault is not None:
+            raise fault
+        if polys and np.logical_and.reduceat(side >= 0.0, starts).any():
+            raise ValueError("sensor position lies inside an obstacle")
         self.obstacles = polys
-        sensor_xy = self.sensor.position[:2]
-        for p in polys:
-            if point_in_convex(p, sensor_xy):
-                raise ValueError("sensor position lies inside an obstacle")
 
     def edges(self) -> np.ndarray:
         """All obstacle edges stacked as an (E, 2, 2) array [start, end]."""
         if not self.obstacles:
             return np.zeros((0, 2, 2))
-        segs = []
-        for p in self.obstacles:
-            segs.append(np.stack([p, np.roll(p, -1, axis=0)], axis=1))
-        return np.concatenate(segs, axis=0)
+        v, nxt, _, _ = _rings(self.obstacles)
+        return np.stack([v, v[nxt]], axis=1)
+
+
+def _rings(polys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of a non-empty list of polygons, concatenated; the index of
+    each one's next and next-but-one vertex in its polygon; the polygon starts."""
+    counts = np.array([len(p) for p in polys])
+    starts = np.cumsum(counts) - counts
+    first, size = np.repeat(starts, counts), np.repeat(counts, counts)
+    k = np.arange(first.size) - first  # position within its polygon
+    return (np.concatenate(polys), first + (k + 1) % size, first + (k + 2) % size, starts)
 
 
 @dataclass(frozen=True)
@@ -136,19 +158,11 @@ def default_grid(family_name: str, resolution: int = 256) -> GridSpec:
     return GridSpec(extent=extent, resolution=resolution)
 
 
-def _is_convex_ccw(poly: np.ndarray, tol: float = 1e-12) -> bool:
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    c = np.roll(poly, -2, axis=0)
-    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    return bool(np.all(cross > -tol) and np.any(cross > tol))
-
-
 def point_in_convex(poly: np.ndarray, point) -> bool:
     """True if `point` is inside or on a convex CCW polygon."""
     p = np.asarray(point, dtype=np.float64)
     a = poly
-    b = np.roll(poly, -1, axis=0)
+    b = np.concatenate([poly[1:], poly[:1]])
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
     return bool(np.all(cross >= 0.0))
 
@@ -227,6 +241,9 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int, frame_id: int = 0
 
     Beams are equally spaced in the sensor frame; returned points are in the
     sensor frame (z from the inverse attitude rotation, 0 for yaw-only poses).
+    Each edge is tested only against the beams in its wedge from the sensor,
+    culled as in `ground_truth_fov`, so the first hits are those of testing
+    every beam against every edge.
     """
     rng = seeded_rng(seed)
     n = model.n_beams
@@ -247,18 +264,22 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int, frame_id: int = 0
     edges = scene.edges()
     t_min = np.full(n, np.inf)
     if edges.shape[0]:
-        p = edges[:, 0]            # (E, 2)
-        e = edges[:, 1] - edges[:, 0]
-        po = p - origin            # (E, 2)
-        denom = d[:, 0, None] * e[None, :, 1] - d[:, 1, None] * e[None, :, 0]  # (B, E)
-        cross_po_e = po[:, 0] * e[:, 1] - po[:, 1] * e[:, 0]                   # (E,)
-        cross_po_d = po[None, :, 0] * d[:, 1, None] - po[None, :, 1] * d[:, 0, None]
+        # only the beams in an edge's wedge can hit it: the oracle's cull
+        az = np.arctan2(d[:, 1], d[:, 0])
+        order = np.argsort(az)
+        first, last = _wedge_ranges(az[order], origin, edges[:, 0], edges[:, 1])
+        edge, at = flat_ranges(first.ravel(), last.ravel())
+        beam, edge = order[at % n], edge // 2  # each edge has two ranges
+        p, e = edges[edge, 0], edges[edge, 1] - edges[edge, 0]
+        po, db = p - origin, d[beam]
+        denom = db[:, 0] * e[:, 1] - db[:, 1] * e[:, 0]
+        cross_po_e = po[:, 0] * e[:, 1] - po[:, 1] * e[:, 0]
+        cross_po_d = po[:, 0] * db[:, 1] - po[:, 1] * db[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = cross_po_e[None, :] / denom
+            t = cross_po_e / denom
             s = cross_po_d / denom
         valid = (np.abs(denom) > 1e-15) & (t > 1e-9) & (s >= 0.0) & (s <= 1.0)
-        t = np.where(valid, t, np.inf)
-        t_min = t.min(axis=1)
+        np.minimum.at(t_min, beam[valid], t[valid])
 
     hit = ok & ~dropped & (t_min <= model.max_range)
     ranges = np.maximum(t_min[hit] + noise[hit], _MIN_RANGE)
@@ -350,49 +371,51 @@ def _wedge_ranges(az: np.ndarray, origin: np.ndarray, p: np.ndarray,
 
 
 @lru_cache(maxsize=8)
-def _cells_by_azimuth(spec: GridSpec, max_range: float,
-                      origin: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _cells_by_azimuth(spec: GridSpec, max_range: float, origin: bytes) -> tuple[np.ndarray, ...]:
     """The cells of `spec` whose centers lie within `max_range` of the sensor,
     sorted by azimuth from the sensor at `origin` (the bytes of its float64
     (x, y), so that -0.0 and 0.0 are separate entries): read-only int32 flat
-    indices, and their azimuths."""
+    indices, their azimuths, and their centers' world x and y."""
     ox, oy = np.frombuffer(origin)
     X, Y = (a.ravel() for a in spec.cell_centers())
     cells = np.nonzero(np.hypot(X, Y) <= max_range)[0]
+    tx, ty = ox + X[cells], oy + Y[cells]
     # azimuths from the same rounded differences the orientation tests use
-    az = np.arctan2((oy + Y[cells]) - oy, (ox + X[cells]) - ox)
+    az = np.arctan2(ty - oy, tx - ox)
     order = np.argsort(az)
-    cells, az = cells[order].astype(np.int32), az[order]
-    cells.flags.writeable = az.flags.writeable = False  # every later call reuses them
-    return cells, az
+    out = cells[order].astype(np.int32), az[order], tx[order], ty[order]
+    for a in out:
+        a.flags.writeable = False  # every later call reuses them
+    return out
 
 
 def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask:
     """Exact visibility: a cell is visible iff the segment from the sensor to
     its center is within max_range and touches no obstacle interior or boundary.
 
-    A cell is visible exactly when `_segments_blocked` is false for it and
-    every edge, and that test decides each cell on its own, so leaving out
-    pairs that cannot be blocked changes no bit. In-range cells are sorted by
-    azimuth, and each edge is tested only against the cells in the wedge
-    it spans from the sensor, padded by `_WEDGE_MARGIN`, that no nearer edge
-    has already blocked. The cull is conservative: an edge whose line passes
-    the sensor also takes its antipodal wedge, and an edge through the sensor
-    takes every cell. The result therefore equals testing every cell against
-    every edge, at a cost near the number of cells each wedge holds. The
-    azimuth order is cached per (grid, max_range, sensor position), which
-    every synthesized scene on a grid shares: its sensor is at the origin.
+    That is, `_segments_blocked` is false for the cell and every edge. It
+    decides each cell on its own, so leaving out pairs that cannot be blocked
+    changes no bit: each edge is tested only against the in-range cells in the
+    wedge it spans from the sensor, padded by `_WEDGE_MARGIN`, that no nearer
+    edge has already blocked (an edge whose line passes the sensor also takes
+    its antipodal wedge, and one through the sensor every cell). Every pair
+    gets the proper-crossing terms, with d3 once per edge; only pairs with an
+    orientation of exactly 0 get the touching terms. The cells, sorted by
+    azimuth, and their centers are cached per (grid, max_range, sensor
+    position), which every synthesized scene on a grid shares.
 
     Deterministic and independent of sensor noise parameters.
     """
     origin = scene.sensor.position[:2]
-    cells, az = _cells_by_azimuth(spec, model.max_range, origin.tobytes())
-    res, c = spec.resolution, spec.cell_centers_1d()
-    targets = np.column_stack([origin[0] + c[cells // res], origin[1] + c[cells % res]])
+    ox, oy = origin
+    cells, az, tx, ty = _cells_by_azimuth(spec, model.max_range, origin.tobytes())
     visible = np.ones(cells.size, dtype=bool)
 
     edges = scene.edges()
     p, q = edges[:, 0], edges[:, 1]
+    (px, py), (qx, qy) = p.T, q.T
+    ex, ey = qx - px, qy - py
+    d3 = ex * (oy - py) - ey * (ox - px)  # orient(p, q, o): one value per edge
     first, last = _wedge_ranges(az, origin, p, q)
     # nearest edges first: cells they block are not tested again
     by_range = np.argsort(np.minimum(np.hypot(*(p - origin).T), np.hypot(*(q - origin).T)))
@@ -400,19 +423,28 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     # multiple of _BATCH_PAIRS
     pairs = np.cumsum((last - first).sum(axis=1)[by_range])
     for batch in np.split(by_range, np.nonzero(np.diff(pairs // _BATCH_PAIRS))[0] + 1):
-        n = (last[batch] - first[batch]).ravel()
-        # the concatenated ranges, wrapped back to single indices into az
-        idx = (np.arange(n.sum()) + np.repeat(first[batch].ravel() - (np.cumsum(n) - n), n)) \
-            % cells.size
-        edge = np.repeat(np.repeat(batch, 2), n)
+        edge, idx = flat_ranges(first[batch].ravel(), last[batch].ravel())
+        idx = idx % cells.size  # the ranges wrap back to single indices into az
         keep = visible[idx]
-        idx, edge = idx[keep], edge[keep]
-        # take() gathers the same values several times faster than indexing
-        blocked = _segments_blocked(origin, targets.take(idx, axis=0),
-                                    (p[:, 0].take(edge), p[:, 1].take(edge)),
-                                    (q[:, 0].take(edge), q[:, 1].take(edge)))
+        idx, edge = idx[keep], batch[edge[keep] // 2]  # each edge has two ranges
+        # _segments_blocked's orientations, with d3 gathered per edge; take()
+        # gathers the same values several times faster than indexing
+        cx, cy = tx.take(idx), ty.take(idx)
+        epx, epy, eqx, eqy = px.take(edge), py.take(edge), qx.take(edge), qy.take(edge)
+        dcx, dcy = cx - ox, cy - oy
+        d1 = dcx * (epy - oy) - dcy * (epx - ox)
+        d2 = dcx * (eqy - oy) - dcy * (eqx - ox)
+        e3 = d3.take(edge)
+        d4 = ex.take(edge) * (cy - epy) - ey.take(edge) * (cx - epx)
+        blocked = (d1 * d2 < 0) & (e3 * d4 < 0)
+        # a touch needs an orientation of exactly 0: those pairs take the full test
+        tie = (d1 == 0) | (d2 == 0) | (e3 == 0) | (d4 == 0)
+        if tie.any():
+            blocked[tie] = _segments_blocked(origin, np.column_stack([cx[tie], cy[tie]]),
+                                             (epx[tie], epy[tie]), (eqx[tie], eqy[tie]))
         visible[idx[blocked]] = False
 
+    res = spec.resolution
     mask = np.zeros(res * res, dtype=bool)
     mask[cells] = visible
     return FovMask(spec, mask.reshape(res, res))

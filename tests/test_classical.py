@@ -276,6 +276,124 @@ def test_concave_hull_simple_and_contains_points_property(n, k, seed, layout):
     assert points_in_polygon(pts, poly.vertices).all()
 
 
+def _crosses_any(p1, p2, a: np.ndarray, b: np.ndarray) -> bool:
+    """Does segment p1->p2 properly intersect any of the segments a[i]->b[i]?
+
+    Shared endpoints and collinear touching do not count (strict test).
+    """
+    t1 = (p1[0] - p2[0]) * (a[:, 1] - p1[1]) + (p1[1] - p2[1]) * (p1[0] - a[:, 0])
+    t2 = (p1[0] - p2[0]) * (b[:, 1] - p1[1]) + (p1[1] - p2[1]) * (p1[0] - b[:, 0])
+    t3 = (a[:, 0] - b[:, 0]) * (p1[1] - a[:, 1]) + (a[:, 1] - b[:, 1]) * (a[:, 0] - p1[0])
+    t4 = (a[:, 0] - b[:, 0]) * (p2[1] - a[:, 1]) + (a[:, 1] - b[:, 1]) * (a[:, 0] - p2[0])
+    return bool(np.any((t1 * t2 < 0) & (t3 * t4 < 0)))
+
+
+def _try_hull_reference(pts: np.ndarray, kk: int) -> np.ndarray | None:
+    """The former boundary walk, kept as the oracle of classical._try_hull: it
+    tests each trial edge against the boundary when the trial comes up."""
+    n = pts.shape[0]
+    first = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest y, then lowest x
+    used = np.zeros(n, dtype=bool)
+    used[first] = True
+    hull = np.empty((n + 1, 2))
+    hull[0] = pts[first]
+    hull_idx = [first]
+    budget = 12 * n  # cap on candidate trials before giving up on this kk
+
+    def candidates(current: int, prev_angle: float, m: int) -> np.ndarray:
+        avail = np.nonzero(~used)[0]
+        if m >= 4 and used[first]:
+            avail = np.append(avail, first)  # closing the loop becomes legal
+        if avail.size == 0:
+            return avail
+        d2 = np.sum((pts[avail] - pts[current]) ** 2, axis=1)
+        avail = avail[np.argsort(d2, kind="stable")[:kk]]
+        v = pts[avail] - pts[current]
+        turn = np.mod(np.arctan2(v[:, 1], -v[:, 0]) - prev_angle, 2.0 * np.pi)
+        return avail[np.argsort(-turn, kind="stable")]
+
+    stack = [candidates(first, 0.0, 1)]
+    pos = [0]
+    trials = 0
+    while stack:
+        m = len(hull_idx)
+        cand_list = stack[-1]
+        moved = False
+        while pos[-1] < len(cand_list):
+            idx = int(cand_list[pos[-1]])
+            pos[-1] += 1
+            trials += 1
+            if trials > budget:
+                return None
+            # the most recent edge (shared endpoint) is skipped; so is the
+            # very first edge when closing back onto the start vertex
+            lo = 1 if idx == first else 0
+            hi = m - 2
+            if hi > lo and _crosses_any(pts[hull_idx[-1]], pts[idx],
+                                        hull[lo:hi], hull[lo + 1:hi + 1]):
+                continue
+            if idx == first:
+                poly = hull[:m].copy()
+                rest = pts[~used]
+                if rest.shape[0] == 0 or np.all(points_in_polygon(rest, poly)):
+                    return poly
+                continue  # closure rejected: some point falls outside
+            hull[m] = pts[idx]
+            hull_idx.append(idx)
+            used[idx] = True
+            back = pts[hull_idx[-2]] - pts[idx]
+            angle = float(np.arctan2(back[1], -back[0]))
+            stack.append(candidates(idx, angle, m + 1))
+            pos.append(0)
+            moved = True
+            break
+        if not moved:
+            stack.pop()
+            pos.pop()
+            v = hull_idx.pop()
+            if v != first:
+                used[v] = False
+            if not hull_idx:
+                return None
+    return None
+
+
+def _frame_points(family: str, seed: int, cap: int | None = None) -> np.ndarray:
+    """A synthesized frame's filtered BEV points, thinned in scan order to at
+    most `cap` as the benchmark thins them."""
+    lidar = default_lidar(family)
+    cloud = simulate_lidar(generate_scene(SceneFamily.preset(family), seed), lidar, seed)
+    pts = filter_points(project_to_bev(cloud), FilterSpec(max_range=lidar.max_range))[:, :2]
+    return pts if cap is None else pts[::max(1, -(-pts.shape[0] // cap))]
+
+
+@pytest.mark.parametrize("cap", (48, 96))
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_concave_hull_matches_reference_walk(monkeypatch, family, cap):
+    """Seeds 0-9 at k 3, 8 and 16: the batched crossing tests give the very
+    vertices of the walk that tests each trial edge on its own."""
+    clouds = [_frame_points(family, seed, cap) for seed in range(10)]
+    got = [concave_hull(pts, k).vertices for pts in clouds for k in (3, 8, 16)]
+    monkeypatch.setattr(classical, "_try_hull", _try_hull_reference)
+    want = [concave_hull(pts, k).vertices for pts in clouds for k in (3, 8, 16)]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_try_hull_matches_reference_on_small_clouds():
+    """Clouds of 4-12 points, with lattice ties and collinear runs, at every kk."""
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(4, 13))
+        pts = rng.integers(-3, 4, (n, 2)).astype(float) if trial % 2 else rng.uniform(-5, 5, (n, 2))
+        pts = np.unique(pts, axis=0)
+        for kk in range(3, pts.shape[0]):
+            got, want = classical._try_hull(pts, kk), _try_hull_reference(pts, kk)
+            assert (got is None) == (want is None), (trial, kk)
+            if got is not None:
+                assert got.tobytes() == want.tobytes(), (trial, kk)
+
+
 def test_concave_hull_tighter_than_convex():
     # C-shaped cloud: concave hull with small k has less area than convex hull
     rng = np.random.default_rng(5)

@@ -213,6 +213,36 @@ def test_estimate_degenerate_frame_is_error_row(dataset, tmp_path):
     assert sorted(p.name for p in out.glob("pred_*.pgm")) == ["pred_00000.pgm", "pred_00002.pgm"]
 
 
+def _empty_test_clouds(dataset, tmp_path, indices):
+    """Copy of the dataset whose test frames `indices` have no points."""
+    from fovlab import io as fio
+    from fovlab.types import PointCloud
+    copy, manifest, _ = _copy_dataset(dataset, tmp_path)
+    for i in indices:
+        fio.save_point_cloud(copy / manifest["splits"]["test"][i]["cloud"],
+                             PointCloud(np.zeros((0, 3))))
+    return copy
+
+
+@pytest.mark.parametrize("method", ("rayc", "concave"))
+def test_bench_skips_and_counts_degenerate_frames(dataset, tmp_path, capsys, method):
+    """Frame 0 has no points: it fails in the warm-up and in each of its two
+    timed turns, and the other four are timed."""
+    copy = _empty_test_clouds(dataset, tmp_path, [0])
+    capsys.readouterr()
+    assert main(["bench", "--dataset", str(copy), "--method", method, "--frames", "6"]) == 0
+    stats = json.loads([l for l in capsys.readouterr().out.splitlines() if l.startswith("{")][-1])
+    assert (stats["frames"], stats["failed"]) == (4, 2)
+    assert stats["median_hz"] > 0
+
+
+def test_bench_without_a_working_frame_is_data_error(dataset, tmp_path, capsys):
+    copy = _empty_test_clouds(dataset, tmp_path, [0, 1, 2])
+    capsys.readouterr()
+    assert main(["bench", "--dataset", str(copy), "--method", "rayc", "--frames", "4"]) == 3
+    assert "no frame could be estimated: all 4 raised ValueError" in capsys.readouterr().err
+
+
 def test_train_eval_bench_roundtrip(dataset, tmp_path, config_path, capsys):
     ckpt = tmp_path / "net.fvnt"
     assert main(["train", "--dataset", str(dataset), "--config", str(config_path),
@@ -243,7 +273,7 @@ def test_train_eval_bench_roundtrip(dataset, tmp_path, config_path, capsys):
     stats = json.loads(line)
     assert stats["median_hz"] > 0
     assert stats["p95_hz"] > 0
-    assert stats["frames"] == 10
+    assert (stats["frames"], stats["failed"]) == (10, 0)
 
 
 def test_eval_mcd_reproducible(dataset, checkpoint, tmp_path):

@@ -176,6 +176,19 @@ def test_measure_hz_reports_quantiles():
     assert stats["p95_hz"] <= stats["median_hz"] * 1.0001
 
 
+def test_measure_hz_counts_failed_frames():
+    def fn(x):
+        if x % 3 == 0:
+            raise ValueError("degenerate")
+        return sum(range(1000))
+    stats = measure_hz(fn, list(range(60)))
+    assert (stats["frames"], stats["failed"]) == (40, 20)
+    with pytest.raises(DataError, match="all 2 raised"):
+        measure_hz(fn, [0, 3])
+    with pytest.raises(KeyError):  # any other exception is a bug and propagates
+        measure_hz(lambda x: {}[x], [1])
+
+
 def test_writers_and_table(tmp_path):
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}]
     write_jsonl(tmp_path / "r.jsonl", rows)

@@ -142,6 +142,48 @@ def test_scene_json_schema(tmp_path, sample_scene):
     assert set(doc["sensor"]) == {"position", "quaternion"}
 
 
+def scene_to_dict(scene) -> dict:
+    """The former document of save_scene; json.dumps(..., indent=2) of it is
+    the writer's oracle."""
+    return {
+        "bounds": float(scene.bounds),
+        "sensor": {
+            "position": [float(v) for v in scene.sensor.position],
+            "quaternion": [float(v) for v in scene.sensor.quaternion],
+        },
+        "obstacles": [[[float(x), float(y)] for x, y in poly] for poly in scene.obstacles],
+    }
+
+
+_TRIANGLE = np.array([[-0.0, 1e-300], [1e16, -0.0], [3.0, 2.0]])
+
+
+@pytest.mark.parametrize("scene", [
+    Scene([], Pose.identity(), 20.0),
+    Scene([], Pose.from_yaw(0.7, (-0.0, 1e-300, 1e16)), float("inf")),
+    Scene([], Pose.identity(), float("-inf")),
+    Scene([], Pose.identity(), float("nan")),
+    Scene([_TRIANGLE], Pose.from_yaw(2.0, (-5.0, -0.0, 0.0)), 1e16),
+    Scene([_TRIANGLE + 1.0, np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0]]) - 10.0],
+          Pose.identity(), 7),
+], ids=["empty", "inf-bounds", "minus-inf-bounds", "nan-bounds", "tiny-huge-signed-zero",
+        "integral"])
+def test_scene_json_matches_json_dumps(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    fio.save_scene(path, scene)
+    assert path.read_text() == json.dumps(scene_to_dict(scene), indent=2) + "\n"
+
+
+def test_scene_json_matches_json_dumps_on_generated_scenes(tmp_path):
+    from fovlab.scenes import FAMILY_NAMES, SceneFamily, generate_scene
+    path = tmp_path / "scene.json"
+    for family in FAMILY_NAMES:
+        for seed in range(10):
+            scene = generate_scene(SceneFamily.preset(family), seed)
+            fio.save_scene(path, scene)
+            assert path.read_text() == json.dumps(scene_to_dict(scene), indent=2) + "\n"
+
+
 def test_scene_json_malformed(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text('{"bounds": 10}')

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovlab.geometry import project_to_bev, quantize
-from fovlab.scenes import (FAMILY_NAMES, LidarModel, Scene, SceneFamily, _cells_by_azimuth,
-                           _segments_blocked, default_grid, default_lidar, generate_scene,
-                           ground_truth_fov, point_in_convex, simulate_lidar)
-from fovlab.types import FovMask, GridSpec, Pose
+from fovlab.scenes import (_MIN_RANGE, FAMILY_NAMES, LidarModel, Scene, SceneFamily,
+                           _cells_by_azimuth, _segments_blocked, default_grid, default_lidar,
+                           generate_scene, ground_truth_fov, point_in_convex, simulate_lidar)
+from fovlab.types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
 from conftest import wall_quad
 
@@ -35,6 +35,89 @@ def _ground_truth_fov_reference(scene: Scene, model: LidarModel, spec: GridSpec)
         visible[active[blocked]] = False
     res = spec.resolution
     return FovMask(spec, visible.reshape(res, res))
+
+
+def _edges_reference(scene: Scene) -> np.ndarray:
+    """The former per-obstacle build of Scene.edges, kept as its oracle."""
+    if not scene.obstacles:
+        return np.zeros((0, 2, 2))
+    return np.concatenate([np.stack([p, np.roll(p, -1, axis=0)], axis=1) for p in scene.obstacles])
+
+
+def _simulate_lidar_reference(scene: Scene, model: LidarModel, seed: int,
+                              frame_id: int = 0) -> PointCloud:
+    """The former dense simulate_lidar, kept as its oracle: every beam against
+    every edge, in (beams x edges) arrays."""
+    rng = seeded_rng(seed)
+    n = model.n_beams
+    phi = 2.0 * np.pi * np.arange(n) / n
+    noise = rng.normal(0.0, model.range_noise_sigma, n) if model.range_noise_sigma > 0 else np.zeros(n)
+    dropped = rng.uniform(size=n) < model.dropout_prob if model.dropout_prob > 0 else np.zeros(n, bool)
+
+    R = scene.sensor.rotation_matrix()
+    dirs3 = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(n)]) @ R.T
+    d = dirs3[:, :2]
+    norms = np.linalg.norm(d, axis=1)
+    ok = norms > 1e-12
+    d[ok] = d[ok] / norms[ok, None]
+
+    origin = scene.sensor.position[:2]
+    edges = _edges_reference(scene)
+    t_min = np.full(n, np.inf)
+    if edges.shape[0]:
+        p = edges[:, 0]            # (E, 2)
+        e = edges[:, 1] - edges[:, 0]
+        po = p - origin            # (E, 2)
+        denom = d[:, 0, None] * e[None, :, 1] - d[:, 1, None] * e[None, :, 0]  # (B, E)
+        cross_po_e = po[:, 0] * e[:, 1] - po[:, 1] * e[:, 0]                   # (E,)
+        cross_po_d = po[None, :, 0] * d[:, 1, None] - po[None, :, 1] * d[:, 0, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross_po_e[None, :] / denom
+            s = cross_po_d / denom
+        valid = (np.abs(denom) > 1e-15) & (t > 1e-9) & (s >= 0.0) & (s <= 1.0)
+        t = np.where(valid, t, np.inf)
+        t_min = t.min(axis=1)
+
+    hit = ok & ~dropped & (t_min <= model.max_range)
+    ranges = np.maximum(t_min[hit] + noise[hit], _MIN_RANGE)
+    world = origin + ranges[:, None] * d[hit]
+    world3 = np.column_stack([world, np.zeros(world.shape[0])])
+    sensor_pts = (world3 - scene.sensor.position) @ R
+    return PointCloud(sensor_pts, scene.sensor, frame_id)
+
+
+def _is_convex_ccw(poly: np.ndarray, tol: float = 1e-12) -> bool:
+    a = poly
+    b = np.roll(poly, -1, axis=0)
+    c = np.roll(poly, -2, axis=0)
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    return bool(np.all(cross > -tol) and np.any(cross > tol))
+
+
+def _point_in_convex_reference(poly: np.ndarray, point) -> bool:
+    p = np.asarray(point, dtype=np.float64)
+    a = poly
+    b = np.roll(poly, -1, axis=0)
+    cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
+    return bool(np.all(cross >= 0.0))
+
+
+def _validate_reference(obstacles: list, sensor: Pose) -> list:
+    """The former per-polygon checks of Scene.__post_init__, kept as their
+    oracle: the converted polygons, or the first fault in polygon order."""
+    polys = []
+    for poly in obstacles:
+        p = np.asarray(poly, dtype=np.float64)
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
+            raise ValueError("each obstacle needs >= 3 (x, y) vertices")
+        if not _is_convex_ccw(p):
+            raise ValueError("obstacles must be convex with CCW vertex order")
+        polys.append(p)
+    sensor_xy = sensor.position[:2]
+    for p in polys:
+        if _point_in_convex_reference(p, sensor_xy):
+            raise ValueError("sensor position lies inside an obstacle")
+    return polys
 
 
 def assert_matches_reference(scene: Scene, model: LidarModel, spec: GridSpec) -> np.ndarray:
@@ -246,6 +329,16 @@ def test_oracle_matches_reference_cells_on_vertex_rays():
     assert mask[16 + 4, 16 + 4]          # (4.5, 4.5), before it
 
 
+def test_oracle_matches_reference_cells_on_an_edge():
+    """Cell centres (4.5, k + 0.5) lie on the wall's near edge x = 4.5, and the
+    segment to them crosses no other edge: only the touching rule blocks them."""
+    wall = np.array([[4.5, -2.5], [5.0, -2.5], [5.0, 2.5], [4.5, 2.5]])
+    scene = Scene(obstacles=[wall], sensor=Pose.identity(), bounds=20.0)
+    mask = assert_matches_reference(scene, OPEN_LIDAR, GridSpec(extent=16.0, resolution=32))
+    assert not mask[16 + 4, 16 + 0]      # (4.5, 0.5), on the edge
+    assert mask[16 + 3, 16 + 0]          # (3.5, 0.5), before it
+
+
 def test_oracle_matches_reference_empty_scene():
     scene = Scene(obstacles=[], sensor=Pose.identity(), bounds=20.0)
     mask = assert_matches_reference(scene, OPEN_LIDAR, GridSpec(extent=64.0, resolution=32))
@@ -283,13 +376,17 @@ def test_oracle_cache_keeps_signed_zero_origins_apart():
 def test_oracle_cache_arrays_are_read_only():
     """Every later call on the grid reuses them, so none may write to them."""
     spec = GridSpec(extent=16.0, resolution=32)
-    cells, az = _cells_by_azimuth(spec, OPEN_LIDAR.max_range, np.zeros(2).tobytes())
-    assert cells.dtype == np.int32 and az.dtype == np.float64 and cells.shape == az.shape
-    assert not cells.flags.writeable and not az.flags.writeable
-    with pytest.raises(ValueError):
-        cells[0] = 0
-    with pytest.raises(ValueError):
-        az[0] = 0.0
+    origin = np.array([1.25, -0.5])
+    cells, az, tx, ty = _cells_by_azimuth(spec, OPEN_LIDAR.max_range, origin.tobytes())
+    assert cells.dtype == np.int32 and cells.shape == az.shape == tx.shape == ty.shape
+    assert az.dtype == tx.dtype == ty.dtype == np.float64
+    X, Y = spec.cell_centers()
+    assert tx.tobytes() == (origin[0] + X.ravel()[cells]).tobytes()
+    assert ty.tobytes() == (origin[1] + Y.ravel()[cells]).tobytes()
+    for a in (cells, az, tx, ty):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_oracle_cache_is_bounded():
@@ -436,3 +533,110 @@ def test_enclosure_returns_every_beam(sparse_family, noiseless_lidar):
         scene = generate_scene(sparse_family, seed)
         cloud = simulate_lidar(scene, noiseless_lidar, seed)
         assert len(cloud) == noiseless_lidar.n_beams
+
+
+def assert_lidar_matches_reference(scene: Scene, model: LidarModel, seed: int = 0) -> None:
+    got, want = simulate_lidar(scene, model, seed), _simulate_lidar_reference(scene, model, seed)
+    assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_edges_match_reference():
+    for family in FAMILY_NAMES:
+        for seed in range(4):
+            scene = generate_scene(SceneFamily.preset(family), seed)
+            assert scene.edges().tobytes() == _edges_reference(scene).tobytes()
+    empty = Scene(obstacles=[], sensor=Pose.identity(), bounds=20.0)
+    assert empty.edges().shape == (0, 2, 2)
+
+
+@settings(max_examples=40, **PROPERTY)
+@given(family=st.sampled_from(FAMILY_NAMES), seed=st.integers(0, 2**31 - 1),
+       offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       lattice=st.booleans(), yaw=st.floats(0.0, 2 * np.pi),
+       n_beams=st.sampled_from((8, 9, 64, 720, 1440)), noisy=st.booleans())
+def test_simulate_lidar_matches_reference_property(family, seed, offset, lattice, yaw, n_beams,
+                                                   noisy):
+    """Generated scenes moved off the origin (onto integer offsets, when
+    `lattice`), under a yawed sensor: the wedge-culled cloud has the bytes of
+    the dense one."""
+    if lattice:
+        offset = np.round(offset)
+    scene = translated(generate_scene(SceneFamily.preset(family), seed), offset)
+    scene = Scene(scene.obstacles, Pose.from_yaw(yaw, scene.sensor.position), scene.bounds)
+    model = dataclasses.replace(default_lidar(family), n_beams=n_beams)
+    if not noisy:
+        model = dataclasses.replace(model, range_noise_sigma=0.0, dropout_prob=0.0)
+    assert_lidar_matches_reference(scene, model, seed)
+
+
+# an edge of each lies on a ray of the 8-beam fan from a sensor at (0, 0),
+# or has zero length; all are CCW and convex
+_COLLINEAR_QUAD = np.array([[4.0, 4.0], [8.0, 8.0], [7.0, 9.0], [3.0, 5.0]])
+_ZERO_EDGE_QUAD = np.array([[4.0, -1.0], [6.0, -1.0], [6.0, 0.0], [6.0, 0.0], [6.0, 1.0],
+                            [4.0, 1.0]])
+
+
+@pytest.mark.parametrize("n_beams", (8, 1440))
+@pytest.mark.parametrize("yaw", (0.0, np.pi / 4, 2.0))
+@pytest.mark.parametrize("offset", ((0.0, 0.0), (1.0, 1.0), (-3.25, 0.5)))
+@pytest.mark.parametrize("case", ("collinear", "zero-length", "through-sensor", "empty"))
+def test_simulate_lidar_matches_reference_degenerate_edges(case, offset, yaw, n_beams):
+    model = LidarModel(n_beams=n_beams, max_range=50.0, range_noise_sigma=0.0, dropout_prob=0.0)
+    quads = {"collinear": [_COLLINEAR_QUAD, wall_quad(-10.0)],
+             "zero-length": [_ZERO_EDGE_QUAD, wall_quad(-10.0)],
+             "through-sensor": [wall_quad(0.0)], "empty": []}[case]
+    off = np.asarray(offset)
+    scene = Scene([q + off for q in quads], Pose.from_yaw(yaw, (*(off - [1.0, 0.0]), 0.0)), 30.0)
+    # Scene refuses a sensor on an obstacle, so it is moved onto the offset
+    # afterwards, onto the wall's edge x = 0 in the through-sensor case
+    scene.sensor = Pose.from_yaw(yaw, (*off, 0.0))
+    assert_lidar_matches_reference(scene, model)
+
+
+def _scene_outcome(make):
+    try:
+        return [p.tobytes() for p in make()]
+    except (TypeError, ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+_SQUARE = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+_POLYGONS = {
+    "valid": _SQUARE,
+    "valid-offset": _SQUARE - 3.0,
+    "zero-edge": _ZERO_EDGE_QUAD,
+    "clockwise": _SQUARE[::-1],
+    "dart": np.array([[1.0, 1.0], [3.0, 1.0], [2.0, 1.5], [2.0, 3.0]]),
+    "collinear": np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+    "two-vertices": np.array([[1.0, 1.0], [2.0, 1.0]]),
+    "three-columns": np.ones((4, 3)),
+    "flat": np.arange(6.0),
+    "ragged": [[1.0, 1.0], [2.0, 1.0, 0.0], [2.0, 2.0]],
+    "text": [["a", "b"], ["c", "d"], ["e", "f"]],
+    "nan": np.array([[1.0, 1.0], [np.nan, 1.0], [2.0, 2.0]]),
+    "inf": np.array([[1.0, 1.0], [np.inf, 1.0], [2.0, 2.0]]),
+    "around-origin": np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
+    "sensor-on-edge": np.array([[0.0, -1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 1.0]]),
+    "tiny-turn": np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0 - 1e-13], [2.0, 2.0]]),
+}
+
+
+@settings(max_examples=300, **PROPERTY)
+@given(names=st.lists(st.sampled_from(sorted(_POLYGONS)), max_size=6),
+       sensor=st.sampled_from(((0.0, 0.0), (1.5, 1.5), (-2.5, -2.5), (5.0, 5.0))))
+def test_scene_validation_matches_reference_property(names, sensor):
+    """Lists that mix valid polygons with up to six faults of every kind: the
+    same message, or none, and the same polygons when accepted."""
+    obstacles = [_POLYGONS[name] for name in names]
+    pose = Pose.from_yaw(0.3, (*sensor, 0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf in a turn of the "inf" polygon
+        assert _scene_outcome(lambda: Scene(obstacles, pose).obstacles) \
+            == _scene_outcome(lambda: _validate_reference(obstacles, pose))
+
+
+def test_point_in_convex_matches_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        poly = generate_scene(SceneFamily.preset("indoor"), int(rng.integers(1000))).obstacles[-1]
+        point = poly.mean(axis=0) + rng.normal(0.0, 0.5, 2)
+        assert point_in_convex(poly, point) == _point_in_convex_reference(poly, point)
