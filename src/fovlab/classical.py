@@ -11,7 +11,13 @@ core that applies it; only the locator differs (complex keys, or the grid axis).
 Point (px, py) crosses edge (x1, y1)-(x2, y2) iff min(y1, y2) <= py < max(y1, y2)
 and px < x1 + (py - y1) * (x2 - x1) / (y2 - y1), and is inside iff it crosses an
 odd number of edges, or lies on the boundary: within _BOUNDARY_TOL of the line
-of an edge of nonzero length and of that edge's bounding box.
+of an edge of nonzero length and of that edge's bounding box. The core searches
+each (edge, row) pair once, at the crossing. The crossing's neighbours in the
+row show whether any point lies in a strip twice as wide as the boundary
+candidate strip; only where one does, or the strip is unbounded, is the
+candidate strip searched and its points tested against the edge. Parity comes
+from runs between the sorted crossing positions, not from a count over every
+point.
 """
 
 from __future__ import annotations
@@ -69,11 +75,11 @@ def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> PolarFov:
     """Max range per azimuth bin; bins with no points get range 0 (invisible)."""
     if n_bins < MIN_BINS:
         raise ValueError(f"n_bins must be >= {MIN_BINS}")
-    polar = to_polar(points_xy)
+    az, r = to_polar(points_xy)
     ranges = np.zeros(n_bins)
-    if polar.shape[0]:
-        bins = np.minimum((polar[:, 0] / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
-        np.maximum.at(ranges, bins, polar[:, 1])
+    if az.size:
+        bins = np.minimum((az / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+        np.maximum.at(ranges, bins, r)
     return PolarFov(n_bins, ranges)
 
 
@@ -82,19 +88,18 @@ def raytrace_continuous(points_xy: np.ndarray) -> FovPolygon:
 
     Duplicate azimuths (within 1e-9 radians) keep only the max-range point.
     """
-    polar = to_polar(points_xy)
-    if polar.shape[0] < 3:
+    az, r = to_polar(points_xy)
+    if az.size < 3:
         raise ValueError("degenerate input: need >= 3 points with distinct azimuths")
-    order = np.lexsort((-polar[:, 1], polar[:, 0]))
-    polar = polar[order]
+    order = np.lexsort((-r, az))
+    az, r = az[order], r[order]
     # group azimuths closer than 1e-9; first entry of each group has max range
-    new_group = np.empty(polar.shape[0], dtype=bool)
+    new_group = np.empty(az.size, dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(polar[:, 0]) > 1e-9
-    polar = polar[new_group]
-    if polar.shape[0] < 3:
+    new_group[1:] = np.diff(az) > 1e-9
+    az, r = az[new_group], r[new_group]
+    if az.size < 3:
         raise ValueError("degenerate input: need >= 3 points with distinct azimuths")
-    az, r = polar[:, 0], polar[:, 1]
     return FovPolygon(np.column_stack([r * np.cos(az), r * np.sin(az)]))
 
 
@@ -249,9 +254,17 @@ def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
 def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     """points_in_polygon on points (px, py) already in (y, x) order, whose
     distinct y values are `rows`; `locate(r, q, side)` is the np.searchsorted
-    position of (rows[r], q) among them."""
-    x1, y1 = np.asarray(poly, dtype=np.float64).T
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    position of (rows[r], q) among them.
+
+    Each (edge, row) pair is searched once, at its crossing x_at. That
+    position counts the crossing, and its two neighbours in the row bound the
+    widened strip x_at +- 2 * half around the boundary candidate strip: where
+    both lie outside it, so does every point of the row. Only the other pairs,
+    among them those whose strip is unbounded (horizontal or near-horizontal
+    edges), search the strip itself and test its points against the edge. The
+    sorted crossing positions split the points into runs of alternating parity."""
+    v = np.asarray(poly, dtype=np.float64)
+    (x1, y1), (x2, y2) = v.T, np.concatenate([v[1:], v[:1]]).T
     ex, ey = x2 - x1, y2 - y1
     elen = np.hypot(ex, ey)
     tol = _BOUNDARY_TOL
@@ -262,22 +275,37 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     e, r = flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
                        np.searchsorted(rows, yhi + tol, side="right") * live)
     y = rows[r]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n = px.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_at = x1[e] + (y - y1[e]) * ex[e] / ey[e]  # not finite on horizontal edges
-        half = ((tol + _STRIP_PAD) * elen / np.abs(ey))[e]
-        strip_lo, strip_hi = np.fmax(x_at - half, xlo[e]), np.fmin(x_at + half, xhi[e])
+        half = (tol + _STRIP_PAD) * elen / np.abs(ey)
+        at = locate(r, np.where(np.isfinite(x_at), x_at, 0.0), "left")  # finite keys only
+        # the points just before and at `at`, the row's nearest on either side of
+        # x_at; where one lies in another row (or `at` is 0 or n) the row has none
+        # on that side, so the test can only err towards the exact path, as it
+        # does for a non-finite x_at or strip
+        wide = (2.0 * half)[e]
+        clear = (px[at - 1] < x_at - wide) & (px[np.minimum(at, n - 1)] > x_at + wide)
+    crosses = (ylo[e] <= y) & (y < yhi[e])
 
     # a row has an even number of crossings, so the count to a point's right
-    # has the parity of the count at or before it in (y, x) order
-    crosses = (ylo[e] <= y) & (y < yhi[e])
-    before = locate(r[crosses], x_at[crosses], "left")
-    inside = (np.cumsum(np.bincount(before, minlength=px.size + 1))[:-1] & 1).astype(bool)
+    # has the parity of the count at or before it in (y, x) order; every
+    # crossing's x_at is finite
+    ends = np.concatenate(([0], np.sort(at[crosses]), [n]))
+    parity = np.zeros(ends.size - 1, dtype=bool)
+    parity[1::2] = True
+    inside = np.repeat(parity, ends[1:] - ends[:-1])
 
-    pair, c = flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
-    ce = e[pair]
-    cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
-    inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
-             & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
+    s = np.flatnonzero(~clear)
+    if s.size:  # some point lies in a widened strip, or a strip is unbounded
+        e, r, x_at = e[s], r[s], x_at[s]
+        with np.errstate(invalid="ignore", over="ignore"):
+            strip_lo, strip_hi = np.fmax(x_at - half[e], xlo[e]), np.fmin(x_at + half[e], xhi[e])
+        pair, c = flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
+        ce = e[pair]
+        cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
+        inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
+                 & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
     return inside
 
 

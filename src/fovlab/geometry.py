@@ -51,16 +51,19 @@ def quantize(points_xy: np.ndarray, spec: GridSpec) -> BevImage:
     return BevImage(spec, counts)
 
 
-def to_polar(points_xy: np.ndarray) -> np.ndarray:
-    """Convert (N, 2) points to (azimuth in [0, 2pi), range). Origin points are dropped."""
+def to_polar(points_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convert (N, 2) points to azimuths in [0, 2pi) and ranges. Origin points are dropped."""
     pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2) if np.size(points_xy) else np.zeros((0, 2))
     r = np.hypot(pts[:, 0], pts[:, 1])
     keep = r > 0.0
-    pts, r = pts[keep], r[keep]
-    az = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    # atan2(-0., x) wraps to 2*pi exactly; fold back into [0, 2pi)
+    if not keep.all():
+        pts, r = pts[keep], r[keep]
+    az = np.arctan2(pts[:, 1], pts[:, 0])
+    # np.mod(az, 2pi) to the bit: az + 2pi where az < 0, and +0.0 for -0.0
+    az += 2.0 * np.pi * (az < 0.0)
+    # a tiny negative azimuth rounds up to 2*pi exactly; fold back into [0, 2pi)
     az[az >= 2.0 * np.pi] = 0.0
-    return np.column_stack([az, r])
+    return az, r
 
 
 def flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -86,6 +86,8 @@ def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     index order. Only the groups matter, not the order inside one, so the
     scores are sorted by value and each group's true positives are counted
     by searching its score among the sorted scores of the positive cells.
+    Finite scores of at most two values, such as a binary mask's, need no
+    sort: the groups are the cells at the top value and all cells.
     Requires at least one positive cell.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
@@ -95,15 +97,23 @@ def auprc_arrays(scores: np.ndarray, positives: np.ndarray) -> float:
     n_pos = int(np.count_nonzero(positives))
     if n_pos == 0:
         raise ValueError("AUPRC undefined: ground truth has no positive cells")
-    keys = -scores  # ascending keys rank descending scores, NaN last
-    s = np.sort(keys)
-    # last index of each tied group; NaN != NaN, so each NaN is a group of its own
-    group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp = np.searchsorted(np.sort(keys[positives]), s[group_end], "right")
-    # a search for NaN counts every positive NaN, so each NaN group, one of the
-    # last, takes off the positive NaNs that come after it in index order
-    nan_pos = positives[np.isnan(scores)]
-    tp[tp.size - nan_pos.size:] -= np.count_nonzero(nan_pos) - np.cumsum(nan_pos)
+    lo, hi = scores.min(), scores.max()
+    top = scores == hi
+    if np.isfinite(lo) and np.isfinite(hi) and np.all(top | (scores == lo)):
+        group_end = np.array([np.count_nonzero(top), scores.size]) - 1
+        tp = np.array([np.count_nonzero(top & positives), n_pos])
+        if lo == hi:  # one group holds every cell
+            group_end, tp = group_end[1:], tp[1:]
+    else:
+        keys = -scores  # ascending keys rank descending scores, NaN last
+        s = np.sort(keys)
+        # last index of each tied group; NaN != NaN, so each NaN is a group of its own
+        group_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+        tp = np.searchsorted(np.sort(keys[positives]), s[group_end], "right")
+        # a search for NaN counts every positive NaN, so each NaN group, one of the
+        # last, takes off the positive NaNs that come after it in index order
+        nan_pos = positives[np.isnan(scores)]
+        tp[tp.size - nan_pos.size:] -= np.count_nonzero(nan_pos) - np.cumsum(nan_pos)
     count = group_end + 1.0
     precision = tp / count
     recall = tp / n_pos

@@ -9,11 +9,13 @@ from fovlab.attacks import AttackSpec, spoof
 from fovlab.classical import (_BOUNDARY_TOL, MIN_BINS, FovPolygon, PolarFov, concave_hull,
                               points_in_polygon, polar_to_mask, rasterize_polygon,
                               raytrace_continuous, raytrace_quantized)
-from fovlab.geometry import filter_points, project_to_bev
+from fovlab.geometry import filter_points, flat_ranges, project_to_bev
 from fovlab.metrics import iou
-from fovlab.scenes import (FAMILY_NAMES, SceneFamily, default_lidar, generate_scene,
-                           ground_truth_fov, simulate_lidar)
+from fovlab.scenes import (FAMILY_NAMES, SceneFamily, default_grid, default_lidar,
+                           generate_scene, ground_truth_fov, simulate_lidar)
 from fovlab.types import FilterSpec, FovMask, GridSpec
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
 
@@ -99,6 +101,84 @@ def _rasterize_polygon_reference(poly: FovPolygon, spec: GridSpec) -> FovMask:
     return FovMask(spec, inside)
 
 
+def _even_odd_reference(rows, px, py, locate, poly) -> np.ndarray:
+    """The former classical._even_odd, kept as its oracle: three searches per
+    (edge, row) pair (the crossing and both ends of the boundary candidate
+    strip) and the parity of a cumulative count over every point."""
+    x1, y1 = np.asarray(poly, dtype=np.float64).T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    ex, ey = x2 - x1, y2 - y1
+    elen = np.hypot(ex, ey)
+    tol = _BOUNDARY_TOL
+    xlo, xhi = np.minimum(x1, x2) - tol, np.maximum(x1, x2) + tol
+    ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+    live = elen != 0.0
+    e, r = flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
+                       np.searchsorted(rows, yhi + tol, side="right") * live)
+    y = rows[r]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at = x1[e] + (y - y1[e]) * ex[e] / ey[e]
+        half = ((tol + classical._STRIP_PAD) * elen / np.abs(ey))[e]
+        strip_lo, strip_hi = np.fmax(x_at - half, xlo[e]), np.fmin(x_at + half, xhi[e])
+    crosses = (ylo[e] <= y) & (y < yhi[e])
+    before = locate(r[crosses], x_at[crosses], "left")
+    inside = (np.cumsum(np.bincount(before, minlength=px.size + 1))[:-1] & 1).astype(bool)
+    pair, c = flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
+    ce = e[pair]
+    cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
+    inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
+             & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
+    return inside
+
+
+def _assert_core_matches_reference(points: np.ndarray, verts: np.ndarray,
+                                   spec: GridSpec | None = None) -> None:
+    """classical._even_odd equals _even_odd_reference through points_in_polygon
+    and, given a grid, through the rasterizer's own locator."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classical, "_even_odd", _even_odd_reference)
+        want = points_in_polygon(points, verts)
+    np.testing.assert_array_equal(points_in_polygon(points, verts), want)
+    if spec is not None:
+        rows = classical._grid_rows(spec)
+        np.testing.assert_array_equal(classical._even_odd(*rows, verts),
+                                      _even_odd_reference(*rows, verts))
+
+
+def _to_polar_reference(points_xy: np.ndarray) -> np.ndarray:
+    """geometry.to_polar as it was, one (N, 2) array of (azimuth, range)."""
+    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    keep = r > 0.0
+    pts, r = pts[keep], r[keep]
+    az = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+    az[az >= 2.0 * np.pi] = 0.0
+    return np.column_stack([az, r])
+
+
+def _raytrace_quantized_reference(points_xy: np.ndarray, n_bins: int) -> np.ndarray:
+    """The former raytrace_quantized body, on the stacked polar columns."""
+    polar = _to_polar_reference(points_xy)
+    ranges = np.zeros(n_bins)
+    if polar.shape[0]:
+        bins = np.minimum((polar[:, 0] / (2.0 * np.pi) * n_bins).astype(np.int64), n_bins - 1)
+        np.maximum.at(ranges, bins, polar[:, 1])
+    return ranges
+
+
+def _raytrace_continuous_reference(points_xy: np.ndarray) -> np.ndarray:
+    """The former raytrace_continuous body, on the stacked polar columns."""
+    polar = _to_polar_reference(points_xy)
+    order = np.lexsort((-polar[:, 1], polar[:, 0]))
+    polar = polar[order]
+    new_group = np.empty(polar.shape[0], dtype=bool)
+    new_group[0] = True
+    new_group[1:] = np.diff(polar[:, 0]) > 1e-9
+    polar = polar[new_group]
+    az, r = polar[:, 0], polar[:, 1]
+    return np.column_stack([r * np.cos(az), r * np.sin(az)])
+
+
 def test_polarfov_validation():
     with pytest.raises(ValueError):
         PolarFov(4, np.array([1.0, 2.0, 3.0]))
@@ -156,9 +236,9 @@ def test_rayq_points_inside_estimated_fov(sample_points):
 
     for n_bins in (36, 360, 720):
         pf = raytrace_quantized(sample_points, n_bins)
-        polar = to_polar(sample_points)
-        bins = np.minimum((polar[:, 0] / (2 * np.pi) * n_bins).astype(int), n_bins - 1)
-        assert np.all(polar[:, 1] <= pf.max_range_per_bin[bins])
+        az, r = to_polar(sample_points)
+        bins = np.minimum((az / (2 * np.pi) * n_bins).astype(int), n_bins - 1)
+        assert np.all(r <= pf.max_range_per_bin[bins])
 
 
 def test_rayc_diamond():
@@ -431,6 +511,7 @@ def test_rasterize_boundary_center_visible():
 def _polygon_cases(draw):
     """A grid of res 8-64 and a polygon of 3-40 vertices on it, with repeated
     vertices, horizontal and near-horizontal edges, vertices on cell centers
+    or just off them in x (edges then pass at the rim of the widened strip)
     and spikes far past the grid."""
     spec = GridSpec(extent=draw(st.sampled_from([1.0, 10.0, 75.0])),
                     resolution=draw(st.integers(8, 64)))
@@ -438,14 +519,19 @@ def _polygon_cases(draw):
     free = st.floats(-1.2 * e, 1.2 * e, allow_nan=False)
     center = st.sampled_from(spec.cell_centers_1d().tolist())
     tiny = st.sampled_from([1e-15, -1e-12, 5e-10, -1e-9, 2e-9, 1e-6]).map(lambda d: d * e)
+    nudge = st.sampled_from([1e-10, 5e-10, 1e-9, 2e-9, 1e-6]).map(lambda d: d * e)
     verts = [draw(st.tuples(free, free))]
     for _ in range(draw(st.integers(2, 39))):
         px, py = verts[-1]
-        kind = draw(st.sampled_from(["free", "center", "spike", "repeat", "flat", "near-flat"]))
+        kind = draw(st.sampled_from(["free", "center", "off-center", "spike", "repeat", "flat",
+                                     "near-flat"]))
         if kind == "free":
             verts.append(draw(st.tuples(free, free)))
         elif kind == "center":
             verts.append(draw(st.tuples(center, center)))
+        elif kind == "off-center":
+            verts.append((draw(center) + draw(st.sampled_from([-1.0, 1.0])) * draw(nudge),
+                          draw(center)))
         elif kind == "spike":
             verts.append(draw(st.tuples(st.sampled_from([-40 * e, 40 * e]), free)))
         elif kind == "repeat":
@@ -464,7 +550,8 @@ def test_polygon_kernel_matches_references_property(case, seed):
     former points_in_polygon on the cell centers, and equals points_in_polygon
     on the cell centers, so the grid locator agrees with the complex-key one;
     points_in_polygon equals its former loop on random points, on points on
-    edges and on points that share a vertex's y."""
+    edges and on points that share a vertex's y; on all of them the even-odd
+    core equals its former version."""
     spec, verts = case
     poly = FovPolygon(verts)
     X, Y = spec.cell_centers()
@@ -486,6 +573,8 @@ def test_polygon_kernel_matches_references_property(case, seed):
     ])
     np.testing.assert_array_equal(points_in_polygon(points, verts),
                                   _points_in_polygon_reference(points, verts))
+    _assert_core_matches_reference(centers, verts, spec)
+    _assert_core_matches_reference(points, verts)
 
 
 def test_rasterize_matches_reference_on_rayc_polygons():
@@ -503,6 +592,47 @@ def test_rasterize_matches_reference_on_rayc_polygons():
                 np.testing.assert_array_equal(rasterize_polygon(poly, spec).mask,
                                               _rasterize_polygon_reference(poly, spec).mask,
                                               err_msg=f"{name} {n_spoof} {res}")
+
+
+def _benchmark_frames():
+    """The filtered points of res-256 frames of every family, seeds 0-3, as
+    synthesized and with 150 uniformly spoofed points, with their grids."""
+    for name in FAMILY_NAMES:
+        lidar, grid = default_lidar(name), default_grid(name, 256)
+        filt = FilterSpec(max_range=lidar.max_range)
+        for seed in range(4):
+            cloud = simulate_lidar(generate_scene(SceneFamily.preset(name), seed), lidar, seed)
+            for n_spoof in (0, 150):
+                atk = AttackSpec(kind="uniform", n_points=n_spoof, budget=150,
+                                 bounds=grid.extent, seed=seed)
+                yield (f"{name} {seed} {n_spoof}", grid,
+                       filter_points(project_to_bev(spoof(cloud, atk)), filt)[:, :2])
+
+
+def test_even_odd_matches_reference_on_benchmark_frames():
+    """The core equals its former version on the rayc polygon of each frame,
+    on the grid and on the frame's own points."""
+    for label, grid, pts in _benchmark_frames():
+        poly = raytrace_continuous(pts).vertices
+        rows = classical._grid_rows(grid)
+        np.testing.assert_array_equal(classical._even_odd(*rows, poly),
+                                      _even_odd_reference(*rows, poly), err_msg=label)
+        _assert_core_matches_reference(pts, poly)
+
+
+def test_raytraces_match_references_on_spoofed_frames():
+    """Equal bytes to the former bodies on spoofed frames with points added at
+    the origin (of either sign), with y = -0.0, and on the azimuth of another
+    point (half its range, and the same point again)."""
+    extra = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [3.0, -0.0], [-4.0, -0.0],
+                      [-0.0, 5.0], [0.0, -6.0]])
+    for label, _grid, pts in _benchmark_frames():
+        pts = np.vstack([pts, extra, pts[::7] * 0.5, pts[::11]])
+        for n_bins in (MIN_BINS, 360, 1000):
+            assert raytrace_quantized(pts, n_bins).max_range_per_bin.tobytes() \
+                == _raytrace_quantized_reference(pts, n_bins).tobytes(), (label, n_bins)
+        assert raytrace_continuous(pts).vertices.tobytes() \
+            == _raytrace_continuous_reference(pts).tobytes(), label
 
 
 def test_rasterize_never_calls_points_in_polygon(monkeypatch):

@@ -97,21 +97,21 @@ def test_quantize_conserves_in_extent_count():
 
 
 def test_to_polar_axis_cases():
-    out = to_polar(np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0]]))
-    np.testing.assert_allclose(out[:, 0], [0.0, np.pi / 2.0, np.pi])
-    np.testing.assert_allclose(out[:, 1], [1.0, 2.0, 3.0])
+    az, r = to_polar(np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0]]))
+    np.testing.assert_allclose(az, [0.0, np.pi / 2.0, np.pi])
+    np.testing.assert_allclose(r, [1.0, 2.0, 3.0])
 
 
 def test_to_polar_drops_origin():
-    out = to_polar(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert out.shape[0] == 1
+    az, r = to_polar(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert az.shape[0] == 1
 
 
 def test_polar_round_trip():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-50, 50, (1000, 2))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
-    az, r = to_polar(pts).T
+    az, r = to_polar(pts)
     back = np.column_stack([r * np.cos(az), r * np.sin(az)])
     np.testing.assert_allclose(back, pts, atol=1e-9)
 

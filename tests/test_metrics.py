@@ -9,6 +9,8 @@ from fovlab.metrics import (ConfusionCounts, auprc_arrays, confusion, iou, metri
 from fovlab.scenes import SceneFamily, default_grid, default_lidar, generate_scene, ground_truth_fov
 from fovlab.types import FovMask, GridSpec
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_confusion_all_visible():
     spec = GridSpec(extent=8.0, resolution=8)
@@ -125,12 +127,17 @@ SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.5, 1.0])
 
 @st.composite
 def scored_cells(draw):
-    """(scores, positives) of 1 to 300 cells with at least one positive."""
+    """(scores, positives) of 1 to 300 cells with at least one positive, or
+    with every cell positive."""
     n = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["binary", "rounded", "signed_zeros", "special", "constant"]))
+    kind = draw(st.sampled_from(["binary", "two_values", "rounded", "signed_zeros", "special",
+                                 "constant"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "binary":
         scores = (rng.uniform(size=n) < rng.uniform()).astype(np.float64)
+    elif kind == "two_values":  # two finite values, or one, with 0.0 and -0.0 mixed
+        scores = rng.choice(rng.choice(np.array([0.0, 1.0, 0.25, -3.0, 1e300]), 2), n)
+        scores[(scores == 0.0) & (rng.uniform(size=n) < 0.5)] = -0.0
     elif kind == "rounded":  # ties
         scores = np.round(rng.uniform(size=n), int(rng.integers(0, 3)))
     elif kind == "signed_zeros":
@@ -143,6 +150,8 @@ def scored_cells(draw):
         scores = np.full(n, rng.choice(SPECIAL))
     positives = rng.uniform(size=n) < rng.uniform()
     positives[rng.integers(n)] = True
+    if draw(st.booleans()) and draw(st.booleans()):
+        positives[:] = True
     return scores, positives
 
 
@@ -161,15 +170,18 @@ def test_auprc_matches_reference_property(cells):
 
 
 def test_auprc_matches_reference_on_res256_oracle_masks():
-    """Binary and tied scores over a whole res-256 oracle mask."""
+    """Binary (with 0.0 and -0.0 mixed), constant and tied scores over a whole
+    res-256 oracle mask, and against all-visible ground truth."""
     family = SceneFamily.preset("outdoor-sparse")
     grid, lidar = default_grid("outdoor-sparse", 256), default_lidar("outdoor-sparse")
     truth, other = (ground_truth_fov(generate_scene(family, seed), lidar, grid).mask
                     for seed in (0, 1))
     rng = np.random.default_rng(5)
-    for scores in (other.astype(np.float64),
+    signed = np.where(other, 1.0, np.where(rng.uniform(size=other.shape) < 0.5, -0.0, 0.0))
+    for scores in (other.astype(np.float64), signed, np.zeros(other.shape),
                    np.round(np.clip(other + rng.normal(0.0, 0.3, other.shape), 0.0, 1.0), 2)):
-        assert_same_float(auprc_arrays(scores, truth), _auprc_reference(scores, truth))
+        for positives in (truth, np.ones_like(truth)):
+            assert_same_float(auprc_arrays(scores, positives), _auprc_reference(scores, positives))
 
 
 def test_auprc_perfect_separation():
