@@ -7,8 +7,9 @@ pooling and upsampling use factor 2.
 
 Every forward writes into an `out` in a `network.Workspace`. A backward's
 cache is a view of those buffers: a 3x3 conv keeps its zero-bordered input and
-rebuilds the im2col matrix from it, so one such matrix is alive at a time;
-ReLU takes its mask from its output, max-pool its routing from its input.
+takes its nine shifted windows in turn, so no im2col matrix is built outside the
+forward's column block; ReLU takes its mask from its output, max-pool its
+routing from its input.
 """
 
 from __future__ import annotations
@@ -60,31 +61,32 @@ def conv3x3_backward(dout, cache, input_grad: bool = True):
     """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache;
     dx is None without `input_grad`, for a conv on the network's input.
 
-    dW multiplies the im2col matrix rebuilt from xp by the forward's copy, so
-    the GEMM sees the operands of a kept matrix; it is freed before col2im.
-    dx is col2im of dcols = dout @ W_mat^T one sample at a time, so only an
-    (H, W, 9C) dcols is live: numpy's matmul issues one BLAS call per (sample,
-    row) matrix either way, and every cell receives its nine taps in the same
-    (di, dj) order, so dx equals the whole-batch form bit for bit.
+    No im2col matrix is built: one (N, H, W, C) buffer takes each tap's shifted
+    window of xp in (di, dj) order, and dW[tap] = window^T @ dout is one GEMM
+    over all N*H*W cells. The same buffer then takes dout @ W[tap], a GEMM with
+    that tap's contiguous (O, C) weight block, which is added into its window
+    of the zero-bordered dx, so every cell receives its nine taps in (di, dj)
+    order (kn2row, Vasudevan, Anderson & Gregg 2017, run backwards).
     """
     xp, x_shape, W = cache
     n, h, w, c = x_shape
     o = W.shape[0]
-    cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
-    dmat = np.tensordot(cols, dout, axes=([0, 1, 2], [0, 1, 2]))  # (9C, O)
-    del cols
-    dW = dmat.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
-    db = dout.sum(axis=(0, 1, 2))
-    if not input_grad:
-        return None, dW, db
-    w_t = _w_mat(W).T
-    dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
-    for i in range(n):
-        dcols = (dout[i] @ w_t).reshape(h, w, 3, 3, c)
-        for di in range(3):
-            for dj in range(3):
-                dxp[i, di:di + h, dj:dj + w, :] += dcols[:, :, di, dj, :]
-    return dxp[:, 1:h + 1, 1:w + 1, :], dW, db
+    d = dout.reshape(-1, o)
+    tap = np.empty(x_shape, dout.dtype)
+    flat = tap.reshape(-1, c)
+    dmat = np.empty((3, 3, c, o), dout.dtype)
+    if input_grad:
+        w_taps = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (3, 3, O, C)
+        dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
+    for di in range(3):
+        for dj in range(3):
+            np.copyto(tap, xp[:, di:di + h, dj:dj + w])
+            np.matmul(flat.T, d, out=dmat[di, dj])
+            if input_grad:
+                np.matmul(d, w_taps[di, dj], out=flat)
+                dxp[:, di:di + h, dj:dj + w] += tap
+    dx = dxp[:, 1:h + 1, 1:w + 1, :] if input_grad else None
+    return dx, dmat.transpose(3, 2, 0, 1), dout.sum(axis=(0, 1, 2))
 
 
 def conv1x1_forward(x, W, b):

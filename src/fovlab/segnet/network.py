@@ -203,8 +203,9 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool 
 
 def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     """Gradients of every parameter given dLoss/dlogits and forward_batch's
-    caches (kept with keep_caches=True). A 3x3 conv rebuilds its im2col matrix
-    from the bordered input it kept and drops it before the next conv runs."""
+    caches (kept with keep_caches=True). A 3x3 conv reads the nine shifted
+    windows of the bordered input it kept, one at a time, and builds no im2col
+    matrix."""
     cfg = net.config
     grads = {}
 
