@@ -51,7 +51,7 @@ def spoof(cloud: PointCloud, spec: AttackSpec) -> PointCloud:
     else:
         xy = rng.uniform(-spec.bounds, spec.bounds, (spec.n_points, 2))
     spoofed = np.column_stack([xy, np.zeros(spec.n_points)])
-    return PointCloud(np.vstack([cloud.points, spoofed]), cloud.pose, cloud.frame_id)
+    return PointCloud(np.vstack([cloud.points, spoofed]), cloud.pose)
 
 
 __all__ = ["AttackSpec", "DEFAULT_BUDGET", "spoof"]

@@ -10,12 +10,14 @@ cannot handle (for example rayc on fewer than 3 points) becomes a row with an
 succeeds. bench leaves such frames out of its timings and reports their number
 as "failed"; when no frame works, it is a data error.
 
-Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError), 4 numeric
-failure; any other exception, ValueError included, is a bug and propagates. A
-flag value that a library check would refuse (an unknown estimator, a count,
-depth, threshold or attack sigma, bounds or center out of range, a learning rate
-that is not finite and positive, a crossval value outside the search grid) is
-a usage error: the flag's parser type applies the same rule, so nothing is written.
+Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError: a missing file,
+or a malformed config, checkpoint or dataset file, such as a manifest, PGM mask
+or FVPC cloud that does not parse or holds invalid values), 4 numeric failure;
+any other exception, ValueError included, is a bug and propagates. A flag value
+that a library check would refuse (an unknown estimator, a count, depth,
+threshold or attack sigma, bounds or center out of range, a learning rate that
+is not finite and positive, a crossval value outside the search grid) is a
+usage error: the flag's parser type applies the same rule, so nothing is written.
 """
 
 from __future__ import annotations
@@ -128,8 +130,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net)
-    log_path = out.with_suffix(out.suffix + ".log.jsonl") if out.suffix else out.with_suffix(".log.jsonl")
-    write_jsonl(log_path, history)
+    write_jsonl(out.with_suffix(out.suffix + ".log.jsonl"), history)
     best = min(h["val_loss"] for h in history)
     print(f"wrote checkpoint {out} ({len(history)} epochs, best val loss {best:.4f})")
     return 0
@@ -201,11 +202,9 @@ def cmd_sweep(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, args.split)
     net = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    per_frame: list[dict] = []
-    rows = security_sweep(frames, grid, filt, estimators=args.estimators, net=net,
-                          spoof_counts=args.counts, n_bins=args.n_bins, k=args.k,
-                          mcd_passes=args.mcd, seed=args.seed or 0,
-                          per_frame_rows=per_frame)
+    rows, per_frame = security_sweep(frames, grid, filt, estimators=args.estimators, net=net,
+                                     spoof_counts=args.counts, n_bins=args.n_bins, k=args.k,
+                                     mcd_passes=args.mcd, seed=args.seed or 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(out / "sweep.jsonl", rows)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import io as fio
 from .attacks import AttackSpec, spoof
+from .config import build_dataclass
 from .errors import DataError
 from .geometry import cloud_to_bev
 from .scenes import LidarModel, SceneFamily, generate_scene, ground_truth_fov, simulate_lidar
@@ -72,7 +73,7 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
         for i in range(n):
             fseed = frame_seed(seed, split, i)
             scene = generate_scene(family, fseed)
-            cloud = simulate_lidar(scene, lidar, fseed, frame_id=i)
+            cloud = simulate_lidar(scene, lidar, fseed)
             mask = ground_truth_fov(scene, lidar, grid)
             stem = f"frame_{i:05d}"
             fio.save_point_cloud(split_dir / f"{stem}.fvpc", cloud)
@@ -89,34 +90,39 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
 
 
 def load_manifest(root) -> dict:
+    """The manifest under `root`. One that is not JSON, lacks "grid" or "splits",
+    or has a malformed grid or filter is a DataError naming the file."""
     path = Path(root) / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest.json under {root}")
-    manifest = json.loads(path.read_text())
-    for key in ("grid", "splits"):
-        if key not in manifest:
-            raise DataError(f"{path}: manifest missing '{key}'")
+    try:
+        manifest = json.loads(path.read_bytes())
+        if not isinstance(manifest, dict) or not {"grid", "splits"} <= manifest.keys():
+            raise DataError("manifest needs 'grid' and 'splits'")
+        manifest_grid(manifest), manifest_filter(manifest)
+    except FileNotFoundError:
+        raise DataError(f"no manifest.json under {root}") from None
+    except (ValueError, DataError) as e:  # ValueError: not JSON
+        raise DataError(f"{path}: {e}") from e
     return manifest
 
 
 def manifest_grid(manifest: dict) -> GridSpec:
-    return GridSpec(extent=manifest["grid"]["extent"], resolution=manifest["grid"]["resolution"])
+    try:
+        return GridSpec(extent=manifest["grid"]["extent"], resolution=manifest["grid"]["resolution"])
+    except (KeyError, TypeError, ValueError) as e:  # KeyError: both keys are required
+        raise DataError(f"bad grid ({type(e).__name__}: {e})") from e
 
 
 def manifest_filter(manifest: dict) -> FilterSpec:
-    f = manifest.get("filter")
-    return FilterSpec(**f) if f else FilterSpec()
+    return build_dataclass(FilterSpec, manifest.get("filter", {}), "filter")
 
 
 def load_frames(root, split: str) -> list[Frame]:
     root = Path(root)
     manifest = load_manifest(root)
     grid = manifest_grid(manifest)
-    frames = []
-    for i, row in enumerate(manifest["splits"].get(split, [])):
-        cloud = fio.load_point_cloud(root / row["cloud"], frame_id=i)
-        frames.append(Frame(cloud, fio.load_mask_pgm(root / row["mask"], grid)))
-    return frames
+    return [Frame(fio.load_point_cloud(root / row["cloud"]),
+                  fio.load_mask_pgm(root / row["mask"], grid))
+            for row in manifest["splits"].get(split, [])]
 
 
 def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
@@ -148,7 +154,7 @@ def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
         if rows:
             (out / split).mkdir(exist_ok=True)
         for i, row in enumerate(rows):
-            cloud = fio.load_point_cloud(src / row["cloud"], frame_id=i)
+            cloud = fio.load_point_cloud(src / row["cloud"])
             per_frame = dataclasses.replace(attack, seed=frame_seed(seed, split, i))
             fio.save_point_cloud(out / row["cloud"], spoof(cloud, per_frame))
             shutil.copyfile(src / row["mask"], out / row["mask"])

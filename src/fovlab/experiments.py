@@ -187,25 +187,24 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
 
 def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
                    estimators=CLASSICAL_ESTIMATORS, net: Network | None = None,
-                   spoof_counts=(0, 25, 50, 75, 100, 125, 150),
-                   threshold: float = DEFAULT_THRESHOLD, mcd_passes: int = 20,
-                   n_bins: int = 360, k: int = 16, seed: int = 0,
-                   per_frame_rows: list | None = None) -> list[dict]:
-    """Mean metrics per (estimator, spoof count) under uniform spoofing.
+                   spoof_counts=(0, 25, 50, 75, 100, 125, 150), mcd_passes: int = 20,
+                   n_bins: int = 360, k: int = 16, seed: int = 0) -> tuple[list[dict], list[dict]]:
+    """Metrics per (estimator, spoof count) under uniform spoofing.
 
-    `net` is the network of the learned estimators ('mle', 'mcd'). Means
-    run over the frames that were scored; a metric no frame defines is None.
-    Per-frame records, failed frames included, are appended to
-    `per_frame_rows` when given (long-format table for violin plots).
+    `net` is the network of the learned estimators ('mle', 'mcd'), which
+    binarize at DEFAULT_THRESHOLD. Returns (rows, per_frame): one row of
+    means per (estimator, spoof count), over the frames that were scored (a
+    metric no frame defines is None), and every frame's record, failed frames
+    included (a long-format table for violin plots).
     """
     estimates = [(est, make_estimator(est, grid, filt, net=net, n_bins=n_bins, k=k,
-                                      mcd_passes=mcd_passes, threshold=threshold))
+                                      mcd_passes=mcd_passes))
                  for est in estimators]
     counts = [int(n) for n in spoof_counts]
     attacks = {n: AttackSpec(kind="uniform", n_points=n, budget=max(150, n), bounds=grid.extent)
                for n in counts if n}
     truths = [f.mask for f in frames]
-    rows = []
+    rows, per_frame = [], []
     for est, estimate in estimates:
         for n_spoof in counts:
             def predict(fi):
@@ -215,14 +214,13 @@ def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
                 return estimate(cloud, derive_seed(seed, fi, n_spoof, 1))
 
             per, _ = evaluate(predict, truths, {"estimator": est, "n_spoof": n_spoof})
-            if per_frame_rows is not None:
-                per_frame_rows.extend({c: r[c] for c in r if c != "accuracy"} for r in per)
+            per_frame.extend({c: r[c] for c in r if c != "accuracy"} for r in per)
             row = {"estimator": est, "n_spoof": n_spoof}
             for key in ("precision", "recall", "accuracy", "f1", "auprc"):
                 values = [r[key] for r in per if r.get(key) is not None]
                 row[key] = float(np.mean(values)) if values else None
             rows.append(row)
-    return rows
+    return rows, per_frame
 
 
 # ----------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def save_point_cloud(path, cloud: PointCloud) -> None:
         f.write(pts.tobytes(order="C"))
 
 
-def load_point_cloud(path, frame_id: int = 0) -> PointCloud:
+def load_point_cloud(path) -> PointCloud:
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 4 + 4 + 56 + 4 or data[:4] != FVPC_MAGIC:
@@ -46,8 +46,10 @@ def load_point_cloud(path, frame_id: int = 0) -> PointCloud:
     if len(body) != count * 12:
         raise DataError(f"{path}: truncated FVPC body (expected {count} points)")
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(np.float64)
-    pose = Pose(np.array(vals[:3]), np.array(vals[3:]))
-    return PointCloud(pts, pose, frame_id)
+    try:
+        return PointCloud(pts, Pose(np.array(vals[:3]), np.array(vals[3:])))
+    except ValueError as e:  # a NaN point or a quaternion that is not unit
+        raise DataError(f"{path}: {e}") from e
 
 
 def save_mask_pgm(path, mask: FovMask) -> None:
@@ -61,7 +63,8 @@ def save_mask_pgm(path, mask: FovMask) -> None:
         f.write(raster.tobytes(order="C"))
 
 
-def load_mask_pgm(path, spec: GridSpec | None = None) -> FovMask:
+def load_mask_pgm(path, spec: GridSpec) -> FovMask:
+    """The mask of a binary PGM at `spec`'s resolution; another size is a DataError."""
     with open(path, "rb") as f:
         data = f.read()
     tokens = []
@@ -79,19 +82,14 @@ def load_mask_pgm(path, spec: GridSpec | None = None) -> FovMask:
         tokens.append(data[start:i])
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255 or width != height:
-        raise DataError(f"{path}: expected square maxval-255 PGM")
-    body = data[i + 1 : i + 1 + width * height]
-    if len(body) != width * height:
+    res = spec.resolution
+    if tokens[1:] != [b"%d" % res, b"%d" % res, b"255"]:
+        raise DataError(f"{path}: expected a {res}x{res} maxval-255 PGM, got {b' '.join(tokens[1:])!r}")
+    body = data[i + 1 : i + 1 + res * res]
+    if len(body) != res * res:
         raise DataError(f"{path}: truncated PGM body")
-    raster = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
-    grid = raster.T[:, ::-1] > 0
-    if spec is None:
-        spec = GridSpec(extent=float(width) / 2.0, resolution=width)
-    elif spec.resolution != width:
-        raise DataError(f"{path}: resolution {width} does not match spec {spec.resolution}")
-    return FovMask(spec, grid)
+    raster = np.frombuffer(body, dtype=np.uint8).reshape(res, res)
+    return FovMask(spec, raster.T[:, ::-1] > 0)
 
 
 def _json_list(items: list, indent: int) -> str:

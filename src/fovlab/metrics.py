@@ -39,16 +39,11 @@ class MetricRecord:
     recall: float
     accuracy: float
     f1: float
-    auprc: float | None = None
     labels: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
-        row = dict(self.labels)
-        row.update(precision=self.precision, recall=self.recall,
-                   accuracy=self.accuracy, f1=self.f1)
-        if self.auprc is not None:
-            row["auprc"] = self.auprc
-        return row
+        return {**self.labels, "precision": self.precision, "recall": self.recall,
+                "accuracy": self.accuracy, "f1": self.f1}
 
 
 def confusion(pred: FovMask, gt: FovMask) -> ConfusionCounts:

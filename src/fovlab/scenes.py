@@ -236,7 +236,7 @@ def generate_scene(family: SceneFamily, seed: int) -> Scene:
     return Scene(obstacles=obstacles, sensor=Pose.from_yaw(yaw), bounds=family.bounds)
 
 
-def simulate_lidar(scene: Scene, model: LidarModel, seed: int, frame_id: int = 0) -> PointCloud:
+def simulate_lidar(scene: Scene, model: LidarModel, seed: int) -> PointCloud:
     """Cast one ray per beam azimuth; return first hits with range noise.
 
     Beams are equally spaced in the sensor frame; returned points are in the
@@ -286,7 +286,7 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int, frame_id: int = 0
     world = origin + ranges[:, None] * d[hit]
     world3 = np.column_stack([world, np.zeros(world.shape[0])])
     sensor_pts = (world3 - scene.sensor.position) @ R
-    return PointCloud(sensor_pts, scene.sensor, frame_id)
+    return PointCloud(sensor_pts, scene.sensor)
 
 
 def _segments_blocked(origin: np.ndarray, targets: np.ndarray, edge_p: np.ndarray,

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from ..types import BevImage, ConfidenceMap, FovMask, ProbMap, seeded_rng
-from .network import Network, forward, forward_maps
+from .network import Network, forward_maps
 
 DEFAULT_THRESHOLD = 0.7  # visibility decision threshold on probability maps
 
 
 def infer_mle(net: Network, image: BevImage) -> ProbMap:
     """Maximum-likelihood estimate: one forward pass with dropout off."""
-    return forward(net, image)
+    return ProbMap(image.spec, forward_maps(net, image, [None])[0])
 
 
 def infer_mcd(net: Network, image: BevImage, T: int = 20,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
-from ..types import BevImage, ProbMap, seeded_rng
+from ..types import BevImage, seeded_rng
 from . import layers as L
 
 PROB_CLIP = 1e-7  # keeps probability maps strictly inside (0, 1)
@@ -252,12 +252,6 @@ def forward_maps(net: Network, image: BevImage, rngs) -> np.ndarray:
     for t, rng in enumerate(rngs):
         maps[t] = forward_batch(net, x, drop_rng=rng, ws=ws)[0][0, :, :, 0]
     return np.clip(maps, PROB_CLIP, 1.0 - PROB_CLIP, out=maps)
-
-
-def forward(net: Network, image: BevImage, rng: np.random.Generator | None = None) -> ProbMap:
-    """Single-image forward pass -> probability map. Dropout is active iff `rng` is
-    given, and its masks are drawn from `rng`; without it the output is deterministic."""
-    return ProbMap(image.spec, forward_maps(net, image, [rng])[0])
 
 
 def save_checkpoint(path, net: Network) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError
-from ..types import BevImage, FovMask, ProbMap, seeded_rng
+from ..types import BevImage, FovMask, seeded_rng
 from .network import (Network, NetConfig, PROB_CLIP, Workspace, backward_batch,
                       forward_batch, normalize_counts, unet_init)
 
@@ -47,13 +47,6 @@ def _bce_and_dlogits(probs: np.ndarray, targets: np.ndarray):
     loss = float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
     dlogits = np.where(in_range, p - t, 0.0) / p.size
     return loss, dlogits.astype(probs.dtype)
-
-
-def loss_bce(pred: ProbMap, target: FovMask) -> float:
-    """Mean binary cross-entropy over cells, predictions clamped to [1e-7, 1-1e-7]."""
-    if pred.spec.resolution != target.spec.resolution:
-        raise ValueError("prediction and target shapes differ")
-    return _bce(pred.values, target.mask)
 
 
 class Adam:

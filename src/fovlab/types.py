@@ -78,7 +78,6 @@ class PointCloud:
 
     points: np.ndarray  # (N, 3) float
     pose: Pose = field(default_factory=Pose.identity)
-    frame_id: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)

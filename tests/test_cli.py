@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,43 @@ def test_missing_files_exit_code(tmp_path):
                  "--dataset", str(tmp_path), "--split", "test"]) == 3
     assert main(["train", "--dataset", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "x.fvnt")]) == 3
+
+
+def _json_edit(edit):
+    """A bytes edit applying `edit` to the parsed JSON document."""
+    def apply(raw):
+        doc = json.loads(raw)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return apply
+
+
+# file (a manifest key of test frame 0, or manifest.json) -> bytes edit
+MALFORMED_FILES = {
+    "pgm-width-2x6": ("mask", lambda b: b.replace(b"64 64", b"2x6 64", 1)),
+    "quaternion-norm-2.24": ("cloud", lambda b: b[:32] + struct.pack("<4d", 1, 2, 0, 0) + b[64:]),
+    "nan-point": ("cloud", lambda b: b[:68] + struct.pack("<f", float("nan")) + b[72:]),
+    "manifest-not-json": ("manifest.json", lambda b: b"{not json"),
+    "grid-extent-negative": ("manifest.json", _json_edit(lambda m: m["grid"].update(extent=-1))),
+    "filter-unknown-key": ("manifest.json", _json_edit(lambda m: m["filter"].update(bogus=1))),
+    "grid-without-resolution": ("manifest.json",
+                                _json_edit(lambda m: m["grid"].pop("resolution"))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_malformed_dataset_file_is_data_error(dataset, tmp_path, capsys, case):
+    """A corrupted dataset file exits 3 with an error that names it."""
+    target, edit = MALFORMED_FILES[case]
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    if target != "manifest.json":
+        target = load_manifest(copy)["splits"]["test"][0][target]
+    path = copy / target
+    path.write_bytes(edit(path.read_bytes()))
+    assert main(["estimate", "--dataset", str(copy), "--method", "rayq",
+                 "--out", str(tmp_path / "est")]) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_crossval_dataset_that_does_not_fit_is_data_error(dataset, tmp_path, capsys):

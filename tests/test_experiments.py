@@ -111,17 +111,17 @@ def sweep_setup():
 
 def test_sweep_zero_count_equals_benign(sweep_setup):
     frames, grid, filt = sweep_setup
-    rows = security_sweep(frames, grid, filt, estimators=("rayq",),
-                          spoof_counts=(0,), n_bins=180, seed=0)
-    rows2 = security_sweep(frames, grid, filt, estimators=("rayq",),
-                           spoof_counts=(0, 50), n_bins=180, seed=0)
+    rows, _ = security_sweep(frames, grid, filt, estimators=("rayq",),
+                             spoof_counts=(0,), n_bins=180, seed=0)
+    rows2, _ = security_sweep(frames, grid, filt, estimators=("rayq",),
+                              spoof_counts=(0, 50), n_bins=180, seed=0)
     assert rows[0] == rows2[0]
 
 
 def test_sweep_classical_precision_monotone_trend(sweep_setup):
     frames, grid, filt = sweep_setup
-    rows = security_sweep(frames, grid, filt, estimators=("rayq",),
-                          spoof_counts=(0, 150), n_bins=180, seed=0)
+    rows, _ = security_sweep(frames, grid, filt, estimators=("rayq",),
+                             spoof_counts=(0, 150), n_bins=180, seed=0)
     benign, attacked = rows[0], rows[1]
     assert attacked["precision"] < benign["precision"]
 
@@ -134,9 +134,8 @@ def test_sweep_learned_requires_model(sweep_setup):
 
 def test_sweep_per_frame_rows(sweep_setup):
     frames, grid, filt = sweep_setup
-    per_frame = []
-    security_sweep(frames, grid, filt, estimators=("rayq",), spoof_counts=(0, 25),
-                   n_bins=180, seed=0, per_frame_rows=per_frame)
+    _, per_frame = security_sweep(frames, grid, filt, estimators=("rayq",),
+                                  spoof_counts=(0, 25), n_bins=180, seed=0)
     assert len(per_frame) == 2 * len(frames)
     assert {r["n_spoof"] for r in per_frame} == {0, 25}
 

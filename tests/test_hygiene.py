@@ -180,13 +180,8 @@ def test_traced_training_sees_every_layer():
 # names, each with the reason it is kept. Code added without a caller fails
 # the test below; code that gets wired must leave this set.
 UNREACHED = {
-    "anomaly.calibrate": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
-    "anomaly.detect": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
-    "anomaly.save_model": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
-    "anomaly.load_model": "the paper's detector, not yet wired to a command (ROADMAP item 1)",
     "segnet.training.grad_check": "test oracle: backprop against finite differences",
     "segnet.training.tiny_check_net": "test fixture: the small net grad_check runs on",
-    "segnet.training.loss_bce": "test fixture: the training loss on typed maps, which the BCE tests check",
 }
 
 

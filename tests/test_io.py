@@ -16,18 +16,16 @@ from fovlab.types import FovMask, GridSpec, PointCloud, Pose
 def cloud():
     rng = np.random.default_rng(0)
     pose = Pose(np.array([1.0, 2.0, 0.5]), np.array([0.6, 0.0, 0.0, 0.8]))
-    return PointCloud(rng.standard_normal((37, 3)).astype(np.float32).astype(np.float64),
-                      pose, frame_id=3)
+    return PointCloud(rng.standard_normal((37, 3)).astype(np.float32).astype(np.float64), pose)
 
 
 def test_fvpc_round_trip(tmp_path, cloud):
     path = tmp_path / "c.fvpc"
     fio.save_point_cloud(path, cloud)
-    back = fio.load_point_cloud(path, frame_id=3)
+    back = fio.load_point_cloud(path)
     np.testing.assert_array_equal(back.points, cloud.points)
     np.testing.assert_array_equal(back.pose.position, cloud.pose.position)
     np.testing.assert_array_equal(back.pose.quaternion, cloud.pose.quaternion)
-    assert back.frame_id == 3
 
 
 def test_fvpc_bytes_deterministic(tmp_path, cloud):

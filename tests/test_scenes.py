@@ -44,8 +44,7 @@ def _edges_reference(scene: Scene) -> np.ndarray:
     return np.concatenate([np.stack([p, np.roll(p, -1, axis=0)], axis=1) for p in scene.obstacles])
 
 
-def _simulate_lidar_reference(scene: Scene, model: LidarModel, seed: int,
-                              frame_id: int = 0) -> PointCloud:
+def _simulate_lidar_reference(scene: Scene, model: LidarModel, seed: int) -> PointCloud:
     """The former dense simulate_lidar, kept as its oracle: every beam against
     every edge, in (beams x edges) arrays."""
     rng = seeded_rng(seed)
@@ -83,7 +82,7 @@ def _simulate_lidar_reference(scene: Scene, model: LidarModel, seed: int,
     world = origin + ranges[:, None] * d[hit]
     world3 = np.column_stack([world, np.zeros(world.shape[0])])
     sensor_pts = (world3 - scene.sensor.position) @ R
-    return PointCloud(sensor_pts, scene.sensor, frame_id)
+    return PointCloud(sensor_pts, scene.sensor)
 
 
 def _is_convex_ccw(poly: np.ndarray, tol: float = 1e-12) -> bool:

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovlab.errors import NumericError
-from fovlab.segnet import (NetConfig, TrainConfig, binarize, forward, grad_check,
-                           infer_mcd, infer_mle, load_checkpoint, loss_bce,
-                           parameter_count, save_checkpoint, train, unet_init)
+from fovlab.segnet import (NetConfig, TrainConfig, binarize, grad_check, infer_mcd,
+                           infer_mle, load_checkpoint, parameter_count, save_checkpoint,
+                           train, unet_init)
 from fovlab.segnet.layers import (_im2col3, _w_mat, conv1x1_forward, conv3x3_backward,
                                   conv3x3_forward, maxpool2_backward, maxpool2_forward, sigmoid)
-from fovlab.segnet.network import (Workspace, backward_batch, conv_specs, forward_batch,
-                                   normalize_counts)
-from fovlab.segnet.training import Adam, _bce_and_dlogits, tiny_check_net
+from fovlab.segnet.network import (PROB_CLIP, Workspace, backward_batch, conv_specs,
+                                   forward_batch, forward_maps, normalize_counts)
+from fovlab.segnet.training import Adam, _bce, _bce_and_dlogits, tiny_check_net
 from fovlab.types import BevImage, FovMask, GridSpec, ProbMap, seeded_rng
 
 SPEC16 = GridSpec(extent=8.0, resolution=16)
@@ -91,27 +91,27 @@ def test_zero_network_outputs_half(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=0)
     for k in net.params:
         net.params[k][:] = 0
-    pm = forward(net, rand_image)
+    pm = infer_mle(net, rand_image)
     assert np.all(pm.values == 0.5)
 
 
 def test_forward_deterministic_without_dropout(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=1)
-    a = forward(net, rand_image)
-    b = forward(net, rand_image)
+    a = infer_mle(net, rand_image)
+    b = infer_mle(net, rand_image)
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_forward_output_in_open_unit_interval(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=1)
-    pm = forward(net, rand_image)
+    pm = infer_mle(net, rand_image)
     assert np.all(pm.values > 0.0) and np.all(pm.values < 1.0)
 
 
 def test_forward_shape_mismatch(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=32), seed=1)
     with pytest.raises(ValueError):
-        forward(net, rand_image)
+        infer_mle(net, rand_image)
 
 
 def test_forward_matches_scalar_reference():
@@ -121,7 +121,7 @@ def test_forward_matches_scalar_reference():
     rng = np.random.default_rng(5)
     counts = rng.integers(0, 5, (8, 8))
     spec = GridSpec(extent=4.0, resolution=8)
-    got = forward(net, BevImage(spec, counts)).values
+    got = infer_mle(net, BevImage(spec, counts)).values
 
     def conv3(x, W, b):
         c_in, h, w = x.shape
@@ -647,7 +647,7 @@ def test_train_frees_every_workspace(monkeypatch, tiny_pairs):
 
 def test_infer_mcd_normalizes_once(monkeypatch, rand_image):
     """infer_mcd checks and normalizes its image once, whatever T, and its
-    passes give forward's maps, clipped, bit for bit."""
+    passes give one-pass forward_maps' maps bit for bit."""
     import fovlab.segnet.network as network
 
     calls = []
@@ -661,7 +661,7 @@ def test_infer_mcd_normalizes_once(monkeypatch, rand_image):
     monkeypatch.setattr(network, "normalize_counts", counted)
     mean, conf = infer_mcd(net, rand_image, T=5, seed=2)
     assert len(calls) == 1
-    stack = np.stack([forward(net, rand_image, rng=seeded_rng(2, t)).values for t in range(5)])
+    stack = np.stack([forward_maps(net, rand_image, [seeded_rng(2, t)])[0] for t in range(5)])
     assert mean.values.tobytes() == stack.mean(axis=0).tobytes()
     assert conf.sigma.tobytes() == stack.std(axis=0).tobytes()
 
@@ -699,27 +699,22 @@ def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
 
 
 def test_bce_half_is_ln2():
-    spec = SPEC16
-    pm = ProbMap(spec, np.full((16, 16), 0.5))
-    gt = FovMask(spec, np.zeros((16, 16), bool))
-    assert loss_bce(pm, gt) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert _bce(np.full((16, 16), 0.5), np.zeros((16, 16), bool)) == \
+        pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_bce_perfect_prediction_small():
-    spec = SPEC16
-    gt = FovMask(spec, np.eye(16, dtype=bool))
-    pm = ProbMap(spec, gt.mask.astype(float))
-    assert loss_bce(pm, gt) <= 1e-6 * abs(np.log(1e-7))
+    gt = np.eye(16, dtype=bool)
+    assert _bce(gt.astype(float), gt) <= 1e-6 * abs(np.log(1e-7))
 
 
-def test_bce_matches_scalar_loop(rand_image, rand_target):
-    rng = np.random.default_rng(6)
-    pm = ProbMap(SPEC16, rng.uniform(0.01, 0.99, (16, 16)))
-    got = loss_bce(pm, rand_target)
+def test_bce_matches_scalar_loop(rand_target):
+    probs = np.random.default_rng(6).uniform(0.01, 0.99, (16, 16))
+    got = _bce(probs, rand_target.mask)
     total = 0.0
     for i in range(16):
         for j in range(16):
-            p = min(max(pm.values[i, j], 1e-7), 1 - 1e-7)
+            p = min(max(probs[i, j], 1e-7), 1 - 1e-7)
             t = 1.0 if rand_target.mask[i, j] else 0.0
             total += -(t * np.log(p) + (1 - t) * np.log(1 - p))
     assert got == pytest.approx(total / 256, abs=1e-12)
@@ -816,9 +811,12 @@ def test_train_aborts_on_nonfinite_loss(tiny_pairs):
 
 
 def test_infer_mle_matches_forward(rand_image):
+    """infer_mle is one forward_batch on the normalized counts, dropout off, clipped."""
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=1)
-    np.testing.assert_array_equal(infer_mle(net, rand_image).values,
-                                  forward(net, rand_image).values)
+    x = normalize_counts(rand_image.counts)[None, :, :, None]
+    want = np.clip(forward_batch(net, x)[0][0, :, :, 0].astype(np.float64),
+                   PROB_CLIP, 1.0 - PROB_CLIP)
+    assert infer_mle(net, rand_image).values.tobytes() == want.tobytes()
 
 
 def test_mcd_zero_dropout_equals_mle(rand_image):
@@ -848,7 +846,7 @@ def test_mcd_reproducible_and_matches_welford(rand_image):
     m = np.zeros((16, 16))
     m2 = np.zeros((16, 16))
     for t in range(50):
-        v = forward(net, rand_image, rng=seeded_rng(9, t)).values
+        v = forward_maps(net, rand_image, [seeded_rng(9, t)])[0]
         delta = v - m
         m += delta / (t + 1)
         m2 += delta * (v - m)
@@ -871,7 +869,7 @@ def test_mcd_sub_seed_independent_of_pass_order(seed, order):
         assert net.dtype == np.float32
         stack = np.empty((len(order), res, res))
         for t in order:
-            stack[t] = forward(net, image, rng=seeded_rng(seed, t)).values
+            stack[t] = forward_maps(net, image, [seeded_rng(seed, t)])[0]
         mean, conf = infer_mcd(net, image, T=len(order), seed=seed)
         np.testing.assert_array_equal(stack.mean(axis=0), mean.values)
         np.testing.assert_array_equal(stack.std(axis=0), conf.sigma)
