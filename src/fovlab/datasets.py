@@ -91,12 +91,15 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
 
 def load_manifest(root) -> dict:
     """The manifest under `root`. One that is not JSON, lacks "grid" or "splits",
-    or has a malformed grid or filter is a DataError naming the file."""
+    has "splits" that is not an object, or has a malformed grid or filter is a
+    DataError naming the file."""
     path = Path(root) / "manifest.json"
     try:
         manifest = json.loads(path.read_bytes())
         if not isinstance(manifest, dict) or not {"grid", "splits"} <= manifest.keys():
             raise DataError("manifest needs 'grid' and 'splits'")
+        if not isinstance(manifest["splits"], dict):
+            raise DataError("manifest 'splits' is not an object")
         manifest_grid(manifest), manifest_filter(manifest)
     except FileNotFoundError:
         raise DataError(f"no manifest.json under {root}") from None
@@ -120,9 +123,11 @@ def load_frames(root, split: str) -> list[Frame]:
     root = Path(root)
     manifest = load_manifest(root)
     grid = manifest_grid(manifest)
-    return [Frame(fio.load_point_cloud(root / row["cloud"]),
-                  fio.load_mask_pgm(root / row["mask"], grid))
-            for row in manifest["splits"].get(split, [])]
+    try:
+        files = [(root / row["cloud"], root / row["mask"]) for row in manifest["splits"].get(split, [])]
+    except (KeyError, TypeError) as e:  # a row that is not an object with both keys
+        raise DataError(f"{root / 'manifest.json'}: bad {split} row ({type(e).__name__}: {e})") from e
+    return [Frame(fio.load_point_cloud(cloud), fio.load_mask_pgm(mask, grid)) for cloud, mask in files]
 
 
 def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
@@ -142,6 +147,11 @@ def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
     src = Path(in_dir)
     out = Path(out_dir)
     manifest = load_manifest(src)
+    try:  # split -> per frame, (source, destination) of its cloud, mask and scene
+        files = {split: [[(src / row[k], out / row[k]) for k in ("cloud", "mask", "scene")]
+                         for row in rows] for split, rows in manifest["splits"].items()}
+    except (KeyError, TypeError) as e:
+        raise DataError(f"{src / 'manifest.json'}: bad split row ({type(e).__name__}: {e})") from e
     if out.exists() and any(out.iterdir()):
         if not force:
             raise DataError(f"output directory {out} is not empty (use force to overwrite)")
@@ -150,15 +160,15 @@ def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
 
     manifest["attack"] = dataclasses.asdict(attack)
     manifest["attack_seed"] = seed
-    for split, rows in manifest["splits"].items():
+    for split, rows in files.items():
         if rows:
             (out / split).mkdir(exist_ok=True)
-        for i, row in enumerate(rows):
-            cloud = fio.load_point_cloud(src / row["cloud"])
+        for i, ((cloud_in, cloud_out), *copies) in enumerate(rows):
+            cloud = fio.load_point_cloud(cloud_in)
             per_frame = dataclasses.replace(attack, seed=frame_seed(seed, split, i))
-            fio.save_point_cloud(out / row["cloud"], spoof(cloud, per_frame))
-            shutil.copyfile(src / row["mask"], out / row["mask"])
-            shutil.copyfile(src / row["scene"], out / row["scene"])
+            fio.save_point_cloud(cloud_out, spoof(cloud, per_frame))
+            for a, b in copies:  # mask and scene
+                shutil.copyfile(a, b)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 

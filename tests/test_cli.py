@@ -369,6 +369,11 @@ MALFORMED_FILES = {
     "filter-unknown-key": ("manifest.json", _json_edit(lambda m: m["filter"].update(bogus=1))),
     "grid-without-resolution": ("manifest.json",
                                 _json_edit(lambda m: m["grid"].pop("resolution"))),
+    "test-row-without-mask": ("manifest.json",
+                              _json_edit(lambda m: m["splits"]["test"][0].pop("mask"))),
+    "test-row-not-object": ("manifest.json",
+                            _json_edit(lambda m: m["splits"]["test"].__setitem__(0, "x.fvpc"))),
+    "splits-not-object": ("manifest.json", _json_edit(lambda m: m.update(splits=[]))),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from fovlab.attacks import AttackSpec
 from fovlab.datasets import (attack_dataset, frames_to_pairs, load_frames, load_manifest,
-                             manifest_grid, synthesize_dataset)
+                             manifest_filter, manifest_grid, synthesize_dataset)
 from fovlab.errors import DataError
 from fovlab.scenes import LidarModel, SceneFamily, ground_truth_fov
 from fovlab.types import FilterSpec, GridSpec
@@ -111,3 +111,25 @@ def test_frames_to_pairs(small_dataset):
 def test_load_manifest_missing(tmp_path):
     with pytest.raises(DataError):
         load_manifest(tmp_path)
+
+
+def test_manifest_filter_null_is_error():
+    """An absent or empty filter is the default; `null` is refused."""
+    assert manifest_filter({}) == FilterSpec() == manifest_filter({"filter": {}})
+    with pytest.raises(DataError):
+        manifest_filter({"filter": None})
+
+
+def test_attack_dataset_malformed_split_is_data_error(small_dataset, tmp_path):
+    """A frame row without its scene is refused before anything is written."""
+    root, manifest = small_dataset
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    rows = [{k: str(root / v) for k, v in row.items()} for row in manifest["splits"]["test"]]
+    del rows[1]["scene"]
+    (bad / "manifest.json").write_text(json.dumps({**manifest, "splits": {"test": rows}}))
+    out = tmp_path / "adv"
+    with pytest.raises(DataError, match="bad split row") as err:
+        attack_dataset(bad, out, AttackSpec(kind="uniform", n_points=5, bounds=75.0))
+    assert str(bad / "manifest.json") in str(err.value)
+    assert not out.exists()

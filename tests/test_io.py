@@ -75,6 +75,17 @@ def test_pgm_header_and_values(tmp_path):
     assert body[2 * 8 + 3] == 255
 
 
+@pytest.mark.parametrize("header", [b"2x6 8 255", b"064 8 255", b"+8 8 255", b"16 16 255",
+                                    b"8 8 1"])
+def test_pgm_header_must_match_spec(tmp_path, header):
+    """The header tokens are `<res> <res> 255` of the spec, compared as bytes."""
+    spec = GridSpec(extent=8.0, resolution=8)
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n" + header + b"\n" + bytes(8 * 8))
+    with pytest.raises(DataError, match="expected a 8x8 maxval-255 PGM"):
+        fio.load_mask_pgm(path, spec)
+
+
 def test_pgm_bytes_deterministic(tmp_path):
     spec = GridSpec(extent=8.0, resolution=8)
     mask = FovMask(spec, np.eye(8, dtype=bool))
