@@ -181,7 +181,7 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
     def candidates(current: int, prev_angle: float, m: int):
         """(candidate, crosses the boundary) pairs from hull vertex m - 1, in order."""
         avail = np.nonzero(~used)[0]
-        if m >= 4 and used[first]:
+        if m >= 4:
             avail = np.append(avail, first)  # closing the loop becomes legal
         d2 = np.sum((pts[avail] - pts[current]) ** 2, axis=1)
         avail = avail[np.argsort(d2, kind="stable")[:kk]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,9 @@ def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network 
 
     Classical estimators run project -> filter -> estimator -> rasterize and
     score each cell by its mask bit. 'mle' and 'mcd' run `cloud_to_bev` and
-    the network `net`; `seed` drives the MC-dropout passes. Parameters are
-    checked here, so a ValueError from `estimate` means a degenerate frame.
+    the network `net`; `seed` drives the MC-dropout passes, whose (H, W)
+    standard deviation is the sigma of 'mcd'. Parameters are checked here, so
+    a ValueError from `estimate` means a degenerate frame.
     """
     if name not in ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}; choose from {', '.join(ESTIMATORS)}")
@@ -64,8 +65,7 @@ def make_estimator(name: str, grid: GridSpec, filt: FilterSpec, *, net: Network 
         def infer(cloud, seed):
             img = cloud_to_bev(cloud, grid, filt)
             if name == "mcd":
-                pm, conf = infer_mcd(net, img, T=mcd_passes, seed=seed)
-                sigma = conf.sigma
+                pm, sigma = infer_mcd(net, img, T=mcd_passes, seed=seed)
             else:
                 pm, sigma = infer_mle(net, img), None
             return binarize(pm, threshold), pm.values, sigma
@@ -98,7 +98,8 @@ def evaluate(predict, truths, labels: dict | None = None) -> tuple[list[dict], d
     which leaves AUPRC out, and anything after them is ignored. A ValueError
     from `predict` makes the frame a row with its "error", left out of the
     pool. AUPRC is None where no cell is visible. Returns (per-frame rows,
-    pooled row); every row carries `labels` and "frame".
+    pooled row). A scored row is `labels`, "frame" (its index, or "pooled"),
+    the fields of `metrics.MetricRecord`, then "auprc" where there are scores.
     """
     labels = labels or {}
     rows = []
@@ -112,13 +113,13 @@ def evaluate(predict, truths, labels: dict | None = None) -> tuple[list[dict], d
             continue
         c = confusion(mask, gt)
         total = total + c
-        row = metrics(c, {**labels, "frame": i}).to_row()
+        row = {**labels, "frame": i, **asdict(metrics(c))}
         if scores is not None:
             scored.append(np.ravel(scores))
             truth.append(gt.mask.ravel())
             row["auprc"] = _auprc(scored[-1], truth[-1])
         rows.append(row)
-    pooled = metrics(total, {**labels, "frame": "pooled"}).to_row()
+    pooled = {**labels, "frame": "pooled", **asdict(metrics(total))}
     if scored:
         pooled["auprc"] = _auprc(np.concatenate(scored), np.concatenate(truth))
     return rows, pooled

@@ -18,9 +18,6 @@ def project_to_bev(cloud: PointCloud) -> np.ndarray:
     BEV grid is sensor-centered, so the pose position is ignored. Returns an
     (N, 3) array of gravity-aligned (x, y) plus the retained z.
     """
-    q = cloud.pose.quaternion
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-        raise ValueError("pose quaternion is not unit norm")
     return cloud.points @ cloud.pose.rotation_matrix().T
 
 

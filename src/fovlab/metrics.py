@@ -6,7 +6,7 @@ which keeps all-invisible degenerate frames well-defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class MetricRecord:
     recall: float
     accuracy: float
     f1: float
-    labels: dict = field(default_factory=dict)
-
-    def to_row(self) -> dict:
-        return {**self.labels, "precision": self.precision, "recall": self.recall,
-                "accuracy": self.accuracy, "f1": self.f1}
 
 
 def confusion(pred: FovMask, gt: FovMask) -> ConfusionCounts:
@@ -59,12 +54,12 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def metrics(c: ConfusionCounts, labels: dict | None = None) -> MetricRecord:
+def metrics(c: ConfusionCounts) -> MetricRecord:
     precision = _safe_div(c.tp, c.tp + c.fp)
     recall = _safe_div(c.tp, c.tp + c.fn)
     accuracy = _safe_div(c.tp + c.tn, c.total)
     f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return MetricRecord(precision, recall, accuracy, f1, labels=dict(labels or {}))
+    return MetricRecord(precision, recall, accuracy, f1)
 
 
 def iou(pred: FovMask, gt: FovMask) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import flat_ranges
 from .types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
@@ -169,6 +168,8 @@ def point_in_convex(poly: np.ndarray, point) -> bool:
 
 def _convex_blob(rng: np.random.Generator, center: np.ndarray, size: float) -> np.ndarray | None:
     """Random convex polygon of roughly `size` diameter around `center`."""
+    # imported here, not at module load, where it was most of `import fovlab.cli`'s time
+    from scipy.spatial import ConvexHull, QhullError
     n = int(rng.integers(4, 9))
     radii = (size / 2.0) * np.sqrt(rng.uniform(0.3, 1.0, n))
     ang = rng.uniform(0.0, 2.0 * np.pi, n)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from ..types import BevImage, ConfidenceMap, FovMask, ProbMap, seeded_rng
+import numpy as np
+
+from ..types import BevImage, FovMask, ProbMap, seeded_rng
 from .network import Network, forward_maps
 
 DEFAULT_THRESHOLD = 0.7  # visibility decision threshold on probability maps
@@ -14,19 +16,18 @@ def infer_mle(net: Network, image: BevImage) -> ProbMap:
 
 
 def infer_mcd(net: Network, image: BevImage, T: int = 20,
-              seed: int = 0) -> tuple[ProbMap, ConfidenceMap]:
+              seed: int = 0) -> tuple[ProbMap, np.ndarray]:
     """T stochastic forward passes with dropout active.
 
     Pass t draws its dropout masks from `seeded_rng(seed, t)`, so passes may
     run in any order (or in parallel) with identical results. Returns the
-    per-cell mean map and the population standard deviation as a confidence map.
+    per-cell mean map and the confidence map: the (H, W) float64 population
+    standard deviation of the passes.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     stack = forward_maps(net, image, [seeded_rng(seed, t) for t in range(T)])
-    mean = stack.mean(axis=0)
-    sigma = stack.std(axis=0)  # population std (divide by T)
-    return ProbMap(image.spec, mean), ConfidenceMap(image.spec, sigma)
+    return ProbMap(image.spec, stack.mean(axis=0)), stack.std(axis=0)
 
 
 def binarize(pm: ProbMap, threshold: float = DEFAULT_THRESHOLD) -> FovMask:

@@ -131,8 +131,7 @@ class Workspace:
         self.bufs, self.w_mats, self.stem_of = {}, {}, None
 
 
-def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool = False,
-                  ws: Workspace | None = None):
+def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | None = None):
     """Run the network on a normalized channels-last (N, H, W, 1) batch.
 
     Returns (probs (N, H, W, 1) raw sigmoid output, caches). Dropout is
@@ -141,17 +140,15 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool 
     The pass runs on `ws` (a new Workspace when None): each activation is the
     interior of a zero-bordered buffer its producer writes into, and the stem
     is reused while the input bytes are unchanged. `caches`, for backward_batch,
-    is built only with `keep_caches` (training steps and grad_check), as views
-    of the buffers of a workspace of the pass's own: the parameters change
-    between steps, and a shared workspace's weight matrices and stem would not.
+    are built only on a workspace of the pass's own (`ws` None), as views of
+    its buffers, and are None on a shared `ws`: the parameters change between
+    training steps, and a shared workspace's weight matrices and stem would not.
     """
-    if keep_caches and ws is not None:
-        raise ValueError("keep_caches and ws are exclusive")
+    caches = {} if ws is None else None
     ws = ws or Workspace(net)
     cfg, p, rate = net.config, net.params, net.config.dropout_rate
     ws.w_mats = ws.w_mats or {name: L._w_mat(p[f"{name}.W"])
                               for name, *_, k in conv_specs(cfg) if k == 3}
-    caches = {} if keep_caches else None
     n, res = x.shape[:2]
 
     def kept(key, out, cache):
@@ -202,8 +199,8 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, keep_caches: bool 
 
 
 def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
-    """Gradients of every parameter given dLoss/dlogits and forward_batch's
-    caches (kept with keep_caches=True). A 3x3 conv reads the nine shifted
+    """Gradients of every parameter given dLoss/dlogits and the caches of a
+    forward_batch pass on its own workspace. A 3x3 conv reads the nine shifted
     windows of the bordered input it kept, one at a time, and builds no im2col
     matrix."""
     cfg = net.config
@@ -247,7 +244,7 @@ def forward_maps(net: Network, image: BevImage, rngs) -> np.ndarray:
     res = net.config.resolution
     if image.spec.resolution != res:
         raise ValueError(f"image resolution {image.spec.resolution} != network resolution {res}")
-    x = normalize_counts(image.counts, np.float32 if net.dtype == np.float32 else np.float64)
+    x = normalize_counts(image.counts, net.dtype)
     x, maps, ws = x[None, :, :, None], np.empty((len(rngs), res, res)), Workspace(net)
     for t, rng in enumerate(rngs):
         maps[t] = forward_batch(net, x, drop_rng=rng, ws=ws)[0][0, :, :, 0]

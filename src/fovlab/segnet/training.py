@@ -41,12 +41,9 @@ def _bce_and_dlogits(probs: np.ndarray, targets: np.ndarray):
     zone the exact derivative is zero, elsewhere it is (p - t) / n_cells.
     """
     p = probs.astype(np.float64)
-    t = targets.astype(np.float64)
     in_range = (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
-    pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    loss = float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
-    dlogits = np.where(in_range, p - t, 0.0) / p.size
-    return loss, dlogits.astype(probs.dtype)
+    dlogits = np.where(in_range, p - targets.astype(np.float64), 0.0) / p.size
+    return _bce(probs, targets), dlogits.astype(probs.dtype)
 
 
 class Adam:
@@ -105,7 +102,6 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     shuffle_rng = seeded_rng(cfg.seed, 0xD5)
 
     best_val = np.inf
-    best_params = None
     bad_epochs = 0
     history = []
     for epoch in range(1, cfg.max_epochs + 1):
@@ -114,8 +110,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
         train_loss = 0.0
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            probs, caches = forward_batch(net, xs[idx], drop_rng=seeded_rng(cfg.seed, epoch, b),
-                                          keep_caches=True)
+            probs, caches = forward_batch(net, xs[idx], drop_rng=seeded_rng(cfg.seed, epoch, b))
             loss, dlogits = _bce_and_dlogits(probs, ys[idx])
             if not np.isfinite(loss):
                 raise NumericError(
@@ -143,8 +138,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    if best_params is not None:
-        net.params = best_params
+    net.params = best_params  # set by the first epoch: a non-finite loss raises first
     return net, history
 
 
@@ -160,7 +154,7 @@ def grad_check(net: Network, image: BevImage, target: FovMask,
     x = normalize_counts(image.counts, net.dtype)[None, :, :, None]
     y = target.mask.astype(net.dtype)[None, :, :, None]
 
-    probs, caches = forward_batch(net, x, keep_caches=True)
+    probs, caches = forward_batch(net, x)
     _, dlogits = _bce_and_dlogits(probs, y)
     grads = backward_batch(net, caches, dlogits)
 

@@ -170,23 +170,6 @@ class ProbMap:
         self.values = v
 
 
-@dataclass
-class ConfidenceMap:
-    """Per-cell standard deviation across MC-dropout passes."""
-
-    spec: GridSpec
-    sigma: np.ndarray  # (res, res) float >= 0
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=np.float64)
-        res = self.spec.resolution
-        if s.shape != (res, res):
-            raise ValueError(f"sigma must be ({res}, {res}), got {s.shape}")
-        if s.size and s.min() < 0.0:
-            raise ValueError("sigma must be non-negative")
-        self.sigma = s
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """Point filter: planar range cap and vertical band (gravity-aligned frame)."""

@@ -309,16 +309,36 @@ def test_train_checkpoint_reproducible(dataset, tmp_path, config_path):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_infer_writes_outputs(dataset, tmp_path, config_path):
-    ckpt = tmp_path / "net.fvnt"
-    assert main(["train", "--dataset", str(dataset), "--config", str(config_path),
-                 "--out", str(ckpt), "--epochs", "1"]) == 0
+def test_infer_writes_outputs(dataset, tmp_path, checkpoint):
+    """`infer --mcd T` writes each frame's MC-dropout sigma, the one infer_mcd and
+    the mcd estimator return, as conf_*.npy; `--mcd 0` writes no confidence map."""
+    from fovlab.datasets import open_dataset
+    from fovlab.experiments import make_estimator
+    from fovlab.geometry import cloud_to_bev
+    from fovlab.segnet import infer_mcd, load_checkpoint
+    from fovlab.types import derive_seed
+
     out = tmp_path / "preds"
-    assert main(["infer", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+    assert main(["infer", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
                  "--split", "test", "--mcd", "3", "--out", str(out)]) == 0
     assert len(list(out.glob("prob_*.npy"))) == 3
     assert len(list(out.glob("pred_*.pgm"))) == 3
     assert len(list(out.glob("conf_*.npy"))) == 3
+    grid, filt, frames = open_dataset(dataset, "test")
+    net = load_checkpoint(checkpoint)
+    estimate = make_estimator("mcd", grid, filt, net=net, mcd_passes=3)
+    for i, frame in enumerate(frames):
+        got = np.load(out / f"conf_{i:05d}.npy")
+        image = cloud_to_bev(frame.cloud, grid, filt)
+        sigma = infer_mcd(net, image, T=3, seed=derive_seed(0, i))[1]
+        for want in (sigma, estimate(frame.cloud, derive_seed(0, i))[2]):
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    mle = tmp_path / "mle"
+    assert main(["infer", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--split", "test", "--mcd", "0", "--out", str(mle)]) == 0
+    assert len(list(mle.glob("prob_*.npy"))) == 3
+    assert not list(mle.glob("conf_*.npy"))
 
 
 def test_sweep_outputs(dataset, tmp_path):

@@ -6,6 +6,9 @@ module-level functions and classes that nothing in the program reaches."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,16 @@ def _seeding_calls(path: Path) -> list[str]:
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_random_streams_come_from_seeded_rng(path):
     assert _seeding_calls(path) == []
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    """scipy.spatial is imported by the first synthesis, not at `import fovlab.cli`:
+    it would be most of the import time of every command."""
+    code = "import fovlab.cli, sys; print('scipy.spatial' in sys.modules)"
+    path = f"{PACKAGE.parent}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "False"
 
 
 def _recorder_module():

@@ -260,7 +260,7 @@ def _conv3x3_forward_reference(x, W, b):
 
 
 def _forward_cached_reference(net, x, drop_rng=None):
-    """forward_batch with keep_caches as it was before training ran on a
+    """forward_batch's cache-keeping pass as it was before training ran on a
     workspace: every layer allocates its output, a 3x3 conv keeps its im2col
     matrix, ReLU a bool mask, max-pool its argmax, and the decoder joins its
     halves with np.concatenate. Returns (probs, caches) for _backward_reference."""
@@ -388,7 +388,7 @@ def test_training_steps_match_cached_reference_property(depth, base, n, res, dty
              (rng.uniform(size=(n, res, res, 1)) > 0.5).astype(dtype)) for _ in range(2)]
     for step, which in enumerate(batches):
         x, y = data[which]
-        got, caches = forward_batch(net, x, drop_rng=seeded_rng(seed, step), keep_caches=True)
+        got, caches = forward_batch(net, x, drop_rng=seeded_rng(seed, step))
         want, ref_caches = _forward_cached_reference(ref, x, drop_rng=seeded_rng(seed, step))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         _, dlogits = _bce_and_dlogits(got, y)
@@ -554,12 +554,10 @@ def test_forward_batch_probs_same_with_and_without_caches(dtype, dropout):
                     seed=1, dtype=dtype)
     x = np.random.default_rng(2).uniform(size=(3, 16, 16, 1)).astype(dtype)
     rng = (lambda: seeded_rng(5)) if dropout else (lambda: None)
-    kept, caches = forward_batch(net, x, drop_rng=rng(), keep_caches=True)
-    free, none = forward_batch(net, x, drop_rng=rng())
+    kept, caches = forward_batch(net, x, drop_rng=rng())
+    free, none = forward_batch(net, x, drop_rng=rng(), ws=Workspace(net))
     assert caches and none is None
     assert kept.tobytes() == free.tobytes()
-    with pytest.raises(ValueError):
-        forward_batch(net, x, keep_caches=True, ws=Workspace(net))
 
 
 def test_cache_free_forward_peak_memory_below_half_of_cached():
@@ -577,7 +575,7 @@ def test_cache_free_forward_peak_memory_below_half_of_cached():
 
     runs = {
         "former": lambda: _forward_cached_reference(net, x, drop_rng=seeded_rng(0)),
-        "cached": lambda: forward_batch(net, x, drop_rng=seeded_rng(0), keep_caches=True),
+        "cached": lambda: forward_batch(net, x, drop_rng=seeded_rng(0)),
         "free": free,
     }
     peaks = {}
@@ -610,7 +608,7 @@ def test_training_step_peak_memory_below_half_of_former():
     peaks = {}
     for key, fwd, bwd in (
             ("former", _forward_cached_reference, _backward_reference),
-            ("now", lambda *a, **k: forward_batch(*a, **k, keep_caches=True), backward_batch)):
+            ("now", forward_batch, backward_batch)):
         tracemalloc.start()
         try:
             grads = step(fwd, bwd)
@@ -659,11 +657,11 @@ def test_infer_mcd_normalizes_once(monkeypatch, rand_image):
 
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16), seed=1)
     monkeypatch.setattr(network, "normalize_counts", counted)
-    mean, conf = infer_mcd(net, rand_image, T=5, seed=2)
+    mean, sigma = infer_mcd(net, rand_image, T=5, seed=2)
     assert len(calls) == 1
     stack = np.stack([forward_maps(net, rand_image, [seeded_rng(2, t)])[0] for t in range(5)])
     assert mean.values.tobytes() == stack.mean(axis=0).tobytes()
-    assert conf.sigma.tobytes() == stack.std(axis=0).tobytes()
+    assert sigma.dtype == np.float64 and sigma.tobytes() == stack.std(axis=0).tobytes()
 
 
 def test_mcd_workspace_is_freed_and_does_not_grow_with_passes(monkeypatch):
@@ -822,25 +820,25 @@ def test_infer_mle_matches_forward(rand_image):
 def test_mcd_zero_dropout_equals_mle(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.0,
                               resolution=16), seed=1)
-    mean, conf = infer_mcd(net, rand_image, T=7, seed=0)
-    assert np.all(conf.sigma == 0.0)
+    mean, sigma = infer_mcd(net, rand_image, T=7, seed=0)
+    assert np.all(sigma == 0.0)
     np.testing.assert_allclose(mean.values, infer_mle(net, rand_image).values, atol=1e-15)
 
 
 def test_mcd_single_pass_zero_sigma(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.1,
                               resolution=16), seed=1)
-    _, conf = infer_mcd(net, rand_image, T=1, seed=0)
-    assert np.all(conf.sigma == 0.0)
+    _, sigma = infer_mcd(net, rand_image, T=1, seed=0)
+    assert sigma.shape == (16, 16) and np.all(sigma == 0.0)
 
 
 def test_mcd_reproducible_and_matches_welford(rand_image):
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.1,
                               resolution=16), seed=1)
-    mean1, conf1 = infer_mcd(net, rand_image, T=50, seed=9)
-    mean2, conf2 = infer_mcd(net, rand_image, T=50, seed=9)
+    mean1, sigma1 = infer_mcd(net, rand_image, T=50, seed=9)
+    mean2, sigma2 = infer_mcd(net, rand_image, T=50, seed=9)
     np.testing.assert_array_equal(mean1.values, mean2.values)
-    np.testing.assert_array_equal(conf1.sigma, conf2.sigma)
+    np.testing.assert_array_equal(sigma1, sigma2)
 
     # independent accumulation oracle: Welford online mean/variance per pass
     m = np.zeros((16, 16))
@@ -851,7 +849,7 @@ def test_mcd_reproducible_and_matches_welford(rand_image):
         m += delta / (t + 1)
         m2 += delta * (v - m)
     np.testing.assert_allclose(mean1.values, m, atol=1e-12)
-    np.testing.assert_allclose(conf1.sigma, np.sqrt(m2 / 50), atol=1e-12)
+    np.testing.assert_allclose(sigma1, np.sqrt(m2 / 50), atol=1e-12)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -870,9 +868,9 @@ def test_mcd_sub_seed_independent_of_pass_order(seed, order):
         stack = np.empty((len(order), res, res))
         for t in order:
             stack[t] = forward_maps(net, image, [seeded_rng(seed, t)])[0]
-        mean, conf = infer_mcd(net, image, T=len(order), seed=seed)
+        mean, sigma = infer_mcd(net, image, T=len(order), seed=seed)
         np.testing.assert_array_equal(stack.mean(axis=0), mean.values)
-        np.testing.assert_array_equal(stack.std(axis=0), conf.sigma)
+        np.testing.assert_array_equal(stack.std(axis=0), sigma)
 
 
 def test_binarize_threshold_semantics():
