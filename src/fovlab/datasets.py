@@ -120,8 +120,11 @@ def manifest_filter(manifest: dict) -> FilterSpec:
 
 
 def load_frames(root, split: str) -> list[Frame]:
-    root = Path(root)
-    manifest = load_manifest(root)
+    return _read_frames(Path(root), load_manifest(root), split)
+
+
+def _read_frames(root: Path, manifest: dict, split: str) -> list[Frame]:
+    """The frames of `split` that the loaded `manifest` of `root` lists."""
     grid = manifest_grid(manifest)
     try:
         files = [(root / row["cloud"], root / row["mask"]) for row in manifest["splits"].get(split, [])]
@@ -131,9 +134,10 @@ def load_frames(root, split: str) -> list[Frame]:
 
 
 def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
-    """Grid, filter and frames of one split; an empty split is a DataError."""
+    """Grid, filter and frames of one split, from one parse of the manifest;
+    an empty split is a DataError."""
     manifest = load_manifest(root)
-    frames = load_frames(root, split)
+    frames = _read_frames(Path(root), manifest, split)
     if not frames:
         raise DataError(f"dataset split {split!r} is empty")
     return manifest_grid(manifest), manifest_filter(manifest), frames

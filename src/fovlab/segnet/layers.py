@@ -9,7 +9,8 @@ Every forward writes into an `out` in a `network.Workspace`. A backward's
 cache is a view of those buffers: a 3x3 conv keeps its zero-bordered input and
 takes its nine shifted windows in turn, so no im2col matrix is built outside the
 forward's column block; ReLU takes its mask from its output, max-pool its
-routing from its input.
+routing from its input. Dropout keeps a bool keep mask, 1 byte a cell. The ReLU
+and dropout backwards overwrite their `dout` with the result.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ def relu_forward(x, out):
 
 
 def relu_backward(dout, out):
-    """ReLU gradient from its output (out > 0 iff x > 0). A dropout in place on
-    `out` zeroed only cells whose dout is already +-0, equal under either mask."""
-    return dout * (out > 0)
+    """ReLU gradient from its output (out > 0 iff x > 0), written into `dout`.
+    A dropout in place on `out` zeroed only cells whose dout is already +-0,
+    equal under either mask."""
+    return np.multiply(dout, out > 0, out=dout)
 
 
 def maxpool2_forward(x, out):
@@ -146,18 +148,28 @@ def upsample2_backward(dout):
     return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
 
 
+def _drop(x, keep, rate, out):
+    """x * keep / (1 - rate) into `out`: x * keep then times the scale in x's
+    dtype, the bits of x times the float keep mask it replaces."""
+    np.multiply(x, keep, out=out)
+    out *= x.dtype.type(1.0) / (1.0 - rate)
+    return out
+
+
 def dropout_forward(x, rate: float, rng, out):
-    """Inverted dropout into `out` (may be x) -> (out, mask); a copy with mask
-    None if rng is None or rate == 0."""
+    """Inverted dropout into `out` (may be x) -> (out, cache), cache the bool
+    keep mask and the rate; a copy with cache None if rng is None or rate == 0.
+    rng.random draws the stream and the doubles of rng.uniform."""
     if rng is None or rate <= 0.0:
         out[...] = x
         return out, None
-    mask = (rng.uniform(size=x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return np.multiply(x, mask, out=out), mask
+    keep = rng.random(size=x.shape) >= rate
+    return _drop(x, keep, rate, out), (keep, rate)
 
 
-def dropout_backward(dout, mask):
-    return dout if mask is None else dout * mask
+def dropout_backward(dout, cache):
+    """Dropout gradient from its (keep, rate) cache, written into `dout`."""
+    return dout if cache is None else _drop(dout, *cache, out=dout)
 
 
 def sigmoid(x):

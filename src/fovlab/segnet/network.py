@@ -143,6 +143,8 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
     are built only on a workspace of the pass's own (`ws` None), as views of
     its buffers, and are None on a shared `ws`: the parameters change between
     training steps, and a shared workspace's weight matrices and stem would not.
+    A `dec{l}.up` conv's cache holds its low-resolution source, not its
+    upsampled input, whose buffer the pass drops.
     """
     caches = {} if ws is None else None
     ws = ws or Workspace(net)
@@ -174,8 +176,7 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
         x = buf(f"{name}.drop", level, ch, 0) if stem else \
             conv_relu(conv_relu(x, f"{name}.c1", buf(f"{name}.c2", level, ch)),
                       f"{name}.c2", buf(f"{name}.drop", level, ch, 0))
-        out, mask = L.dropout_forward(x, rate, drop_rng, x if out is None else out)
-        return kept(f"{name}.drop", out, mask)
+        return kept(f"{name}.drop", *L.dropout_forward(x, rate, drop_rng, x if out is None else out))
 
     stem = (x.shape, x.tobytes())
     reuse, ws.stem_of = ws.stem_of == stem, stem
@@ -190,9 +191,12 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
         x = kept(f"pool{l}", pooled, (x, pooled))
     x = double_conv(x, "bott", cfg.depth, cfg.base_channels << cfg.depth)
     for l in reversed(range(cfg.depth)):
-        c = cfg.base_channels << l
-        x = L.upsample2_forward(x, out=buf(f"dec{l}.up", l, 2 * c))
-        conv(x, f"dec{l}.up", buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
+        c, up = cfg.base_channels << l, f"dec{l}.up"
+        conv(L.upsample2_forward(x, out=buf(up, l, 2 * c)), up,
+             buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
+        if caches is not None:  # keep the low-resolution x; backward_batch rebuilds the input
+            caches[up] = (x, *caches[up][1:])
+            del ws.bufs[up]
         x = double_conv(buf(f"dec{l}.c1", l, 2 * c), f"dec{l}", l, c)
     logits = kept("head", *L.conv1x1_forward(x, p["head.W"], p["head.b"]))
     return L.sigmoid(logits), caches
@@ -200,37 +204,45 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
 
 def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     """Gradients of every parameter given dLoss/dlogits and the caches of a
-    forward_batch pass on its own workspace. A 3x3 conv reads the nine shifted
-    windows of the bordered input it kept, one at a time, and builds no im2col
-    matrix."""
+    forward_batch pass on its own workspace. `caches` is consumed: each entry
+    is popped as it is used, so each level's buffers are freed once its
+    gradient is done. A 3x3 conv reads the nine shifted windows of its bordered
+    input one at a time and builds no im2col matrix; a `dec{l}.up` conv's input
+    is rebuilt from the low-resolution source it kept. The ReLU and dropout
+    backwards write into the gradient arrays made here."""
     cfg = net.config
     grads = {}
 
     def conv_bw(d, name, input_grad=True):
         d, grads[f"{name}.W"], grads[f"{name}.b"] = L.conv3x3_backward(
-            d, caches[name], input_grad=input_grad)
+            d, caches.pop(name), input_grad=input_grad)
         return d
 
     def conv_relu_bw(d, name, input_grad=True):
-        return conv_bw(L.relu_backward(d, caches[f"{name}.relu"]), name, input_grad)
+        return conv_bw(L.relu_backward(d, caches.pop(f"{name}.relu")), name, input_grad)
 
     def double_conv_bw(d, name, input_grad=True):
-        d = L.dropout_backward(d, caches[f"{name}.drop"])
+        d = L.dropout_backward(d, caches.pop(f"{name}.drop"))
         return conv_relu_bw(conv_relu_bw(d, f"{name}.c2"), f"{name}.c1", input_grad)
 
-    d, grads["head.W"], grads["head.b"] = L.conv1x1_backward(dlogits, caches["head"])
+    d, grads["head.W"], grads["head.b"] = L.conv1x1_backward(dlogits, caches.pop("head"))
 
     d_skip = {}
     for l in range(cfg.depth):  # reverse of decoder execution order
         d = double_conv_bw(d, f"dec{l}")
         ch = cfg.base_channels * (2 ** l)
         d_up, d_skip[l] = d[..., :ch], d[..., ch:]
+        src, shape, W = caches[f"dec{l}.up"]  # rebuild the bordered, upsampled input
+        n, h, w, c = shape
+        xp = np.zeros((n, h + 2, w + 2, c), src.dtype)
+        L.upsample2_forward(src, out=xp[:, 1:h + 1, 1:w + 1])
+        caches[f"dec{l}.up"] = (xp, shape, W)
         d = L.upsample2_backward(conv_bw(d_up, f"dec{l}.up"))
 
     d = double_conv_bw(d, "bott")
     for l in reversed(range(cfg.depth)):
-        d = L.maxpool2_backward(d, caches[f"pool{l}"])
-        d = d + d_skip[l]
+        d = L.maxpool2_backward(d, caches.pop(f"pool{l}"))
+        d = d + d_skip.pop(l)
         # the network's input takes no gradient
         d = double_conv_bw(d, f"enc{l}", input_grad=l > 0)
     return grads

@@ -1,4 +1,4 @@
-"""Loss, Adam optimizer, training loop with early stopping, and gradient checks."""
+"""Loss, Adam optimizer and training loop with early stopping."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError
-from ..types import BevImage, FovMask, seeded_rng
-from .network import (Network, NetConfig, PROB_CLIP, Workspace, backward_batch,
-                      forward_batch, normalize_counts, unet_init)
+from ..types import seeded_rng
+from .network import (Network, PROB_CLIP, Workspace, backward_batch, forward_batch,
+                      normalize_counts)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class TrainConfig:
 
 
 def _bce(probs: np.ndarray, targets: np.ndarray) -> float:
-    p = np.clip(probs.astype(np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
-    t = targets.astype(np.float64)
+    """Mean binary cross-entropy, computed in float64 (float64 arrays are not copied)."""
+    p = np.clip(probs.astype(np.float64, copy=False), PROB_CLIP, 1.0 - PROB_CLIP)
+    t = targets.astype(np.float64, copy=False)
     return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))
 
 
@@ -40,10 +41,10 @@ def _bce_and_dlogits(probs: np.ndarray, targets: np.ndarray):
     The loss clamps probabilities to [PROB_CLIP, 1-PROB_CLIP]; in the clamped
     zone the exact derivative is zero, elsewhere it is (p - t) / n_cells.
     """
-    p = probs.astype(np.float64)
+    p, t = probs.astype(np.float64), targets.astype(np.float64)
     in_range = (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
-    dlogits = np.where(in_range, p - targets.astype(np.float64), 0.0) / p.size
-    return _bce(probs, targets), dlogits.astype(probs.dtype)
+    dlogits = np.where(in_range, p - t, 0.0) / p.size
+    return _bce(p, t), dlogits.astype(probs.dtype)
 
 
 class Adam:
@@ -116,8 +117,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
                 raise NumericError(
                     f"non-finite training loss {loss!r} at epoch {epoch}, batch {b} "
                     f"(lr={cfg.learning_rate})")
-            grads = backward_batch(net, caches, dlogits)
-            del caches  # else the next batch's forward runs with two sets of caches alive
+            grads = backward_batch(net, caches, dlogits)  # empties caches
             opt.step(net.params, grads)
             train_loss += loss * idx.size
         train_loss /= n
@@ -140,54 +140,3 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
                 break
     net.params = best_params  # set by the first epoch: a non-finite loss raises first
     return net, history
-
-
-def grad_check(net: Network, image: BevImage, target: FovMask,
-               n_samples: int = 120, h: float = 1e-5, seed: int = 0) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Checks `n_samples` randomly chosen weight entries (biases are excluded:
-    with zero-bias init, degenerate all-zero inputs sit exactly on the ReLU
-    kink where one-sided bias perturbations are non-differentiable). Intended
-    for tiny float64 networks with dropout off.
-    """
-    x = normalize_counts(image.counts, net.dtype)[None, :, :, None]
-    y = target.mask.astype(net.dtype)[None, :, :, None]
-
-    probs, caches = forward_batch(net, x)
-    _, dlogits = _bce_and_dlogits(probs, y)
-    grads = backward_batch(net, caches, dlogits)
-
-    weight_names = [k for k in net.param_names() if k.endswith(".W")]
-    slots = [(k, i) for k in weight_names for i in range(net.params[k].size)]
-    picks = seeded_rng(seed).choice(len(slots), size=min(n_samples, len(slots)), replace=False)
-
-    def loss_at() -> float:
-        p, _ = forward_batch(net, x)
-        return _bce(p, y)
-
-    max_rel = 0.0
-    for pick in picks:
-        name, flat = slots[pick]
-        w = net.params[name].reshape(-1)
-        orig = w[flat]
-        w[flat] = orig + h
-        lp = loss_at()
-        w[flat] = orig - h
-        lm = loss_at()
-        w[flat] = orig
-        numeric = (lp - lm) / (2.0 * h)
-        analytic = grads[name].reshape(-1)[flat]
-        if not (np.isfinite(numeric) and np.isfinite(analytic)):
-            return np.inf
-        denom = max(abs(numeric), abs(analytic), 1e-8)
-        max_rel = max(max_rel, abs(numeric - analytic) / denom)
-    return float(max_rel)
-
-
-def tiny_check_net(depth: int = 3, base: int = 4, resolution: int = 16,
-                   seed: int = 0) -> Network:
-    """Small double-precision network for gradient checking."""
-    cfg = NetConfig(depth=depth, base_channels=base, dropout_rate=0.0,
-                    resolution=resolution)
-    return unet_init(cfg, seed=seed, dtype=np.float64)

@@ -192,10 +192,7 @@ def test_traced_training_sees_every_layer():
 # Module-level functions and classes of src/fovlab that no code of the program
 # names, each with the reason it is kept. Code added without a caller fails
 # the test below; code that gets wired must leave this set.
-UNREACHED = {
-    "segnet.training.grad_check": "test oracle: backprop against finite differences",
-    "segnet.training.tiny_check_net": "test fixture: the small net grad_check runs on",
-}
+UNREACHED: dict[str, str] = {}
 
 
 def _references(node) -> set[str]:
