@@ -12,12 +12,15 @@ as "failed"; when no frame works, it is a data error.
 
 Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError: a missing file,
 or a malformed config, checkpoint or dataset file, such as a manifest, PGM mask
-or FVPC cloud that does not parse or holds invalid values), 4 numeric failure;
-any other exception, ValueError included, is a bug and propagates. A flag value
-that a library check would refuse (an unknown estimator, a count, depth,
-threshold or attack sigma, bounds or center out of range, a learning rate that
-is not finite and positive, a crossval value outside the search grid) is a
-usage error: the flag's parser type applies the same rule, so nothing is written.
+or FVPC cloud that does not parse or holds invalid values, a checkpoint with a
+non-finite parameter, or a manifest row whose path is absolute or has a '..'
+part), 4 numeric failure (a non-finite training loss, or non-finite probability
+maps from a network whose activations overflow); any other exception,
+ValueError included, is a bug and propagates. A flag value that a library check
+would refuse (an unknown estimator, a count, depth, threshold or attack sigma,
+bounds or center out of range, a learning rate that is not finite and positive,
+a crossval value outside the search grid) is a usage error: the flag's parser
+type applies the same rule, so nothing is written.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .attacks import AttackSpec
+from .attacks import DEFAULT_BUDGET, AttackSpec
 from .classical import MIN_BINS, MIN_K
 from .config import load_config, parse_config, resolved_dict
-from .datasets import attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
+from .datasets import SPLITS, attack_dataset, frames_to_pairs, open_dataset, synthesize_dataset
 from .errors import DataError, NumericError
 from .experiments import (CLASSICAL_ESTIMATORS, CROSSVAL_BASE_CHANNELS, CROSSVAL_DROPOUT,
                           CROSSVAL_LR, ESTIMATORS, crossval, evaluate, format_table,
@@ -79,7 +82,7 @@ def cmd_synth(args) -> int:
 
 def cmd_attack(args) -> int:
     attack = AttackSpec(kind=args.kind, n_points=args.n_points,
-                        budget=max(150, args.n_points),
+                        budget=max(DEFAULT_BUDGET, args.n_points),
                         cluster_center=(args.center_x, args.center_y),
                         cluster_sigma=args.sigma, bounds=args.bounds,
                         seed=args.seed or 0)
@@ -202,9 +205,9 @@ def cmd_sweep(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, args.split)
     net = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    rows, per_frame = security_sweep(frames, grid, filt, estimators=args.estimators, net=net,
-                                     spoof_counts=args.counts, n_bins=args.n_bins, k=args.k,
-                                     mcd_passes=args.mcd, seed=args.seed or 0)
+    estimates = {name: make_estimator(name, grid, filt, net=net, n_bins=args.n_bins, k=args.k,
+                                      mcd_passes=args.mcd) for name in args.estimators}
+    rows, per_frame = security_sweep(frames, grid, estimates, args.counts, args.seed or 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_jsonl(out / "sweep.jsonl", rows)
@@ -286,69 +289,69 @@ _depth = _checked(int, lambda d: NetConfig(depth=d), "an integer in [3, 6]")
 _threshold = _checked(float, lambda t: 0.0 < t < 1.0, "a number in (0, 1)")
 
 
+def _classical(n_bins: int) -> argparse.ArgumentParser:
+    """Parent parser of the classical flags, one per --n-bins default: parsers
+    built from one parent share its Action objects, and so their defaults."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=n_bins)
+    parent.add_argument("--k", type=_int_at_least(MIN_K), default=16)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fovlab",
                                 description="FOV estimation workbench: synthesize scenes, "
                                             "attack them, estimate FOV, train and evaluate models")
     sub = p.add_subparsers(dest="command", required=True)
+    dataset, split, network = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    dataset.add_argument("--dataset", required=True)
+    split.add_argument("--split", default="test", choices=SPLITS)
+    data, classical = (dataset, split), _classical(360)
+    network.add_argument("--checkpoint", required=True)
+    network.add_argument("--mcd", type=_int_at_least(0), default=0,
+                         help="MC-dropout passes (0 = MLE)")
+    network.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
 
-    def add(name, fn, help_):
-        sp = sub.add_parser(name, help=help_)
+    def add(name, fn, help_, *parents):
+        sp = sub.add_parser(name, help=help_, parents=parents)
         sp.set_defaults(func=fn)
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         return sp
 
-    sp = add("synth", cmd_synth, "generate a synthetic dataset with ground-truth FOV masks")
+    sp = add("synth", cmd_synth, "generate a synthetic dataset with ground-truth FOV masks", split)
     sp.add_argument("--config", help="experiment config JSON")
     sp.add_argument("--out", help="output dataset directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     sp.add_argument("--frames", type=int, default=None, help="override frame count for --split")
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
 
-    sp = add("attack", cmd_attack, "write an adversarial variant of a dataset")
-    sp.add_argument("--dataset", required=True)
+    sp = add("attack", cmd_attack, "write an adversarial variant of a dataset", dataset)
     sp.add_argument("--out", required=True)
     sp.add_argument("--kind", default="uniform", choices=("uniform", "cluster"))
-    sp.add_argument("--n-points", type=_int_at_least(0), default=150)
+    sp.add_argument("--n-points", type=_int_at_least(0), default=DEFAULT_BUDGET)
     sp.add_argument("--bounds", type=_bounds, default=75.0)
     sp.add_argument("--center-x", type=_center, default=0.0)
     sp.add_argument("--center-y", type=_center, default=0.0)
     sp.add_argument("--sigma", type=_sigma, default=1.0)
     sp.add_argument("--force", action="store_true")
 
-    sp = add("estimate", cmd_estimate, "run a classical FOV estimator over a dataset")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
+    sp = add("estimate", cmd_estimate, "run a classical FOV estimator over a dataset",
+             *data, classical)
     sp.add_argument("--method", required=True, choices=CLASSICAL_ESTIMATORS)
-    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=360)
-    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
     sp.add_argument("--out", required=True, help="directory for masks and metrics.jsonl")
 
-    sp = add("train", cmd_train, "train the segmentation network on a dataset")
-    sp.add_argument("--dataset", required=True)
+    sp = add("train", cmd_train, "train the segmentation network on a dataset", dataset)
     sp.add_argument("--config", help="experiment config JSON (net/train sections)")
     sp.add_argument("--out", required=True, help="checkpoint path")
     sp.add_argument("--epochs", type=_int_at_least(1), default=None)
     sp.add_argument("--lr", type=_learning_rate, default=None)
 
-    sp = add("infer", cmd_infer, "write probability maps and masks for a split")
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--mcd", type=_int_at_least(0), default=0, help="MC-dropout passes (0 = MLE)")
-    sp.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
+    sp = add("infer", cmd_infer, "write probability maps and masks for a split", network, *data)
     sp.add_argument("--out", required=True)
 
-    sp = add("eval", cmd_eval, "evaluate a checkpoint against ground truth")
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
-    sp.add_argument("--mcd", type=_int_at_least(0), default=0)
-    sp.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
+    sp = add("eval", cmd_eval, "evaluate a checkpoint against ground truth", network, *data)
     sp.add_argument("--out", help="metrics JSON-lines path")
 
-    sp = add("crossval", cmd_crossval, "grid search via k-fold cross-validation")
-    sp.add_argument("--dataset", required=True)
+    sp = add("crossval", cmd_crossval, "grid search via k-fold cross-validation", dataset)
     sp.add_argument("--folds", type=_int_at_least(2), default=5)
     sp.add_argument("--depth", type=_depth, default=4)
     sp.add_argument("--epochs", type=_int_at_least(1), default=5)
@@ -357,27 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lr", type=float, choices=CROSSVAL_LR, default=None)
     sp.add_argument("--out")
 
-    sp = add("sweep", cmd_sweep, "metrics vs spoof count for a set of estimators")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
+    sp = add("sweep", cmd_sweep, "metrics vs spoof count for a set of estimators", *data, classical)
     sp.add_argument("--estimators", type=_estimator_list, default="rayq,rayc,concave")
     sp.add_argument("--counts", type=_int_list(0), default="0,25,50,75,100,125,150",
                     help="spoofed point counts, comma-separated")
     sp.add_argument("--checkpoint", help="checkpoint for mle/mcd estimators")
     sp.add_argument("--mcd", type=_int_at_least(1), default=20,
                     help="MC-dropout passes of the mcd estimator")
-    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=360)
-    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
     sp.add_argument("--out", required=True, help="output directory")
 
-    sp = add("bench", cmd_bench, "throughput of the full preprocess+estimate path")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--split", default="test", choices=("train", "val", "test"))
+    sp = add("bench", cmd_bench, "throughput of the full preprocess+estimate path",
+             *data, _classical(720))
     sp.add_argument("--method", default="rayq", choices=ESTIMATORS)
     sp.add_argument("--checkpoint")
     sp.add_argument("--frames", type=_int_at_least(1), default=50)
-    sp.add_argument("--n-bins", type=_int_at_least(MIN_BINS), default=720)
-    sp.add_argument("--k", type=_int_at_least(MIN_K), default=16)
 
     return p
 

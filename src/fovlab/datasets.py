@@ -8,7 +8,9 @@ On-disk layout under a dataset root:
     <split>/frame_NNNNN.scene.json
 
 The manifest lists, for every split in {train, val, test}, one
-{cloud, mask, scene} triple per frame (paths relative to the root).
+{cloud, mask, scene} triple per frame. Each path is relative to the root and
+inside it: a row path that is absolute or has a '..' part is a DataError,
+raised before any file is read or written.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
     identical config produces byte-identical files.
     """
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        if not force:
-            raise DataError(f"output directory {out} is not empty (use force to overwrite)")
-        shutil.rmtree(out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    _fresh_dir(out, force)
     manifest = {
         "family": dataclasses.asdict(family),
         "lidar": dataclasses.asdict(lidar),
@@ -126,11 +123,37 @@ def load_frames(root, split: str) -> list[Frame]:
 def _read_frames(root: Path, manifest: dict, split: str) -> list[Frame]:
     """The frames of `split` that the loaded `manifest` of `root` lists."""
     grid = manifest_grid(manifest)
-    try:
-        files = [(root / row["cloud"], root / row["mask"]) for row in manifest["splits"].get(split, [])]
-    except (KeyError, TypeError) as e:  # a row that is not an object with both keys
+    return [Frame(fio.load_point_cloud(cloud), fio.load_mask_pgm(mask, grid))
+            for cloud, mask in _split_files(root, manifest, split, ("cloud", "mask"))]
+
+
+def _split_files(root: Path, manifest: dict, split: str, keys: tuple) -> list[list[Path]]:
+    """The `keys` files of each frame row of `split` in the loaded `manifest` of
+    `root`, as paths under `root`. A row that is not an object with those keys,
+    or a path that is not a string, is absolute or has a '..' part, is a
+    DataError naming manifest.json."""
+    files = []
+    try:  # one loop of string tests: reading a small frame takes tens of microseconds
+        for row in manifest["splits"].get(split, []):
+            paths = []
+            for key in keys:
+                if row[key].startswith("/") or ".." in row[key].split("/"):
+                    raise ValueError(f"{row[key]!r} is not a relative path inside the dataset")
+                paths.append(root / row[key])
+            files.append(paths)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise DataError(f"{root / 'manifest.json'}: bad {split} row ({type(e).__name__}: {e})") from e
-    return [Frame(fio.load_point_cloud(cloud), fio.load_mask_pgm(mask, grid)) for cloud, mask in files]
+    return files
+
+
+def _fresh_dir(out: Path, force: bool) -> None:
+    """Create the output directory `out`; a non-empty one is a DataError
+    unless `force`, which removes it first."""
+    if out.exists() and any(out.iterdir()):
+        if not force:
+            raise DataError(f"output directory {out} is not empty (use force to overwrite)")
+        shutil.rmtree(out)
+    out.mkdir(parents=True, exist_ok=True)
 
 
 def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
@@ -151,28 +174,20 @@ def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
     src = Path(in_dir)
     out = Path(out_dir)
     manifest = load_manifest(src)
-    try:  # split -> per frame, (source, destination) of its cloud, mask and scene
-        files = {split: [[(src / row[k], out / row[k]) for k in ("cloud", "mask", "scene")]
-                         for row in rows] for split, rows in manifest["splits"].items()}
-    except (KeyError, TypeError) as e:
-        raise DataError(f"{src / 'manifest.json'}: bad split row ({type(e).__name__}: {e})") from e
-    if out.exists() and any(out.iterdir()):
-        if not force:
-            raise DataError(f"output directory {out} is not empty (use force to overwrite)")
-        shutil.rmtree(out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    files = {split: _split_files(src, manifest, split, ("cloud", "mask", "scene"))
+             for split in manifest["splits"]}
+    _fresh_dir(out, force)
     manifest["attack"] = dataclasses.asdict(attack)
     manifest["attack_seed"] = seed
     for split, rows in files.items():
         if rows:
             (out / split).mkdir(exist_ok=True)
-        for i, ((cloud_in, cloud_out), *copies) in enumerate(rows):
-            cloud = fio.load_point_cloud(cloud_in)
+        for i, (cloud, *copies) in enumerate(rows):
             per_frame = dataclasses.replace(attack, seed=frame_seed(seed, split, i))
-            fio.save_point_cloud(cloud_out, spoof(cloud, per_frame))
-            for a, b in copies:  # mask and scene
-                shutil.copyfile(a, b)
+            fio.save_point_cloud(out / cloud.relative_to(src),
+                                 spoof(fio.load_point_cloud(cloud), per_frame))
+            for path in copies:  # mask and scene
+                shutil.copyfile(path, out / path.relative_to(src))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 

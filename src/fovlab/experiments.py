@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, spoof
+from .attacks import DEFAULT_BUDGET, AttackSpec, spoof
 from .classical import (MIN_BINS, MIN_K, concave_hull, polar_to_mask, rasterize_polygon,
                         raytrace_continuous, raytrace_quantized)
 from .datasets import Frame
@@ -186,27 +186,22 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
 # security sweep
 
 
-def security_sweep(frames: list[Frame], grid: GridSpec, filt: FilterSpec,
-                   estimators=CLASSICAL_ESTIMATORS, net: Network | None = None,
-                   spoof_counts=(0, 25, 50, 75, 100, 125, 150), mcd_passes: int = 20,
-                   n_bins: int = 360, k: int = 16, seed: int = 0) -> tuple[list[dict], list[dict]]:
+def security_sweep(frames: list[Frame], grid: GridSpec, estimates: dict, spoof_counts,
+                   seed: int) -> tuple[list[dict], list[dict]]:
     """Metrics per (estimator, spoof count) under uniform spoofing.
 
-    `net` is the network of the learned estimators ('mle', 'mcd'), which
-    binarize at DEFAULT_THRESHOLD. Returns (rows, per_frame): one row of
-    means per (estimator, spoof count), over the frames that were scored (a
-    metric no frame defines is None), and every frame's record, failed frames
-    included (a long-format table for violin plots).
+    `estimates` maps each estimator's name to its `make_estimator` function.
+    Returns (rows, per_frame): one row of means per (estimator, spoof count),
+    over the frames that were scored (a metric no frame defines is None), and
+    every frame's record, failed frames included (a long-format table for
+    violin plots).
     """
-    estimates = [(est, make_estimator(est, grid, filt, net=net, n_bins=n_bins, k=k,
-                                      mcd_passes=mcd_passes))
-                 for est in estimators]
     counts = [int(n) for n in spoof_counts]
-    attacks = {n: AttackSpec(kind="uniform", n_points=n, budget=max(150, n), bounds=grid.extent)
-               for n in counts if n}
+    attacks = {n: AttackSpec(kind="uniform", n_points=n, budget=max(DEFAULT_BUDGET, n),
+                             bounds=grid.extent) for n in counts if n}
     truths = [f.mask for f in frames]
     rows, per_frame = [], []
-    for est, estimate in estimates:
+    for est, estimate in estimates.items():
         for n_spoof in counts:
             def predict(fi):
                 cloud = frames[fi].cloud

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import BevImage, FilterSpec, GridSpec, PointCloud, Pose
+from .types import BevImage, FilterSpec, GridSpec, PointCloud
 
 
 def project_to_bev(cloud: PointCloud) -> np.ndarray:
@@ -24,8 +24,6 @@ def project_to_bev(cloud: PointCloud) -> np.ndarray:
 def filter_points(points_xyz: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """Keep points with planar range <= max_range and z within [z_min, z_max]."""
     pts = np.asarray(points_xyz, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return pts
     planar = np.hypot(pts[:, 0], pts[:, 1])
     keep = (planar <= spec.max_range) & (pts[:, 2] >= spec.z_min) & (pts[:, 2] <= spec.z_max)
     return pts[keep]
@@ -37,20 +35,19 @@ def quantize(points_xy: np.ndarray, spec: GridSpec) -> BevImage:
     Cell index along each axis is floor((coord + extent) / cell_size); points
     exactly on the +extent boundary fall at index == resolution and are dropped.
     """
-    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2) if np.size(points_xy) else np.zeros((0, 2))
+    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
     res = spec.resolution
     counts = np.zeros((res, res), dtype=np.int64)
-    if pts.shape[0]:
-        idx = np.floor((pts + spec.extent) / spec.cell_size).astype(np.int64)
-        keep = np.all((idx >= 0) & (idx < res), axis=1)
-        idx = idx[keep]
-        np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
+    idx = np.floor((pts + spec.extent) / spec.cell_size).astype(np.int64)
+    keep = np.all((idx >= 0) & (idx < res), axis=1)
+    idx = idx[keep]
+    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
     return BevImage(spec, counts)
 
 
 def to_polar(points_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convert (N, 2) points to azimuths in [0, 2pi) and ranges. Origin points are dropped."""
-    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2) if np.size(points_xy) else np.zeros((0, 2))
+    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
     r = np.hypot(pts[:, 0], pts[:, 1])
     keep = r > 0.0
     if not keep.all():
@@ -77,5 +74,5 @@ def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImag
 
 __all__ = [
     "project_to_bev", "filter_points", "quantize", "to_polar",
-    "flat_ranges", "cloud_to_bev", "Pose",
+    "flat_ranges", "cloud_to_bev",
 ]

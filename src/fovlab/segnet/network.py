@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NumericError
 from ..types import BevImage, seeded_rng
 from . import layers as L
 
@@ -250,7 +250,8 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
 
 def forward_maps(net: Network, image: BevImage, rngs) -> np.ndarray:
     """(len(rngs), H, W) float64 probability maps of `image`, one pass per rng
-    (dropout off for None), clipped into [PROB_CLIP, 1 - PROB_CLIP]. The image
+    (dropout off for None), clipped into [PROB_CLIP, 1 - PROB_CLIP]; a
+    non-finite map (weights that overflow) is a NumericError. The image
     is normalized once, and the passes share one Workspace, dropped on return:
     its buffers, weight matrices and the stem before the first dropout are made once."""
     res = net.config.resolution
@@ -260,6 +261,8 @@ def forward_maps(net: Network, image: BevImage, rngs) -> np.ndarray:
     x, maps, ws = x[None, :, :, None], np.empty((len(rngs), res, res)), Workspace(net)
     for t, rng in enumerate(rngs):
         maps[t] = forward_batch(net, x, drop_rng=rng, ws=ws)[0][0, :, :, 0]
+    if not np.isfinite(maps).all():
+        raise NumericError("the network's probability maps are not finite")
     return np.clip(maps, PROB_CLIP, 1.0 - PROB_CLIP, out=maps)
 
 
@@ -281,6 +284,8 @@ def save_checkpoint(path, net: Network) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """The network of an FVNT checkpoint; a malformed file, or a non-finite
+    parameter, is a DataError."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12 or data[:4] != FVNT_MAGIC:
@@ -302,7 +307,10 @@ def load_checkpoint(path) -> Network:
             raw = data[offset:offset + 4 * n_vals]
             if len(raw) != 4 * n_vals:
                 raise DataError(f"{path}: truncated checkpoint")
-            net.params[name + suffix] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            values = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: non-finite values in {name + suffix}")
+            net.params[name + suffix] = values
             offset += 4 * n_vals
     if offset != len(data):
         raise DataError(f"{path}: trailing bytes in checkpoint")

@@ -165,7 +165,7 @@ class ProbMap:
         res = self.spec.resolution
         if v.shape != (res, res):
             raise ValueError(f"values must be ({res}, {res}), got {v.shape}")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
             raise ValueError("probabilities must lie in [0, 1]")
         self.values = v
 

@@ -363,6 +363,34 @@ def test_sweep_all_invisible_frame(dataset, tmp_path):
     assert per_frame[2].split(",")[header.index("auprc")] == ""
 
 
+def test_sweep_learned_without_checkpoint_is_data_error(dataset, tmp_path, capsys):
+    """mle needs --checkpoint: exit 3 before anything is written."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", str(dataset), "--estimators", "mle",
+                 "--out", str(out)]) == 3
+    assert "estimator 'mle' needs a checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, code", [(np.nan, 3), (1e30, 4)])
+def test_non_finite_network_fails(dataset, checkpoint, tmp_path, capsys, scale, code):
+    """A checkpoint with NaN weights is a data error (exit 3); finite weights
+    whose maps overflow are a numeric failure (exit 4). Neither writes a map."""
+    from fovlab.segnet import load_checkpoint, save_checkpoint
+    net = load_checkpoint(checkpoint)
+    for values in net.params.values():
+        values *= scale
+    bad = tmp_path / "bad.fvnt"
+    save_checkpoint(bad, net)
+    out = tmp_path / "infer"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for command in (["eval"], ["infer", "--out", str(out)]):
+            assert main([*command, "--checkpoint", str(bad), "--dataset", str(dataset)]) == code
+            assert ("non-finite values in enc0.c1.W" if code == 3 else "not finite") in \
+                capsys.readouterr().err
+    assert not list(tmp_path.glob("infer/*.npy"))
+
+
 def test_missing_files_exit_code(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.fvnt"),
                  "--dataset", str(tmp_path), "--split", "test"]) == 3

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -120,16 +121,45 @@ def test_manifest_filter_null_is_error():
         manifest_filter({"filter": None})
 
 
+def _bad_copy(root, manifest, tmp_path, edit):
+    """A copy of the dataset whose test split rows are `edit`ed."""
+    bad = tmp_path / "bad"
+    shutil.copytree(root, bad)
+    rows = [dict(row) for row in manifest["splits"]["test"]]
+    edit(rows)
+    (bad / "manifest.json").write_text(json.dumps({**manifest, "splits": {"test": rows}}))
+    return bad
+
+
 def test_attack_dataset_malformed_split_is_data_error(small_dataset, tmp_path):
     """A frame row without its scene is refused before anything is written."""
     root, manifest = small_dataset
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    rows = [{k: str(root / v) for k, v in row.items()} for row in manifest["splits"]["test"]]
-    del rows[1]["scene"]
-    (bad / "manifest.json").write_text(json.dumps({**manifest, "splits": {"test": rows}}))
+    bad = _bad_copy(root, manifest, tmp_path, lambda rows: rows[1].pop("scene"))
     out = tmp_path / "adv"
-    with pytest.raises(DataError, match="bad split row") as err:
+    with pytest.raises(DataError, match="bad test row") as err:
         attack_dataset(bad, out, AttackSpec(kind="uniform", n_points=5, bounds=75.0))
     assert str(bad / "manifest.json") in str(err.value)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+def test_attack_dataset_refuses_paths_outside_the_dataset(small_dataset, tmp_path, where):
+    """A row path that is absolute (here the source's own cloud) or climbs out
+    with '..' (a file beside the dataset) is refused before anything is
+    created: the file it names keeps its bytes."""
+    root, manifest = small_dataset
+    cloud = manifest["splits"]["test"][0]["cloud"]
+    (tmp_path / "victim").mkdir()
+    shutil.copyfile(root / cloud, tmp_path / "victim" / "c.fvpc")
+    path = {"absolute": str(tmp_path / "bad" / cloud), "parent": "../victim/c.fvpc"}[where]
+    bad = _bad_copy(root, manifest, tmp_path, lambda rows: rows[0].update(cloud=path))
+    victim = bad / path
+    before = victim.read_bytes()
+    out = tmp_path / "adv"
+    with pytest.raises(DataError, match="bad test row .* is not a relative path inside") as err:
+        attack_dataset(bad, out, AttackSpec(kind="uniform", n_points=10, bounds=75.0))
+    assert str(bad / "manifest.json") in str(err.value)
+    assert victim.read_bytes() == before
+    assert not out.exists()
+    with pytest.raises(DataError, match="is not a relative path inside"):
+        load_frames(bad, "test")

@@ -1,7 +1,8 @@
-"""Source hygiene: no unused top-level imports, no dangling ``__all__`` entries,
-random streams built only by the seeding helpers in ``types.py``, every
-function the benchmark traces still there under its name, and a ledger of the
-module-level functions and classes that nothing in the program reaches."""
+"""Source hygiene: no unused top-level imports, no dangling ``__all__`` entries
+(nor, outside ``__init__`` files, re-exported ones), random streams built only
+by the seeding helpers in ``types.py``, every function the benchmark traces
+still there under its name, and a ledger of the module-level functions and
+classes that nothing in the program reaches."""
 
 import ast
 import importlib
@@ -57,6 +58,27 @@ def test_all_entries_resolve(path):
     module = importlib.import_module(_module_name(path))
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+def _defined_names(tree) -> set[str]:
+    """Names a module's top-level definitions and assignments bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_all_lists_only_own_definitions(path):
+    """Outside ``__init__`` files, ``__all__`` re-exports nothing: an import
+    listed there would count as used and hide from the unused-import check."""
+    tree = ast.parse(path.read_text())
+    listed = {elt.value for node in tree.body if _is_all(node) for elt in node.value.elts}
+    assert listed - _defined_names(tree) == set()
 
 
 SEEDING = {"SeedSequence", "default_rng"}

@@ -1005,3 +1005,34 @@ def test_checkpoint_rejects_garbage(tmp_path):
     from fovlab.errors import DataError
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_non_finite_weight_is_data_error(tmp_path):
+    from fovlab.errors import DataError
+    net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=3)
+    for value in (np.nan, np.inf):
+        net.params["enc1.c1.W"][0, 0, 0, 0] = value
+        save_checkpoint(tmp_path / "bad.fvnt", net)
+        with pytest.raises(DataError, match="non-finite values in enc1.c1.W"):
+            load_checkpoint(tmp_path / "bad.fvnt")
+
+
+def test_overflowing_network_is_numeric_error(rand_image):
+    """Finite weights whose activations overflow give non-finite maps: a
+    NumericError, not maps clipped or averaged into probabilities."""
+    net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=3)
+    for values in net.params.values():
+        values *= 1e30
+    assert all(np.isfinite(v).all() for v in net.params.values())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="not finite"):
+            infer_mle(net, rand_image)
+        with pytest.raises(NumericError, match="not finite"):
+            infer_mcd(net, rand_image, T=2)
+
+
+def test_probmap_refuses_nan():
+    values = np.full((16, 16), 0.5)
+    values[3, 4] = np.nan
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        ProbMap(SPEC16, values)
