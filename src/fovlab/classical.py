@@ -65,11 +65,6 @@ class FovPolygon:
             raise ValueError("polygon needs >= 3 finite (x, y) vertices, each |x|, |y| <= 1e150")
         self.vertices = v
 
-    def area(self) -> float:
-        """Shoelace area (positive regardless of orientation)."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
 
 def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> PolarFov:
     """Max range per azimuth bin; bins with no points get range 0 (invisible)."""

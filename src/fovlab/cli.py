@@ -12,15 +12,18 @@ as "failed"; when no frame works, it is a data error.
 
 Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError: a missing file,
 or a malformed config, checkpoint or dataset file, such as a manifest, PGM mask
-or FVPC cloud that does not parse or holds invalid values, a checkpoint with a
-non-finite parameter, or a manifest row whose path is absolute or has a '..'
-part), 4 numeric failure (a non-finite training loss, or non-finite probability
-maps from a network whose activations overflow); any other exception,
-ValueError included, is a bug and propagates. A flag value that a library check
-would refuse (an unknown estimator, a count, depth, threshold or attack sigma,
-bounds or center out of range, a learning rate that is not finite and positive,
-a crossval value outside the search grid) is a usage error: the flag's parser
-type applies the same rule, so nothing is written.
+or FVPC cloud that does not parse or holds invalid values, a config frame count
+that is not a non-negative integer, a checkpoint with a non-finite parameter,
+a manifest row whose path is absolute or has a '..' part, a train split whose
+resolution the net depth of train or crossval cannot halve that often, or an
+attack --out that is, contains or lies inside --dataset), 4 numeric failure
+(a non-finite training loss, or non-finite probability maps from a network
+whose activations overflow); any other exception, ValueError included, is a bug
+and propagates. A flag value that a library check would refuse (an unknown
+estimator, a count, depth, threshold or attack sigma, bounds or center out of
+range, a learning rate that is not finite and positive, a crossval value
+outside the search grid) is a usage error: the flag's parser type applies the
+same rule, so nothing is written.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, learning_rate=args.lr))
     grid, filt, train_frames = open_dataset(args.dataset, "train")
     _, _, val_frames = open_dataset(args.dataset, "val")
+    _check_fit(train_frames, grid, cfg.net.depth, 1, f"net settings (depth {cfg.net.depth})")
     net_cfg = dataclasses.replace(cfg.net, resolution=grid.resolution)
     _echo_config(args, {"net": dataclasses.asdict(net_cfg),
                         "train": dataclasses.asdict(cfg.train)})
@@ -137,6 +141,14 @@ def cmd_train(args) -> int:
     best = min(h["val_loss"] for h in history)
     print(f"wrote checkpoint {out} ({len(history)} epochs, best val loss {best:.4f})")
     return 0
+
+
+def _check_fit(frames, grid, depth: int, folds: int, what: str) -> None:
+    """A train split with fewer frames than `folds`, or a resolution that a
+    UNet of `depth` cannot halve that often, is a DataError naming `what`."""
+    if len(frames) < folds or grid.resolution % (2 ** depth):
+        raise DataError(f"{what} do not fit the train split: "
+                        f"{len(frames)} frames at resolution {grid.resolution}")
 
 
 def _network_estimator(args):
@@ -176,10 +188,8 @@ def cmd_eval(args) -> int:
 def cmd_crossval(args) -> int:
     _echo_config(args)
     grid, filt, frames = open_dataset(args.dataset, "train")
+    _check_fit(frames, grid, args.depth, args.folds, f"--folds {args.folds} --depth {args.depth}")
     pairs = frames_to_pairs(frames, grid, filt)
-    if len(pairs) < args.folds or grid.resolution % (2 ** args.depth):
-        raise DataError(f"--folds {args.folds} --depth {args.depth} do not fit the train split: "
-                        f"{len(pairs)} frames at resolution {grid.resolution}")
     grid_cfgs = []
     for b in args.base_channels:
         for d in CROSSVAL_DROPOUT if args.dropout is None else (args.dropout,):
@@ -322,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="experiment config JSON")
     sp.add_argument("--out", help="output dataset directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
-    sp.add_argument("--frames", type=int, default=None, help="override frame count for --split")
+    sp.add_argument("--frames", type=_int_at_least(0), default=None,
+                    help="override frame count for --split")
 
     sp = add("attack", cmd_attack, "write an adversarial variant of a dataset", dataset)
     sp.add_argument("--out", required=True)

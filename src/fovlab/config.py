@@ -89,6 +89,8 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     frames = doc.get("frames", {"train": 0, "val": 0, "test": 0})
     if not isinstance(frames, dict) or set(frames) - {"train", "val", "test"}:
         raise DataError(f"{where}.frames: expected keys from {{train, val, test}}")
+    if any(type(n) is not int or n < 0 for n in frames.values()):
+        raise DataError(f"{where}.frames: expected non-negative integer counts, got {frames}")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):

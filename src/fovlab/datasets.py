@@ -11,6 +11,11 @@ The manifest lists, for every split in {train, val, test}, one
 {cloud, mask, scene} triple per frame. Each path is relative to the root and
 inside it: a row path that is absolute or has a '..' part is a DataError,
 raised before any file is read or written.
+
+`load_manifest(root)` is the one reader of manifest.json: it checks the
+document and returns `(manifest, grid, filter)`, the parsed dict with the
+GridSpec and FilterSpec it declares, each built once. `open_dataset` reads a
+split's frames from that parse, so every frame's mask carries that grid.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
         "splits": {},
     }
     for split in SPLITS:
-        n = int(frames_per_split.get(split, 0))
+        n = frames_per_split.get(split, 0)
         rows = []
         split_dir = out / split
         if n:
@@ -86,10 +91,11 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
     return manifest
 
 
-def load_manifest(root) -> dict:
-    """The manifest under `root`. One that is not JSON, lacks "grid" or "splits",
-    has "splits" that is not an object, or has a malformed grid or filter is a
-    DataError naming the file."""
+def load_manifest(root) -> tuple[dict, GridSpec, FilterSpec]:
+    """The manifest under `root`, with the grid and filter it declares, each
+    built once. One that is not JSON, lacks "grid" or "splits", has "splits"
+    that is not an object, or has a malformed grid or filter is a DataError
+    naming the file."""
     path = Path(root) / "manifest.json"
     try:
         manifest = json.loads(path.read_bytes())
@@ -97,34 +103,21 @@ def load_manifest(root) -> dict:
             raise DataError("manifest needs 'grid' and 'splits'")
         if not isinstance(manifest["splits"], dict):
             raise DataError("manifest 'splits' is not an object")
-        manifest_grid(manifest), manifest_filter(manifest)
+        try:
+            grid = GridSpec(extent=manifest["grid"]["extent"],
+                            resolution=manifest["grid"]["resolution"])
+        except (KeyError, TypeError, ValueError) as e:  # KeyError: both keys are required
+            raise DataError(f"bad grid ({type(e).__name__}: {e})") from e
+        filt = build_dataclass(FilterSpec, manifest.get("filter", {}), "filter")
     except FileNotFoundError:
         raise DataError(f"no manifest.json under {root}") from None
     except (ValueError, DataError) as e:  # ValueError: not JSON
         raise DataError(f"{path}: {e}") from e
-    return manifest
-
-
-def manifest_grid(manifest: dict) -> GridSpec:
-    try:
-        return GridSpec(extent=manifest["grid"]["extent"], resolution=manifest["grid"]["resolution"])
-    except (KeyError, TypeError, ValueError) as e:  # KeyError: both keys are required
-        raise DataError(f"bad grid ({type(e).__name__}: {e})") from e
-
-
-def manifest_filter(manifest: dict) -> FilterSpec:
-    return build_dataclass(FilterSpec, manifest.get("filter", {}), "filter")
+    return manifest, grid, filt
 
 
 def load_frames(root, split: str) -> list[Frame]:
-    return _read_frames(Path(root), load_manifest(root), split)
-
-
-def _read_frames(root: Path, manifest: dict, split: str) -> list[Frame]:
-    """The frames of `split` that the loaded `manifest` of `root` lists."""
-    grid = manifest_grid(manifest)
-    return [Frame(fio.load_point_cloud(cloud), fio.load_mask_pgm(mask, grid))
-            for cloud, mask in _split_files(root, manifest, split, ("cloud", "mask"))]
+    return open_dataset(root, split)[2]
 
 
 def _split_files(root: Path, manifest: dict, split: str, keys: tuple) -> list[list[Path]]:
@@ -157,23 +150,28 @@ def _fresh_dir(out: Path, force: bool) -> None:
 
 
 def open_dataset(root, split: str) -> tuple[GridSpec, FilterSpec, list[Frame]]:
-    """Grid, filter and frames of one split, from one parse of the manifest;
-    an empty split is a DataError."""
-    manifest = load_manifest(root)
-    frames = _read_frames(Path(root), manifest, split)
+    """Grid, filter and frames of one split, from one parse of the manifest:
+    every frame's mask carries that grid. An empty split is a DataError."""
+    manifest, grid, filt = load_manifest(root)
+    frames = [Frame(fio.load_point_cloud(cloud), fio.load_mask_pgm(mask, grid))
+              for cloud, mask in _split_files(Path(root), manifest, split, ("cloud", "mask"))]
     if not frames:
         raise DataError(f"dataset split {split!r} is empty")
-    return manifest_grid(manifest), manifest_filter(manifest), frames
+    return grid, filt, frames
 
 
 def attack_dataset(in_dir, out_dir, attack: AttackSpec, seed: int = 0,
                    force: bool = False) -> dict:
     """Write an adversarial variant: clouds rewritten through the injector,
     ground-truth masks and scenes copied unchanged (spoofed points do not
-    confer real visibility)."""
+    confer real visibility). An output directory that is the dataset, lies
+    inside it or contains it is a DataError, raised before anything is removed."""
     src = Path(in_dir)
     out = Path(out_dir)
-    manifest = load_manifest(src)
+    a, b = src.resolve(), out.resolve()
+    if a == b or a in b.parents or b in a.parents:
+        raise DataError(f"output directory {out} is, contains or lies inside the dataset {src}")
+    manifest = load_manifest(src)[0]
     files = {split: _split_files(src, manifest, split, ("cloud", "mask", "scene"))
              for split in manifest["splits"]}
     _fresh_dir(out, force)
@@ -200,5 +198,4 @@ def frames_to_pairs(frames: list[Frame], grid: GridSpec, filt: FilterSpec) -> li
 __all__ = [
     "Frame", "SPLITS", "frame_seed", "synthesize_dataset", "attack_dataset",
     "load_manifest", "load_frames", "open_dataset", "frames_to_pairs",
-    "manifest_grid", "manifest_filter",
 ]

@@ -129,30 +129,20 @@ def evaluate(predict, truths, labels: dict | None = None) -> tuple[list[dict], d
 # cross-validation
 
 
-def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None):
+def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0):
     """k-fold cross-validation over a (NetConfig, TrainConfig) grid.
 
     `dataset` is a sequence of (BevImage, FovMask) pairs. Folds are contiguous
     chunks of a seeded shuffle. Returns (best_net_cfg, best_train_cfg, table)
     where table rows record every (config, fold) validation loss. Ties are
-    broken by smaller parameter count, then lower learning rate.
-
-    `train_fn(net, train_set, val_set, cfg) -> (net, history)` may be injected
-    for testing; it defaults to segnet.train.
+    broken by smaller parameter count, then lower learning rate. The configs
+    are trained as given: the CLI's flags keep them on the CROSSVAL_* grid.
     """
     n = len(dataset)
     if not 2 <= folds <= n:
         raise ValueError(f"need 2 <= folds <= {n} samples, got {folds} folds")
     if not grid_configs:
         raise ValueError("empty cross-validation grid")
-    for net_cfg, train_cfg in grid_configs:
-        if net_cfg.base_channels not in CROSSVAL_BASE_CHANNELS:
-            raise ValueError(f"base_channels {net_cfg.base_channels} outside the search grid")
-        if not any(abs(net_cfg.dropout_rate - d) < 1e-12 for d in CROSSVAL_DROPOUT):
-            raise ValueError(f"dropout_rate {net_cfg.dropout_rate} outside the search grid")
-        if not any(abs(train_cfg.learning_rate - lr) < 1e-15 for lr in CROSSVAL_LR):
-            raise ValueError(f"learning_rate {train_cfg.learning_rate} outside the search grid")
-    train_fn = train_fn or train
 
     order = seeded_rng(seed, 0xCF).permutation(n)
     bounds = np.linspace(0, n, folds + 1).astype(int)
@@ -166,7 +156,7 @@ def crossval(dataset, grid_configs, folds: int = 5, seed: int = 0, train_fn=None
             val = [dataset[j] for j in fold_idx[fi]]
             tr = [dataset[j] for f2 in range(folds) if f2 != fi for j in fold_idx[f2]]
             net = unet_init(net_cfg, seed=seed + ci)
-            _, history = train_fn(net, tr, val, train_cfg)
+            _, history = train(net, tr, val, train_cfg)
             val_loss = min(h["val_loss"] for h in history)
             losses.append(val_loss)
             table.append({

@@ -51,7 +51,7 @@ def _read_jsonl(path):
 
 
 def test_synth_writes_expected_frames(dataset):
-    manifest = load_manifest(dataset)
+    manifest = load_manifest(dataset)[0]
     assert {s: len(r) for s, r in manifest["splits"].items()} == \
         {"train": 6, "val": 3, "test": 3}
 
@@ -63,7 +63,7 @@ def test_synth_refuses_overwrite(dataset, config_path):
 def test_synth_rerun_byte_identical(tmp_path, config_path, dataset):
     out2 = tmp_path / "again"
     assert main(["synth", "--config", str(config_path), "--out", str(out2)]) == 0
-    m = load_manifest(dataset)
+    m = load_manifest(dataset)[0]
     for rows in m["splits"].values():
         for row in rows:
             for key in ("cloud", "mask", "scene"):
@@ -76,7 +76,7 @@ def test_attack_and_mask_identity(dataset, tmp_path):
     assert main(["attack", "--dataset", str(dataset), "--out", str(out),
                  "--kind", "uniform", "--n-points", "25", "--bounds", "75",
                  "--seed", "1"]) == 0
-    m = load_manifest(dataset)
+    m = load_manifest(dataset)[0]
     from fovlab import io as fio
     for rows in m["splits"].values():
         for row in rows:
@@ -180,11 +180,10 @@ def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, co
 
 
 def _copy_dataset(dataset, tmp_path):
-    from fovlab.datasets import manifest_grid
     copy = tmp_path / "ds"
     shutil.copytree(dataset, copy)
-    manifest = load_manifest(copy)
-    return copy, manifest, manifest_grid(manifest)
+    manifest, grid, _ = load_manifest(copy)
+    return copy, manifest, grid
 
 
 def _blank_test_mask(dataset, tmp_path, index):
@@ -432,7 +431,7 @@ def test_malformed_dataset_file_is_data_error(dataset, tmp_path, capsys, case):
     copy = tmp_path / "ds"
     shutil.copytree(dataset, copy)
     if target != "manifest.json":
-        target = load_manifest(copy)["splits"]["test"][0][target]
+        target = load_manifest(copy)[0]["splits"]["test"][0][target]
     path = copy / target
     path.write_bytes(edit(path.read_bytes()))
     assert main(["estimate", "--dataset", str(copy), "--method", "rayq",
@@ -453,6 +452,65 @@ def test_crossval_dataset_that_does_not_fit_is_data_error(dataset, tmp_path, cap
     assert main(["crossval", "--dataset", str(tmp_path / "ds40"), "--folds", "2",
                  "--depth", "4", "--epochs", "1", "--base-channels", "4"]) == 3
     assert "at resolution 40" in capsys.readouterr().err
+
+
+def test_train_depth_that_does_not_fit_is_data_error(tmp_path, capsys):
+    """A config whose net depth cannot halve the dataset's resolution that
+    often exits 3 with crossval's message, and writes no checkpoint."""
+    cfg = tmp_path / "res96.json"
+    cfg.write_text(json.dumps({**CONFIG, "grid": {"extent": 75.0, "resolution": 96},
+                               "net": {"depth": 5}, "frames": {"train": 2, "val": 1, "test": 1}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds96")]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"net": {"depth": 6}}))
+    ckpt = tmp_path / "out" / "net.fvnt"
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(tmp_path / "ds96"), "--config", str(deep),
+                 "--out", str(ckpt), "--epochs", "1"]) == 3
+    assert "net settings (depth 6) do not fit the train split: 2 frames at resolution 96" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_negative_frames_is_usage_error(config_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--config", str(config_path), "--out", str(out), "--frames", "-2"])
+    assert exc.value.code == 2
+    assert "--frames: need an integer >= 0, got '-2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["x", -1, 1.5, True, None])
+def test_config_bad_frame_count_is_data_error(tmp_path, capsys, count):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**CONFIG, "frames": {"train": 1, "val": 1, "test": count}}))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"{cfg}.frames: expected non-negative integer counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _digests(root):
+    import hashlib
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("where", ["same", "inside", "contains"])
+def test_attack_out_overlapping_the_dataset_is_data_error(dataset, tmp_path, capsys, where):
+    """An --out that is the dataset, lies inside it or contains it exits 3
+    before anything is removed, even with --force: every source file keeps its
+    sha256 and nothing is created."""
+    src = tmp_path / "outer" / "ds"
+    shutil.copytree(dataset, src)
+    out = {"same": src, "inside": src / "adv", "contains": tmp_path / "outer"}[where]
+    before = _digests(tmp_path)
+    assert main(["attack", "--dataset", str(src), "--out", str(out), "--force",
+                 "--seed", "1"]) == 3
+    assert "is, contains or lies inside the dataset" in capsys.readouterr().err
+    assert _digests(tmp_path) == before
+    assert not (src / "adv").exists()
 
 
 @pytest.mark.parametrize("exc", [ValueError, FovlabError])

@@ -6,7 +6,7 @@ import pytest
 
 from fovlab.attacks import AttackSpec
 from fovlab.datasets import (attack_dataset, frames_to_pairs, load_frames, load_manifest,
-                             manifest_filter, manifest_grid, synthesize_dataset)
+                             open_dataset, synthesize_dataset)
 from fovlab.errors import DataError
 from fovlab.scenes import LidarModel, SceneFamily, ground_truth_fov
 from fovlab.types import FilterSpec, GridSpec
@@ -33,8 +33,9 @@ def test_manifest_structure(small_dataset):
             assert set(row) == {"cloud", "mask", "scene"}
             for key in row:
                 assert (root / row[key]).exists()
-    disk = load_manifest(root)
+    disk, grid, filt = load_manifest(root)
     assert disk["splits"] == manifest["splits"]
+    assert (grid, filt) == (GridSpec(extent=75.0, resolution=64), FilterSpec(max_range=75.0))
 
 
 def test_synthesis_deterministic(tmp_path, small_dataset):
@@ -54,7 +55,7 @@ def test_synthesis_deterministic(tmp_path, small_dataset):
 def test_masks_match_oracle_recompute(small_dataset):
     root, manifest = small_dataset
     lidar = LidarModel(**manifest["lidar"])
-    grid = manifest_grid(manifest)
+    grid = load_manifest(root)[1]
     frames = load_frames(root, "test")
     for frame, row in zip(frames, manifest["splits"]["test"]):
         want = ground_truth_fov(fio.load_scene(root / row["scene"]), lidar, grid)
@@ -83,7 +84,7 @@ def test_attack_dataset_deltas(small_dataset, tmp_path):
             np.testing.assert_array_equal(attacked.points[:len(benign)], benign.points)
             # ground truth masks copied byte-identically
             assert (root / row["mask"]).read_bytes() == (out / row["mask"]).read_bytes()
-    adv_manifest = load_manifest(out)
+    adv_manifest = load_manifest(out)[0]
     assert adv_manifest["attack"]["n_points"] == 25
 
 
@@ -92,7 +93,7 @@ def test_attack_dataset_deterministic(small_dataset, tmp_path):
     attack = AttackSpec(kind="uniform", n_points=10, bounds=75.0)
     attack_dataset(root, tmp_path / "a1", attack, seed=3)
     attack_dataset(root, tmp_path / "a2", attack, seed=3)
-    m = load_manifest(tmp_path / "a1")
+    m = load_manifest(tmp_path / "a1")[0]
     for rows in m["splits"].values():
         for row in rows:
             assert (tmp_path / "a1" / row["cloud"]).read_bytes() == \
@@ -100,9 +101,9 @@ def test_attack_dataset_deterministic(small_dataset, tmp_path):
 
 
 def test_frames_to_pairs(small_dataset):
-    root, manifest = small_dataset
-    grid = manifest_grid(manifest)
-    pairs = frames_to_pairs(load_frames(root, "train"), grid, FilterSpec(max_range=75.0))
+    root, _ = small_dataset
+    _, grid, filt = load_manifest(root)
+    pairs = frames_to_pairs(load_frames(root, "train"), grid, filt)
     assert len(pairs) == 3
     img, mask = pairs[0]
     assert img.counts.shape == (64, 64)
@@ -114,11 +115,25 @@ def test_load_manifest_missing(tmp_path):
         load_manifest(tmp_path)
 
 
-def test_manifest_filter_null_is_error():
+def test_manifest_filter_null_is_error(small_dataset, tmp_path):
     """An absent or empty filter is the default; `null` is refused."""
-    assert manifest_filter({}) == FilterSpec() == manifest_filter({"filter": {}})
-    with pytest.raises(DataError):
-        manifest_filter({"filter": None})
+    _, manifest = small_dataset
+    doc = {k: v for k, v in manifest.items() if k != "filter"}
+    for filt in ({}, {"filter": {}}):
+        (tmp_path / "manifest.json").write_text(json.dumps({**doc, **filt}))
+        assert load_manifest(tmp_path)[2] == FilterSpec()
+    (tmp_path / "manifest.json").write_text(json.dumps({**doc, "filter": None}))
+    with pytest.raises(DataError, match="filter: expected an object"):
+        load_manifest(tmp_path)
+
+
+def test_open_dataset_masks_carry_the_manifest_grid(small_dataset):
+    """The grid open_dataset returns is the one object every mask carries:
+    the manifest's grid is built once per read."""
+    root, _ = small_dataset
+    grid, _, frames = open_dataset(root, "train")
+    assert len(frames) == 3
+    assert all(frame.mask.spec is grid for frame in frames)
 
 
 def _bad_copy(root, manifest, tmp_path, edit):
@@ -162,4 +177,11 @@ def test_attack_dataset_refuses_paths_outside_the_dataset(small_dataset, tmp_pat
     assert victim.read_bytes() == before
     assert not out.exists()
     with pytest.raises(DataError, match="is not a relative path inside"):
+        load_frames(bad, "test")
+
+
+def test_load_frames_of_an_empty_split_is_data_error(small_dataset, tmp_path):
+    root, manifest = small_dataset
+    bad = _bad_copy(root, manifest, tmp_path, lambda rows: rows.clear())
+    with pytest.raises(DataError, match="dataset split 'test' is empty"):
         load_frames(bad, "test")

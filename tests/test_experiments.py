@@ -12,14 +12,18 @@ from fovlab.segnet import NetConfig, TrainConfig, unet_init
 from fovlab.types import FilterSpec, FovMask, GridSpec
 
 
-def fake_train(loss_by_channels):
-    """Injected trainer: deterministic loss keyed on base_channels."""
+@pytest.fixture
+def fake_train(monkeypatch):
+    """Install, as the trainer crossval calls, one whose validation loss is
+    keyed on base_channels; returns the function that installs it."""
+    from fovlab import experiments
 
-    def fn(net, train_set, val_set, cfg):
-        loss = loss_by_channels[net.config.base_channels]
-        return net, [{"epoch": 1, "train_loss": loss, "val_loss": loss, "seconds": 0.0}]
-
-    return fn
+    def install(loss_by_channels):
+        def fn(net, train_set, val_set, cfg):
+            loss = loss_by_channels[net.config.base_channels]
+            return net, [{"epoch": 1, "train_loss": loss, "val_loss": loss, "seconds": 0.0}]
+        monkeypatch.setattr(experiments, "train", fn)
+    return install
 
 
 def grid_pairs(channels=(4, 8), lr=1e-3, dropout=0.10, resolution=64):
@@ -27,72 +31,60 @@ def grid_pairs(channels=(4, 8), lr=1e-3, dropout=0.10, resolution=64):
              TrainConfig(learning_rate=lr, max_epochs=1, seed=0)) for b in channels]
 
 
-def test_crossval_single_config(tiny_pairs):
-    grid = grid_pairs(channels=(4,))
-    net_cfg, train_cfg, table = crossval(tiny_pairs, grid, folds=5, seed=0,
-                                         train_fn=fake_train({4: 0.5}))
+def test_crossval_single_config(tiny_pairs, fake_train):
+    fake_train({4: 0.5})
+    net_cfg, train_cfg, table = crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=5, seed=0)
     assert net_cfg.base_channels == 4
     assert len(table) == 5
     assert {row["fold"] for row in table} == set(range(5))
 
 
-def test_crossval_fold_partition(tiny_pairs):
+def test_crossval_fold_partition(tiny_pairs, monkeypatch):
     """Folds cover all samples with sizes differing by at most 1."""
+    from fovlab import experiments
     seen = []
 
     def spy_train(net, train_set, val_set, cfg):
         seen.append(len(val_set))
         return net, [{"epoch": 1, "train_loss": 0.1, "val_loss": 0.1, "seconds": 0.0}]
 
-    crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=5, seed=0, train_fn=spy_train)
+    monkeypatch.setattr(experiments, "train", spy_train)
+    crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=5, seed=0)
     assert sum(seen) == len(tiny_pairs)
     assert max(seen) - min(seen) <= 1
 
 
-def test_crossval_planted_optimum(tiny_pairs):
-    net_cfg, _, _ = crossval(tiny_pairs, grid_pairs(channels=(4, 8, 16)), folds=3,
-                             seed=0, train_fn=fake_train({4: 0.9, 8: 0.2, 16: 0.7}))
+def test_crossval_planted_optimum(tiny_pairs, fake_train):
+    fake_train({4: 0.9, 8: 0.2, 16: 0.7})
+    net_cfg, _, _ = crossval(tiny_pairs, grid_pairs(channels=(4, 8, 16)), folds=3, seed=0)
     assert net_cfg.base_channels == 8
 
 
-def test_crossval_tie_breaks_smaller_params(tiny_pairs):
-    net_cfg, train_cfg, _ = crossval(tiny_pairs, grid_pairs(channels=(16, 4)), folds=3,
-                                     seed=0, train_fn=fake_train({4: 0.5, 16: 0.5}))
+def test_crossval_tie_breaks_smaller_params(tiny_pairs, fake_train):
+    fake_train({4: 0.5, 16: 0.5})
+    net_cfg, train_cfg, _ = crossval(tiny_pairs, grid_pairs(channels=(16, 4)), folds=3, seed=0)
     assert net_cfg.base_channels == 4
 
 
-def test_crossval_tie_breaks_lower_lr(tiny_pairs):
+def test_crossval_tie_breaks_lower_lr(tiny_pairs, fake_train):
+    fake_train({4: 0.5})
     grid = grid_pairs(channels=(4,), lr=1e-2) + grid_pairs(channels=(4,), lr=1e-4)
-    net_cfg, train_cfg, _ = crossval(tiny_pairs, grid, folds=3, seed=0,
-                                     train_fn=fake_train({4: 0.5}))
+    net_cfg, train_cfg, _ = crossval(tiny_pairs, grid, folds=3, seed=0)
     assert train_cfg.learning_rate == 1e-4
 
 
-def test_crossval_rejects_off_grid(tiny_pairs):
-    bad = [(NetConfig(depth=3, base_channels=5, dropout_rate=0.10, resolution=64),
-            TrainConfig(learning_rate=1e-3))]
-    with pytest.raises(ValueError):
-        crossval(tiny_pairs, bad, folds=3, seed=0, train_fn=fake_train({5: 0.1}))
-    bad = grid_pairs(channels=(4,), dropout=0.2)
-    with pytest.raises(ValueError):
-        crossval(tiny_pairs, bad, folds=3, seed=0, train_fn=fake_train({4: 0.1}))
-    bad = grid_pairs(channels=(4,), lr=5e-3)
-    with pytest.raises(ValueError):
-        crossval(tiny_pairs, bad, folds=3, seed=0, train_fn=fake_train({4: 0.1}))
-
-
 @pytest.mark.parametrize("folds", [0, 1, 10**6])
-def test_crossval_rejects_fold_count(tiny_pairs, folds):
+def test_crossval_rejects_fold_count(tiny_pairs, fake_train, folds):
     """One fold would train on nothing; more folds than samples leave some empty."""
+    fake_train({4: 0.5})
     with pytest.raises(ValueError, match=f"got {folds} folds"):
-        crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=folds, seed=0,
-                 train_fn=fake_train({4: 0.5}))
+        crossval(tiny_pairs, grid_pairs(channels=(4,)), folds=folds, seed=0)
 
 
-def test_crossval_too_few_samples(tiny_pairs):
+def test_crossval_too_few_samples(tiny_pairs, fake_train):
+    fake_train({4: 0.1})
     with pytest.raises(ValueError):
-        crossval(tiny_pairs[:3], grid_pairs(channels=(4,)), folds=5, seed=0,
-                 train_fn=fake_train({4: 0.1}))
+        crossval(tiny_pairs[:3], grid_pairs(channels=(4,)), folds=5, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 (nor, outside ``__init__`` files, re-exported ones), random streams built only
 by the seeding helpers in ``types.py``, every function the benchmark traces
 still there under its name, and a ledger of the module-level functions and
-classes that nothing in the program reaches."""
+classes, and the non-dunder methods, that nothing in the program reaches."""
 
 import ast
 import importlib
@@ -211,9 +211,10 @@ def test_traced_training_sees_every_layer():
         assert calls > 0 and ns > 0, fn
 
 
-# Module-level functions and classes of src/fovlab that no code of the program
-# names, each with the reason it is kept. Code added without a caller fails
-# the test below; code that gets wired must leave this set.
+# Module-level functions and classes, and non-dunder methods, of src/fovlab
+# that no code of the program names, each with the reason it is kept. Code
+# added without a caller fails the test below; code that gets wired must leave
+# this set.
 UNREACHED: dict[str, str] = {}
 
 
@@ -230,10 +231,27 @@ def _references(node) -> set[str]:
     return found
 
 
+def _pieces(node) -> list:
+    """A module-level statement as (label, subtree) pieces. A function or class
+    is labelled with its name; each non-dunder method of a class is a piece of
+    its own, labelled ``Class.method``; any other statement is labelled None."""
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, node)]
+    if not isinstance(node, ast.ClassDef):
+        return [(None, node)]
+    methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+               and not (m.name.startswith("__") and m.name.endswith("__"))]
+    rest = ast.ClassDef(name=node.name, bases=node.bases, keywords=node.keywords,
+                        body=[m for m in node.body if m not in methods],
+                        decorator_list=node.decorator_list)
+    return [(node.name, rest)] + [(f"{node.name}.{m.name}", m) for m in methods]
+
+
 def test_unreached_definitions_are_the_ledger():
     """A definition counts as reached when src/ (outside ``__init__`` files,
     ``__all__`` lists and its own body) or fovbench/ names it, by name,
-    attribute or string literal."""
+    attribute or string literal. A non-dunder method is a definition of its
+    own, ``Class.method``: its body reaches neither it nor its class."""
     defined, reached = [], set()
     for path in MODULES + sorted((ROOT / "fovbench").rglob("*.py")):
         in_package = PACKAGE in path.parents
@@ -242,10 +260,11 @@ def test_unreached_definitions_are_the_ledger():
         for node in ast.parse(path.read_text()).body:
             if _is_all(node):
                 continue
-            found = _references(node)
-            if in_package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((_module_name(path).removeprefix("fovlab."), node.name))
-                found.discard(node.name)
-            reached |= found
-    unreached = {f"{module}.{name}" for module, name in defined if name not in reached}
+            for label, part in _pieces(node) if in_package else [(None, node)]:
+                found = _references(part)
+                if label:
+                    defined.append(f"{_module_name(path).removeprefix('fovlab.')}.{label}")
+                    found -= set(label.split("."))
+                reached |= found
+    unreached = {label for label in defined if label.rsplit(".", 1)[-1] not in reached}
     assert unreached == set(UNREACHED)
