@@ -94,8 +94,8 @@ def synthesize_dataset(out_dir, family: SceneFamily, lidar: LidarModel, grid: Gr
 def load_manifest(root) -> tuple[dict, GridSpec, FilterSpec]:
     """The manifest under `root`, with the grid and filter it declares, each
     built once. One that is not JSON, lacks "grid" or "splits", has "splits"
-    that is not an object, or has a malformed grid or filter is a DataError
-    naming the file."""
+    that is not an object or names a split outside SPLITS, or has a malformed
+    grid or filter is a DataError naming the file."""
     path = Path(root) / "manifest.json"
     try:
         manifest = json.loads(path.read_bytes())
@@ -103,6 +103,9 @@ def load_manifest(root) -> tuple[dict, GridSpec, FilterSpec]:
             raise DataError("manifest needs 'grid' and 'splits'")
         if not isinstance(manifest["splits"], dict):
             raise DataError("manifest 'splits' is not an object")
+        if not manifest["splits"].keys() <= set(SPLITS):
+            raise DataError(f"manifest 'splits' may name only {', '.join(SPLITS)}, "
+                            f"not {', '.join(sorted(manifest['splits'].keys() - set(SPLITS)))}")
         try:
             grid = GridSpec(extent=manifest["grid"]["extent"],
                             resolution=manifest["grid"]["resolution"])

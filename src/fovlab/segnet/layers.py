@@ -11,6 +11,12 @@ takes its nine shifted windows in turn, so no im2col matrix is built outside the
 forward's column block; ReLU takes its mask from its output, max-pool its
 routing from its input. Dropout keeps a bool keep mask, 1 byte a cell. The ReLU
 and dropout backwards overwrite their `dout` with the result.
+
+A 3x3 conv of a nearest-2x upsample never needs the upsampled copy. Its forward
+can run as four 2x2 convs of the bordered source, one per output phase, with
+the taps that read one source cell summed (sub-pixel convolution, Shi et al.
+2016): fewer FLOPs, other rounding. Its backward takes the nine windows of the
+upsampled input straight from the bordered source, with the same bits.
 """
 
 from __future__ import annotations
@@ -20,13 +26,15 @@ import numpy as np
 COL_BLOCK_BYTES = 256 * 1024  # column block of a conv forward: fits L2 with room for its GEMM
 
 
-def _im2col3(xp: np.ndarray) -> np.ndarray:
-    """Zero-bordered (N, H+2, W+2, C) -> (N, H, W, 3, 3*C) view of the 3x3 patches:
-    rows of 3*C contiguous values, so one strided copy gives _w_mat's column order."""
+def _patches(xp: np.ndarray, k: int) -> np.ndarray:
+    """Zero-bordered (N, H+2, W+2, C) -> (N, H+3-k, W+3-k, k, k*C) view of the kxk
+    patches: rows of k*C contiguous values, so one strided copy gives the column
+    order of _w_mat (k = 3) and _phase_mats (k = 2)."""
     n, hp, wp, c = xp.shape
     s = xp.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (n, hp - 2, wp - 2, 3, 3 * c), (s[0], s[1], s[2], s[1], s[3]), writeable=False)
+        xp, (n, hp + 1 - k, wp + 1 - k, k, k * c), (s[0], s[1], s[2], s[1], s[3]),
+        writeable=False)
 
 
 def _w_mat(W: np.ndarray) -> np.ndarray:
@@ -35,26 +43,51 @@ def _w_mat(W: np.ndarray) -> np.ndarray:
     return W.transpose(2, 3, 1, 0).reshape(9 * c, o)
 
 
+def _phase_mats(W: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) -> (2, 2, 4*C, O): for output phase (pr, pc) of a 3x3 conv of a
+    nearest-2x upsample, the 2x2 conv weights on the bordered source, in the
+    column order of its 2x2 patches. Along each axis, phase 0 reads source
+    offsets (-1, 0) with taps (0, 1+2), and phase 1 offsets (0, +1) with (0+1, 2)."""
+    def fold(V, axis):  # (.., 3 taps, ..) -> (2 phases, .., 2 taps, ..)
+        t = [np.take(V, i, axis) for i in range(3)]
+        return np.stack([np.stack([t[0], t[1] + t[2]], axis), np.stack([t[0] + t[1], t[2]], axis)])
+    o, c = W.shape[:2]
+    folded = fold(fold(W, 2), 4)  # (pc, pr, O, C, 2, 2)
+    return folded.transpose(1, 0, 4, 5, 3, 2).reshape(2, 2, 4 * c, o)
+
+
 def conv3x3_forward(x, W, b, xp, w_mat, cols, out):
     """3x3 same conv of x, the interior of zero-bordered `xp`, into `out`; cache
     (xp, x_shape, W). Rows of patches are unfolded into the column block `cols`
     and multiplied by w_mat = _w_mat(W) while still in L2: one GEMM per (sample,
-    row), as on the whole im2col matrix, so the bits are equal."""
+    row), as on the whole im2col matrix, so the bits are equal.
+
+    An `out` twice x's height takes the conv of x's nearest-2x upsample, with
+    w_mat = _phase_mats(W): output phase (pr, pc) is the GEMM of x's 2x2 patches
+    from bordered offset (pr, pc), written to out[:, pr::2, pc::2]."""
     n, h, w, c = x.shape
-    win = _im2col3(xp)
-    rows = cols.size // (w * 9 * c)
+    up = out.shape[1] != h
+    k = 2 if up else 3
+    win, mats = _patches(xp, k), w_mat.reshape(-1, k * k * c, w_mat.shape[-1])
+    rows = cols.size // (w * k * k * c)
     if rows == 0:  # one row is larger than the block
-        cols, rows = np.empty(w * 9 * c, cols.dtype), 1
-    blk = cols[:rows * w * 9 * c].reshape(rows, w, 9 * c)
+        cols, rows = np.empty(w * k * k * c, cols.dtype), 1
+    blk = cols[:rows * w * k * k * c].reshape(rows, w, k * k * c)
     # with contiguous output rows, the bias add runs over whole rows, not C at a time
-    flat = out.strides[2] == out.strides[3] * out.shape[3]
-    acc, bias = (np.reshape(out, (n, h, -1), copy=False), np.tile(b, w)) if flat else (out, b)
+    flat = not up and out.strides[2] == out.strides[3] * out.shape[3]
+    acc, bias = (np.reshape(out, (n, h, -1), copy=False), np.tile(b, w)) if flat else (None, b)
     for i in range(n):
         for r in range(0, h, rows):
-            k = min(rows, h - r)
-            np.copyto(blk[:k].reshape(k, w, 3, 3 * c), win[i, r:r + k])
-            np.matmul(blk[:k], w_mat, out=out[i, r:r + k])
-            acc[i, r:r + k] += bias
+            m = min(rows, h - r)
+            for phase, mat in enumerate(mats):
+                pr, pc = divmod(phase, 2)
+                np.copyto(blk[:m].reshape(m, w, k, k * c), win[i, r + pr:r + pr + m, pc:pc + w])
+                dst = out[i, 2 * r + pr:2 * (r + m):2, pc::2] if up else out[i, r:r + m]
+                np.matmul(blk[:m], mat, out=dst)
+                if flat:
+                    acc[i, r:r + m] += bias
+                else:
+                    dst += bias
     return out, (xp, x.shape, W)
 
 
@@ -68,6 +101,11 @@ def conv3x3_backward(dout, cache, input_grad: bool = True):
     that tap's contiguous (O, C) weight block, which is added into its window
     of the zero-bordered dx, so every cell receives its nine taps in (di, dj)
     order (kn2row, Vasudevan, Anderson & Gregg 2017, run backwards).
+
+    When xp is the bordered (N, H/2+2, W/2+2, C) source of a nearest-2x upsample
+    whose conv this is, each window is gathered from it cell by cell (window
+    cell (i, j) reads source cell ((di+i+1)//2, (dj+j+1)//2)): the same buffer,
+    so the same bits, without the upsampled input.
     """
     xp, x_shape, W = cache
     n, h, w, c = x_shape
@@ -79,9 +117,18 @@ def conv3x3_backward(dout, cache, input_grad: bool = True):
     if input_grad:
         w_taps = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (3, 3, O, C)
         dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
+    up = xp.shape[1] != h + 2
+    if up:
+        src, cells = xp.reshape(n, -1, c), tap.reshape(n, -1, c)
+        rows = [(np.arange(h) + di + 1) // 2 * xp.shape[2] for di in range(3)]
+        cols = [(np.arange(w) + dj + 1) // 2 for dj in range(3)]
     for di in range(3):
         for dj in range(3):
-            np.copyto(tap, xp[:, di:di + h, dj:dj + w])
+            if up:  # mode "clip" takes into `cells` unbuffered; every index is in range
+                np.take(src, (rows[di][:, None] + cols[dj]).ravel(), axis=1, out=cells,
+                        mode="clip")
+            else:
+                np.copyto(tap, xp[:, di:di + h, dj:dj + w])
             np.matmul(flat.T, d, out=dmat[di, dj])
             if input_grad:
                 np.matmul(d, w_taps[di, dj], out=flat)
@@ -110,8 +157,8 @@ def relu_forward(x, out):
 
 def relu_backward(dout, out):
     """ReLU gradient from its output (out > 0 iff x > 0), written into `dout`.
-    A dropout in place on `out` zeroed only cells whose dout is already +-0,
-    equal under either mask."""
+    `out` may be the output after dropout (in place, or a dropped copy): it
+    zeroed only cells whose dout is already +-0, equal under either mask."""
     return np.multiply(dout, out > 0, out=dout)
 
 

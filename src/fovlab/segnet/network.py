@@ -143,14 +143,20 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
     are built only on a workspace of the pass's own (`ws` None), as views of
     its buffers, and are None on a shared `ws`: the parameters change between
     training steps, and a shared workspace's weight matrices and stem would not.
-    A `dec{l}.up` conv's cache holds its low-resolution source, not its
-    upsampled input, whose buffer the pass drops.
+
+    A `dec{l}.up` conv reads the bordered `bott`/`dec{l+1}` dropout output. On
+    a shared `ws` it runs as four 2x2 phase convs of that source, which round
+    differently from a conv of the upsample. A pass with caches keeps the
+    training bits: it upsamples, convolves, drops the upsampled buffer and
+    caches the source. It also frees each encoder level's c2 output once
+    dropout has copied it into the skip: the dropped copy is the ReLU's cache.
     """
     caches = {} if ws is None else None
     ws = ws or Workspace(net)
     cfg, p, rate = net.config, net.params, net.config.dropout_rate
-    ws.w_mats = ws.w_mats or {name: L._w_mat(p[f"{name}.W"])
-                              for name, *_, k in conv_specs(cfg) if k == 3}
+    ws.w_mats = ws.w_mats or {
+        name: (L._phase_mats if caches is None and name.endswith(".up") else L._w_mat)(
+            p[f"{name}.W"]) for name, *_, k in conv_specs(cfg) if k == 3}
     n, res = x.shape[:2]
 
     def kept(key, out, cache):
@@ -164,19 +170,23 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
             b = ws.bufs[key] = np.zeros((n, side + 2 * pad, side + 2 * pad, ch), net.dtype)
         return b[:, pad:pad + side, pad:pad + side, chans]
 
-    def conv(x, name, out):
-        return kept(name, *L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"], ws.bufs[name],
-                                             ws.w_mats[name], ws.cols, out))
+    def conv(x, name, out, src=None):  # src: x's bordered buffer, when not named after the conv
+        return kept(name, *L.conv3x3_forward(x, p[f"{name}.W"], p[f"{name}.b"],
+                                             ws.bufs[src or name], ws.w_mats[name], ws.cols, out))
 
     def conv_relu(x, name, out):
         y = L.relu_forward(conv(x, name, out), out=out)
         return kept(f"{name}.relu", y, y)
 
-    def double_conv(x, name, level, ch, out=None, stem=False):  # stem: reuse the kept c2 output
-        x = buf(f"{name}.drop", level, ch, 0) if stem else \
+    def double_conv(x, name, level, ch, out=None, stem=False, pad=0):  # stem: reuse the c2 output
+        x = buf(f"{name}.drop", level, ch, pad) if stem else \
             conv_relu(conv_relu(x, f"{name}.c1", buf(f"{name}.c2", level, ch)),
-                      f"{name}.c2", buf(f"{name}.drop", level, ch, 0))
-        return kept(f"{name}.drop", *L.dropout_forward(x, rate, drop_rng, x if out is None else out))
+                      f"{name}.c2", buf(f"{name}.drop", level, ch, pad))
+        y = kept(f"{name}.drop", *L.dropout_forward(x, rate, drop_rng, x if out is None else out))
+        if caches is not None and out is not None:  # the skip copy serves relu_backward
+            caches[f"{name}.c2.relu"] = y
+            del ws.bufs[f"{name}.drop"]
+        return y
 
     stem = (x.shape, x.tobytes())
     reuse, ws.stem_of = ws.stem_of == stem, stem
@@ -189,15 +199,18 @@ def forward_batch(net: Network, x: np.ndarray, drop_rng=None, ws: Workspace | No
         nxt = f"enc{l + 1}.c1" if l + 1 < cfg.depth else "bott.c1"
         pooled = L.maxpool2_forward(x, out=buf(nxt, l + 1, c))
         x = kept(f"pool{l}", pooled, (x, pooled))
-    x = double_conv(x, "bott", cfg.depth, cfg.base_channels << cfg.depth)
+    x = double_conv(x, "bott", cfg.depth, cfg.base_channels << cfg.depth, pad=1)
     for l in reversed(range(cfg.depth)):
         c, up = cfg.base_channels << l, f"dec{l}.up"
-        conv(L.upsample2_forward(x, out=buf(up, l, 2 * c)), up,
-             buf(f"dec{l}.c1", l, 2 * c, chans=slice(c)))
-        if caches is not None:  # keep the low-resolution x; backward_batch rebuilds the input
-            caches[up] = (x, *caches[up][1:])
+        src = f"dec{l + 1}.drop" if l + 1 < cfg.depth else "bott.drop"  # x's bordered buffer
+        dst = buf(f"dec{l}.c1", l, 2 * c, chans=slice(c))
+        if caches is None:
+            conv(x, up, dst, src)
+        else:  # the conv's backward reads the windows of its input from the source
+            conv(L.upsample2_forward(x, out=buf(up, l, 2 * c)), up, dst)
+            caches[up] = (ws.bufs[src], *caches[up][1:])
             del ws.bufs[up]
-        x = double_conv(buf(f"dec{l}.c1", l, 2 * c), f"dec{l}", l, c)
+        x = double_conv(buf(f"dec{l}.c1", l, 2 * c), f"dec{l}", l, c, pad=int(l > 0))
     logits = kept("head", *L.conv1x1_forward(x, p["head.W"], p["head.b"]))
     return L.sigmoid(logits), caches
 
@@ -207,8 +220,8 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     forward_batch pass on its own workspace. `caches` is consumed: each entry
     is popped as it is used, so each level's buffers are freed once its
     gradient is done. A 3x3 conv reads the nine shifted windows of its bordered
-    input one at a time and builds no im2col matrix; a `dec{l}.up` conv's input
-    is rebuilt from the low-resolution source it kept. The ReLU and dropout
+    input one at a time and builds no im2col matrix; a `dec{l}.up` conv gathers
+    them from the bordered low-resolution source it kept. The ReLU and dropout
     backwards write into the gradient arrays made here."""
     cfg = net.config
     grads = {}
@@ -232,11 +245,6 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
         d = double_conv_bw(d, f"dec{l}")
         ch = cfg.base_channels * (2 ** l)
         d_up, d_skip[l] = d[..., :ch], d[..., ch:]
-        src, shape, W = caches[f"dec{l}.up"]  # rebuild the bordered, upsampled input
-        n, h, w, c = shape
-        xp = np.zeros((n, h + 2, w + 2, c), src.dtype)
-        L.upsample2_forward(src, out=xp[:, 1:h + 1, 1:w + 1])
-        caches[f"dec{l}.up"] = (xp, shape, W)
         d = L.upsample2_backward(conv_bw(d_up, f"dec{l}.up"))
 
     d = double_conv_bw(d, "bott")

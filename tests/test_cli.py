@@ -513,6 +513,19 @@ def test_attack_out_overlapping_the_dataset_is_data_error(dataset, tmp_path, cap
     assert not (src / "adv").exists()
 
 
+def test_attack_unknown_split_name_is_data_error(dataset, tmp_path, capsys):
+    """A manifest split outside train/val/test exits 3 naming manifest.json,
+    before attack creates its output directory."""
+    copy, manifest, _ = _copy_dataset(dataset, tmp_path)
+    manifest["splits"]["extra"] = manifest["splits"].pop("val")
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "adv"
+    assert main(["attack", "--dataset", str(copy), "--out", str(out), "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(copy / "manifest.json") in err and "may name only train, val, test, not extra" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [ValueError, FovlabError])
 def test_other_errors_are_not_data_errors(monkeypatch, tmp_path, exc):
     """Only DataError and OSError read as exit 3; anything else a command

@@ -138,8 +138,10 @@ def test_benchmark_traced_functions_exist():
 
 def test_traced_mcd_sees_every_layer():
     """A traced MC-dropout run on the benchmark's net sees each pass, each conv
-    with its closed-form FLOP and im2col byte counts, and each layer primitive.
-    The stem convs run once per frame, every other layer once per pass."""
+    with its closed-form FLOP and im2col byte counts, and each layer primitive
+    it runs. The stem convs run once per frame, every other layer once per
+    pass. An up conv is called on its low-resolution input, whose counts the
+    tracer takes, and no pass upsamples."""
     import numpy as np
 
     from fovlab.segnet import network
@@ -165,16 +167,16 @@ def test_traced_mcd_sees_every_layer():
         calls = 1 if name in ("enc0.c1", "enc0.c2") else T
         assert rec.span_stats(f"layers.{name}.fwd")[0] == calls, name
         level = cfg.depth if name.startswith("bott") else int(name[3]) if k == 3 else 0
-        cells = (res >> level) ** 2
+        cells = (res >> (level + name.endswith(".up"))) ** 2
         flop += calls * 2 * cells * k * k * in_ch * out_ch
         if k == 3:
             im2col += calls * cells * 9 * in_ch * 4
     assert rec.counts["layers.conv.flop"] == flop
     assert rec.counts["layers.im2col.bytes"] == im2col
-    for fn in ("relu_forward", "dropout_forward", "maxpool2_forward", "upsample2_forward",
-               "sigmoid"):
+    for fn in ("relu_forward", "dropout_forward", "maxpool2_forward", "sigmoid"):
         calls, ns = rec.span_stats(f"layers.{fn}")
         assert calls > 0 and ns > 0, fn
+    assert rec.span_stats("layers.upsample2_forward")[0] == 0
 
 
 def test_traced_training_sees_every_layer():

@@ -7,8 +7,9 @@ from fovlab.errors import NumericError
 from fovlab.segnet import (NetConfig, Network, TrainConfig, binarize, infer_mcd, infer_mle,
                            load_checkpoint, parameter_count, save_checkpoint, train,
                            unet_init)
-from fovlab.segnet.layers import (_im2col3, _w_mat, conv1x1_forward, conv3x3_backward,
-                                  conv3x3_forward, maxpool2_backward, maxpool2_forward, sigmoid)
+from fovlab.segnet.layers import (_patches, _phase_mats, _w_mat, conv1x1_forward,
+                                  conv3x3_backward, conv3x3_forward, maxpool2_backward,
+                                  maxpool2_forward, sigmoid)
 from fovlab.segnet.network import (PROB_CLIP, Workspace, backward_batch, conv_specs,
                                    forward_batch, forward_maps, normalize_counts)
 from fovlab.segnet.training import Adam, _bce, _bce_and_dlogits
@@ -201,16 +202,31 @@ def _conv3x3_backward_reference(dout, cache):
 def _forward_reference(net, x, drop_rng=None, stem=None):
     """forward_batch's cache-free pass as it was before the workspace: np.pad
     and sliding_window_view im2col, np.concatenate, argmax pooling, and a
-    `stem` dict that the first pass over `x` fills and later passes read."""
+    `stem` dict that the first pass over `x` fills and later passes read. The
+    up convs take the phase form: per output phase, the whole 2x2 im2col
+    matrix of the low-resolution input times its _phase_mats matrix."""
     cfg, p, rate = net.config, net.params, net.config.dropout_rate
 
-    def conv(x, name):
+    def im2col(x, k):
         n, h, w, c = x.shape
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h, w, 9 * c)
-        out = cols @ _w_mat(p[f"{name}.W"])
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n, h + 3 - k, w + 3 - k, k * k * c)
+
+    def conv(x, name):
+        out = im2col(x, 3) @ _w_mat(p[f"{name}.W"])
         out += p[f"{name}.b"]
+        return out
+
+    def conv_up(x, name):
+        n, h, w, _ = x.shape
+        cols, mats = im2col(x, 2), _phase_mats(p[f"{name}.W"])
+        out = np.empty((n, 2 * h, 2 * w, mats.shape[-1]), x.dtype)
+        for pr in (0, 1):
+            for pc in (0, 1):
+                phase = cols[:, pr:pr + h, pc:pc + w] @ mats[pr, pc]
+                phase += p[f"{name}.b"]
+                out[:, pr::2, pc::2] = phase
         return out
 
     def conv_relu(x, name):
@@ -243,7 +259,7 @@ def _forward_reference(net, x, drop_rng=None, stem=None):
         x = pool(x)
     x = double_conv(x, "bott")
     for l in reversed(range(cfg.depth)):
-        x = conv(x.repeat(2, axis=1).repeat(2, axis=2), f"dec{l}.up")
+        x = conv_up(x, f"dec{l}.up")
         x = double_conv(np.concatenate([x, skips[l]], axis=3), f"dec{l}")
     return sigmoid(conv1x1_forward(x, p["head.W"], p["head.b"])[0])
 
@@ -253,7 +269,7 @@ def _conv3x3_forward_reference(x, W, b):
     matrix, which it returned in its (cols, x_shape, W) cache."""
     n, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.ascontiguousarray(_im2col3(xp)).reshape(n, h, w, 9 * c)
+    cols = np.ascontiguousarray(_patches(xp, 3)).reshape(n, h, w, 9 * c)
     out = cols @ _w_mat(W)
     out += b
     return out, (cols, x.shape, W)
@@ -434,10 +450,11 @@ def test_maxpool2_backward_routes_to_argmax_property(n, h, w, c, dtype, seed):
        passes=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=3, max_size=5))
 def test_workspace_forward_matches_reference_property(depth, base, n, res, dtype, rate, seed,
                                                       passes):
-    """Passes on one workspace equal the former cache-free forward byte for
-    byte, with nonzero biases, dropout on and off, and the input switched
-    between passes, so that a stale buffer, a stale stem or a written border
-    shows."""
+    """Passes on one workspace equal the former cache-free forward, with its up
+    convs in phase form, byte for byte, with nonzero biases, dropout on and
+    off, and the input switched between passes, so that a stale buffer, a stale
+    stem or a written border shows, the up convs' bordered sources included.
+    The workspace holds no upsampled input."""
     rng = np.random.default_rng(seed)
     net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
                               resolution=res), seed=seed % 1000, dtype=dtype)
@@ -452,7 +469,12 @@ def test_workspace_forward_matches_reference_property(depth, base, n, res, dtype
         want = _forward_reference(net, inputs[which], drop_rng=drop())
         assert caches is None and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    for buf in (ws.bufs[name] for name in ws.w_mats if name in ws.bufs):  # conv inputs' borders
+    ups = [f"dec{l}.up" for l in range(depth)]
+    assert not set(ups) & ws.bufs.keys()
+    sources = ["bott.drop"] + [f"dec{l}.drop" for l in range(1, depth)]
+    inputs = [name for name in ws.w_mats if name not in ups]
+    assert len(inputs) + len(sources) == 5 * depth + 2
+    for buf in (ws.bufs[name] for name in inputs + sources):  # conv inputs' borders
         assert not buf[:, 0].any() and not buf[:, -1].any()
         assert not buf[:, :, 0].any() and not buf[:, :, -1].any()
 
@@ -528,6 +550,77 @@ def test_conv3x3_backward_matches_reference_property(n, c, o, h, w, dtype, tied,
     assert dx is None and dW.tobytes() == got[1].tobytes() and db.tobytes() == got[2].tobytes()
 
 
+def _conv3x3_forward_exact(xp, W, b):
+    """A 3x3 conv of the interior of bordered `xp`, tap by tap in np.longdouble."""
+    h, w = xp.shape[1] - 2, xp.shape[2] - 2
+    xp, W, b = (a.astype(np.longdouble) for a in (xp, W, b))
+    out = np.broadcast_to(b, (xp.shape[0], h, w, b.size)).copy()
+    for di in range(3):
+        for dj in range(3):
+            out += np.einsum("nhwc,oc->nhwo", xp[:, di:di + h, dj:dj + w], W[:, :, di, dj])
+    return out
+
+
+def _upsampled(x):
+    """The zero-bordered nearest-2x upsample of x."""
+    return np.pad(x.repeat(2, axis=1).repeat(2, axis=2), ((0, 0), (1, 1), (1, 1), (0, 0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 3]), c=st.sampled_from([1, 3, 8]), o=st.sampled_from([1, 4, 8]),
+       h=st.sampled_from([1, 2, 5, 8]), w=st.sampled_from([1, 2, 8]),
+       block=st.sampled_from([1, 100, 1000, 100000]), half=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), tied=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv3x3_phase_form_matches_upsample_property(n, c, o, h, w, block, half, dtype, tied,
+                                                      seed):
+    """The four 2x2 phase convs of x, for any column block (smaller than one
+    row too), into a bordered interior or one channel half of it, lie within
+    16 eps(dtype) of the longdouble 3x3 conv of x's nearest-2x upsample, scaled
+    by the same sum of absolute terms, on inputs with exact zeros and ties too;
+    they cache x's bordered copy and write nothing else."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda shape: rng.choice(np.array([0.0, 0.0, 0.5, -1.0, 2.0]), size=shape)) if tied \
+        else rng.standard_normal
+    x, W, b = (draw(shape).astype(dtype) for shape in ((n, h, w, c), (o, c, 3, 3), (o,)))
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    dst = np.zeros((n, 2 * h + 2, 2 * w + 2, 2 * o if half else o), dtype)
+    out = dst[:, 1:-1, 1:-1, :o]
+    got, cache = conv3x3_forward(x, W, b, xp, _phase_mats(W), np.empty(block, dtype), out)
+    assert got is out and cache[0] is xp and cache[1] == x.shape and cache[2] is W
+    up = _upsampled(x)
+    exact = _conv3x3_forward_exact(up, W, b)
+    scale = _conv3x3_forward_exact(np.abs(up), np.abs(W), np.abs(b))
+    assert np.all(np.abs(out - exact) <= 16 * np.finfo(dtype).eps * scale)
+    rest = dst.copy()
+    rest[:, 1:-1, 1:-1, :o] = 0
+    assert not rest.any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 3]), c=st.sampled_from([1, 3, 8]), o=st.sampled_from([1, 4]),
+       h=st.sampled_from([1, 2, 5]), w=st.sampled_from([1, 2, 6]),
+       dtype=st.sampled_from([np.float32, np.float64]), input_grad=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv3x3_backward_of_upsample_reads_its_source_property(n, c, o, h, w, dtype,
+                                                                input_grad, seed):
+    """The backward of a conv of x's nearest-2x upsample, cached with x's
+    bordered copy, equals the one cached with the bordered upsample, bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, h, w, c)).astype(dtype)
+    W = rng.standard_normal((o, c, 3, 3)).astype(dtype)
+    dout = rng.standard_normal((n, 2 * h, 2 * w, o)).astype(dtype)
+    shape = (n, 2 * h, 2 * w, c)
+    got = conv3x3_backward(dout, (np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), shape, W),
+                           input_grad=input_grad)
+    want = conv3x3_backward(dout, (_upsampled(x), shape, W), input_grad=input_grad)
+    assert (got[0] is None) == (want[0] is None) == (not input_grad)
+    for g, e in zip(got, want):
+        assert g is None or (g.dtype == e.dtype and g.shape == e.shape
+                             and g.tobytes() == e.tobytes())
+
+
 def test_conv3x3_backward_peak_memory():
     """A conv backward builds no im2col matrix: at (4, 64, 64, 16) -> 8 it peaks
     at no more than two bordered inputs (a tap buffer and dx) and one dout."""
@@ -549,15 +642,17 @@ def test_conv3x3_backward_peak_memory():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dropout", [False, True])
-def test_forward_batch_probs_same_with_and_without_caches(dtype, dropout):
+def test_forward_batch_probs_close_with_and_without_caches(dtype, dropout):
+    """A pass with caches (up convs on the upsample) and one without (phase
+    convs) give probabilities within 32 eps(dtype) (7.5 eps measured)."""
     net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16),
                     seed=1, dtype=dtype)
     x = np.random.default_rng(2).uniform(size=(3, 16, 16, 1)).astype(dtype)
     rng = (lambda: seeded_rng(5)) if dropout else (lambda: None)
     kept, caches = forward_batch(net, x, drop_rng=rng())
     free, none = forward_batch(net, x, drop_rng=rng(), ws=Workspace(net))
-    assert caches and none is None
-    assert kept.tobytes() == free.tobytes()
+    assert caches and none is None and kept.dtype == free.dtype == dtype
+    assert np.abs(kept - free).max() <= 32 * np.finfo(dtype).eps
 
 
 def test_cache_free_forward_peak_memory_below_half_of_cached():
@@ -591,14 +686,14 @@ def test_cache_free_forward_peak_memory_below_half_of_cached():
     assert peaks["cached"] < 0.5 * peaks["former"]
 
 
-def _training_step_peak(fwd, bwd):
+def _training_step_peak(fwd, bwd, res=64, batch=4):
     """tracemalloc peak of one training step (forward with caches, loss
-    gradient, backward) at res 64, d4/w8, batch 4, dropout 0.1."""
+    gradient, backward) at d4/w8, dropout 0.1, res 64 and batch 4 by default."""
     import tracemalloc
-    net = unet_init(NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=64), seed=0)
+    net = unet_init(NetConfig(depth=4, base_channels=8, dropout_rate=0.1, resolution=res), seed=0)
     rng = np.random.default_rng(0)
-    x = rng.uniform(size=(4, 64, 64, 1)).astype(np.float32)
-    y = (rng.uniform(size=(4, 64, 64, 1)) > 0.5).astype(np.float32)
+    x = rng.uniform(size=(batch, res, res, 1)).astype(np.float32)
+    y = (rng.uniform(size=(batch, res, res, 1)) > 0.5).astype(np.float32)
     tracemalloc.start()
     try:
         probs, caches = fwd(net, x, drop_rng=seeded_rng(0))
@@ -620,12 +715,26 @@ def test_training_step_peak_memory_below_half_of_former():
 # the dec{l}.up convs kept their upsampled input
 FLOAT_MASK_STEP_PEAK = 18_484_752
 
+# tracemalloc peak of _training_step_peak(forward_batch, backward_batch, 128, 10)
+# when a dec{l}.up conv's backward rebuilt its bordered, upsampled input and
+# each encoder level kept its c2 output before and after dropout
+UPSAMPLED_INPUT_STEP_PEAK = 108_629_049
+
 
 def test_training_step_peak_memory_below_float_mask_step():
     """Bool keep masks, in-place ReLU and dropout backwards, caches freed as
     backward_batch uses them, and up-conv inputs rebuilt from their source
-    bring a step to at most 0.8 of its peak before them (0.62 measured)."""
+    bring a step to at most 0.8 of its peak before them (0.55 measured)."""
     assert _training_step_peak(forward_batch, backward_batch) <= 0.8 * FLOAT_MASK_STEP_PEAK
+
+
+def test_training_step_peak_memory_below_upsampled_input_step():
+    """Up-conv backwards that gather their windows from the low-resolution
+    source, and encoder c2 outputs freed once dropout has copied them, bring
+    a res-128 batch-10 step to at most 0.85 of its peak before them (0.818
+    measured: 88.9 MB)."""
+    now = _training_step_peak(forward_batch, backward_batch, 128, 10)
+    assert now <= 0.85 * UPSAMPLED_INPUT_STEP_PEAK
 
 
 def test_backward_batch_consumes_caches():
@@ -651,6 +760,21 @@ def test_training_dropout_caches_are_bool_keep_masks():
         keep, r = caches[f"{name}.drop"]
         assert keep.dtype == bool and r == rate
         assert np.array_equal(keep, draw.random(size=keep.shape) >= rate), name
+
+
+def test_training_encoder_relu_caches_are_the_skip_copies():
+    """A training forward keeps each encoder level's c2 output once: its ReLU
+    cache is the dropped skip half of dec{l}.c1's bordered input, and each
+    up conv caches the bordered source it reads."""
+    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16), seed=1)
+    x = np.random.default_rng(2).uniform(size=(2, 16, 16, 1)).astype(np.float32)
+    _, caches = forward_batch(net, x, drop_rng=seeded_rng(5))
+    for l in range(3):
+        assert np.shares_memory(caches[f"enc{l}.c2.relu"], caches[f"dec{l}.c1"][0]), l
+        src = caches["bott.c2.relu"] if l == 2 else caches[f"dec{l + 1}.c2.relu"]
+        xp, shape = caches[f"dec{l}.up"][:2]
+        assert xp.shape == (2, shape[1] // 2 + 2, shape[2] // 2 + 2, shape[3])
+        assert np.shares_memory(xp, src) and np.array_equal(xp[:, 1:-1, 1:-1], src), l
 
 
 def test_train_frees_every_workspace(monkeypatch, tiny_pairs):
@@ -894,12 +1018,15 @@ def test_train_aborts_on_nonfinite_loss(tiny_pairs):
 
 
 def test_infer_mle_matches_forward(rand_image):
-    """infer_mle is one forward_batch on the normalized counts, dropout off, clipped."""
+    """infer_mle is one forward_batch on the normalized counts, dropout off,
+    clipped: a training forward's bits, but for its up convs' phase form,
+    within 32 eps(float32) (2 eps measured)."""
     net = unet_init(NetConfig(depth=3, base_channels=4, resolution=16), seed=1)
     x = normalize_counts(rand_image.counts)[None, :, :, None]
     want = np.clip(forward_batch(net, x)[0][0, :, :, 0].astype(np.float64),
                    PROB_CLIP, 1.0 - PROB_CLIP)
-    assert infer_mle(net, rand_image).values.tobytes() == want.tobytes()
+    got = infer_mle(net, rand_image).values
+    assert got.dtype == np.float64 and np.abs(got - want).max() <= 32 * np.finfo(np.float32).eps
 
 
 def test_mcd_zero_dropout_equals_mle(rand_image):
