@@ -1,9 +1,10 @@
 """Classical FOV estimators: quantized/continuous ray tracing and concave hull.
 
 All estimators consume BEV points (N, 2) in the sensor frame and produce
-either a per-azimuth range profile (PolarFov) or a bounding polygon
-(FovPolygon), plus rasterizers that turn both into grid masks comparable with
-the ground-truth masks.
+either a per-azimuth range profile (the farthest return of each azimuth bin)
+or a bounding polygon (FovPolygon), plus rasterizers that turn both into grid
+masks comparable with the ground-truth masks. Points and cell centers fall
+into azimuth bins by one rule, _bins.
 
 The concave hull's closure test (points_in_polygon) and the polygon rasterizer
 share one even-odd rule (Haines 1994, "Point in Polygon Strategies") and one
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import flat_ranges, to_polar
+from .geometry import azimuth, flat_ranges, to_polar
 from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
@@ -35,22 +36,6 @@ MIN_BINS = 8  # fewest azimuth bins raytrace_quantized accepts
 MIN_K = 3  # smallest neighbour count concave_hull accepts
 _BOUNDARY_TOL = 1e-9  # a point this close to a polygon edge (m) lies on it
 _STRIP_PAD = 1e-6  # (m) slack of the boundary candidate strip, far above rounding
-
-
-@dataclass
-class PolarFov:
-    """Max observed range per azimuth bin; bin i covers [2*pi*i/n, 2*pi*(i+1)/n)."""
-
-    n_bins: int
-    max_range_per_bin: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.max_range_per_bin, dtype=np.float64)
-        if r.shape != (self.n_bins,):
-            raise ValueError(f"expected {self.n_bins} bin ranges, got shape {r.shape}")
-        if not np.all(np.isfinite(r)) or np.any(r < 0):
-            raise ValueError("bin ranges must be finite and non-negative")
-        self.max_range_per_bin = r
 
 
 @dataclass
@@ -66,16 +51,19 @@ class FovPolygon:
         self.vertices = v
 
 
-def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> PolarFov:
-    """Max range per azimuth bin; bins with no points get range 0 (invisible)."""
+def _bins(az: np.ndarray, n_bins: int) -> np.ndarray:
+    """Bin of each azimuth in [0, 2pi); bin i covers [2*pi*i/n, 2*pi*(i+1)/n)."""
+    return np.minimum((az / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+
+
+def raytrace_quantized(points_xy: np.ndarray, n_bins: int = 360) -> np.ndarray:
+    """(n_bins,) max range per azimuth bin; bins with no points get range 0 (invisible)."""
     if n_bins < MIN_BINS:
         raise ValueError(f"n_bins must be >= {MIN_BINS}")
     az, r = to_polar(points_xy)
     ranges = np.zeros(n_bins)
-    if az.size:
-        bins = np.minimum((az / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
-        np.maximum.at(ranges, bins, r)
-    return PolarFov(n_bins, ranges)
+    np.maximum.at(ranges, _bins(az, n_bins), r)
+    return ranges
 
 
 def raytrace_continuous(points_xy: np.ndarray) -> FovPolygon:
@@ -233,17 +221,16 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
 def _center_polar(spec: GridSpec, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     X, Y = spec.cell_centers()
     r = np.hypot(X, Y)
-    az = np.mod(np.arctan2(Y, X), _TWO_PI)
-    az[az >= _TWO_PI] = 0.0
-    bins = np.minimum((az / _TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+    bins = _bins(azimuth(X, Y), n_bins)
     r.flags.writeable = bins.flags.writeable = False  # every later call reuses them
     return r, bins
 
 
-def polar_to_mask(pf: PolarFov, spec: GridSpec) -> FovMask:
-    """Cell visible iff its center range <= the range of its azimuth bin."""
-    r, bins = _center_polar(spec, pf.n_bins)
-    return FovMask(spec, r <= pf.max_range_per_bin[bins])
+def polar_to_mask(ranges: np.ndarray, spec: GridSpec) -> FovMask:
+    """Cell visible iff its center range <= the range of its center's azimuth
+    bin, one of ranges.size bins (as raytrace_quantized returns them)."""
+    r, bins = _center_polar(spec, ranges.size)
+    return FovMask(spec, r <= ranges[bins])
 
 
 def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
@@ -339,7 +326,7 @@ def rasterize_polygon(poly: FovPolygon, spec: GridSpec) -> FovMask:
 
 
 __all__ = [
-    "PolarFov", "FovPolygon",
+    "FovPolygon",
     "raytrace_quantized", "raytrace_continuous", "concave_hull",
     "rasterize_polygon", "polar_to_mask", "points_in_polygon",
 ]

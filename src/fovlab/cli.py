@@ -13,17 +13,17 @@ as "failed"; when no frame works, it is a data error.
 Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError: a missing file,
 or a malformed config, checkpoint or dataset file, such as a manifest, PGM mask
 or FVPC cloud that does not parse or holds invalid values, a config frame count
-that is not a non-negative integer, a checkpoint with a non-finite parameter,
-a manifest row whose path is absolute or has a '..' part, a train split whose
-resolution the net depth of train or crossval cannot halve that often, or an
-attack --out that is, contains or lies inside --dataset), 4 numeric failure
-(a non-finite training loss, or non-finite probability maps from a network
-whose activations overflow); any other exception, ValueError included, is a bug
-and propagates. A flag value that a library check would refuse (an unknown
-estimator, a count, depth, threshold or attack sigma, bounds or center out of
-range, a learning rate that is not finite and positive, a crossval value
-outside the search grid) is a usage error: the flag's parser type applies the
-same rule, so nothing is written.
+or seed that is not a non-negative integer, a checkpoint with a non-finite
+parameter, a manifest row whose path is absolute or has a '..' part, a train
+split whose resolution the net depth of train or crossval cannot halve that
+often, or an attack --out that is, contains or lies inside --dataset), 4
+numeric failure (a non-finite training loss, or non-finite probability maps
+from a network whose activations overflow); any other exception, ValueError
+included, is a bug and propagates. A flag value that a library check would
+refuse (an unknown estimator, a seed, count, depth, threshold or attack sigma,
+bounds or center out of range, a learning rate that is not finite and
+positive, a crossval value outside the search grid) is a usage error: the
+flag's parser type applies the same rule, so nothing is written.
 """
 
 from __future__ import annotations
@@ -126,8 +126,9 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, learning_rate=args.lr))
     grid, filt, train_frames = open_dataset(args.dataset, "train")
     _, _, val_frames = open_dataset(args.dataset, "val")
-    _check_fit(train_frames, grid, cfg.net.depth, 1, f"net settings (depth {cfg.net.depth})")
-    net_cfg = dataclasses.replace(cfg.net, resolution=grid.resolution)
+    depth = cfg.net["depth"]
+    _check_fit(train_frames, grid, depth, 1, f"net settings (depth {depth})")
+    net_cfg = NetConfig(**cfg.net, resolution=grid.resolution)
     _echo_config(args, {"net": dataclasses.asdict(net_cfg),
                         "train": dataclasses.asdict(cfg.train)})
     train_pairs = frames_to_pairs(train_frames, grid, filt)
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_, *parents):
         sp = sub.add_parser(name, help=help_, parents=parents)
         sp.set_defaults(func=fn)
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="override the config seed")
         return sp
 
     sp = add("synth", cmd_synth, "generate a synthetic dataset with ground-truth FOV masks", split)

@@ -8,7 +8,7 @@ rejected before any work starts.
       "lidar":   {...LidarModel},          # defaults follow the family
       "grid":    {"extent": 75, "resolution": 256},
       "filter":  {...FilterSpec},
-      "net":     {...NetConfig},
+      "net":     {...NetConfig, no resolution},  # train uses the dataset's
       "train":   {...TrainConfig},
       "frames":  {"train": 400, "val": 50, "test": 100},
       "seed":    0,
@@ -53,7 +53,7 @@ class ExperimentConfig:
     lidar: LidarModel
     grid: GridSpec
     filter: FilterSpec
-    net: NetConfig
+    net: dict  # NetConfig keyword arguments but resolution
     train: TrainConfig
     frames: dict
     seed: int = 0
@@ -81,9 +81,14 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     filt = build_dataclass(FilterSpec, doc["filter"], f"{where}.filter") \
         if "filter" in doc else FilterSpec(max_range=lidar.max_range)
 
-    net_doc = dict(doc.get("net", {}))
-    net_doc.setdefault("resolution", grid.resolution)
-    net = build_dataclass(NetConfig, net_doc, f"{where}.net")
+    net_doc = doc.get("net", {})
+    if isinstance(net_doc, dict) and "resolution" in net_doc:
+        raise DataError(f"{where}.net: unknown keys ['resolution']; "
+                        "the net takes its dataset's resolution")
+    # checked at NetConfig's default resolution, 64, which 2^depth divides for
+    # every depth it accepts; train builds the net at its dataset's resolution
+    net = dataclasses.asdict(build_dataclass(NetConfig, net_doc, f"{where}.net"))
+    del net["resolution"]
     train = build_dataclass(TrainConfig, doc.get("train", {}), f"{where}.train")
 
     frames = doc.get("frames", {"train": 0, "val": 0, "test": 0})
@@ -93,8 +98,8 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
         raise DataError(f"{where}.frames: expected non-negative integer counts, got {frames}")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise DataError(f"{where}.seed: expected an integer")
+    if not isinstance(seed, int) or seed < 0:
+        raise DataError(f"{where}.seed: expected a non-negative integer, got {seed!r}")
     out_dir = doc.get("out_dir")
     return ExperimentConfig(family=family, lidar=lidar, grid=grid, filter=filt,
                             net=net, train=train, frames=frames, seed=seed, out_dir=out_dir)

@@ -52,12 +52,17 @@ def to_polar(points_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = r > 0.0
     if not keep.all():
         pts, r = pts[keep], r[keep]
-    az = np.arctan2(pts[:, 1], pts[:, 0])
+    return azimuth(pts[:, 0], pts[:, 1]), r
+
+
+def azimuth(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Azimuth of each point (x, y) in [0, 2pi)."""
+    az = np.arctan2(y, x)
     # np.mod(az, 2pi) to the bit: az + 2pi where az < 0, and +0.0 for -0.0
     az += 2.0 * np.pi * (az < 0.0)
     # a tiny negative azimuth rounds up to 2*pi exactly; fold back into [0, 2pi)
     az[az >= 2.0 * np.pi] = 0.0
-    return az, r
+    return az
 
 
 def flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +78,6 @@ def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImag
 
 
 __all__ = [
-    "project_to_bev", "filter_points", "quantize", "to_polar",
+    "project_to_bev", "filter_points", "quantize", "to_polar", "azimuth",
     "flat_ranges", "cloud_to_bev",
 ]

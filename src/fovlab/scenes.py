@@ -127,6 +127,8 @@ class SceneFamily:
                 raise ValueError("family ranges must be non-empty")
         if self.enclosure_radius is not None and self.enclosure_radius[1] < self.enclosure_radius[0]:
             raise ValueError("family ranges must be non-empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def preset(name: str) -> "SceneFamily":

@@ -98,15 +98,15 @@ class Network:
         return Network(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
-def unet_init(cfg: NetConfig, seed: int = 0, dtype=np.float32) -> Network:
-    """He-uniform weights, zero biases; bit-deterministic per (cfg, seed)."""
+def unet_init(cfg: NetConfig, seed: int = 0) -> Network:
+    """He-uniform float32 weights, zero biases; bit-deterministic per (cfg, seed)."""
     rng = seeded_rng(seed)
     params = {}
     for name, out_ch, in_ch, k in conv_specs(cfg):
         fan_in = in_ch * k * k
         limit = np.sqrt(6.0 / fan_in)
-        params[f"{name}.W"] = rng.uniform(-limit, limit, (out_ch, in_ch, k, k)).astype(dtype)
-        params[f"{name}.b"] = np.zeros(out_ch, dtype=dtype)
+        params[f"{name}.W"] = rng.uniform(-limit, limit, (out_ch, in_ch, k, k)).astype(np.float32)
+        params[f"{name}.b"] = np.zeros(out_ch, dtype=np.float32)
     net = Network(cfg, params)
     assert sum(p.size for p in params.values()) == parameter_count(cfg)
     return net

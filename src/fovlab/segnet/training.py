@@ -26,6 +26,8 @@ class TrainConfig:
         if not math.isfinite(self.learning_rate) or \
                 min(self.learning_rate, self.max_epochs, self.batch_size, self.patience) <= 0:
             raise ValueError(f"TrainConfig values must be positive and finite, got {self}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _bce(probs: np.ndarray, targets: np.ndarray) -> float:

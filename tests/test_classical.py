@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 
 from fovlab import classical
 from fovlab.attacks import AttackSpec, spoof
-from fovlab.classical import (_BOUNDARY_TOL, MIN_BINS, FovPolygon, PolarFov, concave_hull,
+from fovlab.classical import (_BOUNDARY_TOL, MIN_BINS, FovPolygon, concave_hull,
                               points_in_polygon, polar_to_mask, rasterize_polygon,
                               raytrace_continuous, raytrace_quantized)
 from fovlab.geometry import filter_points, flat_ranges, project_to_bev
@@ -185,13 +185,6 @@ def _raytrace_continuous_reference(points_xy: np.ndarray) -> np.ndarray:
     return np.column_stack([r * np.cos(az), r * np.sin(az)])
 
 
-def test_polarfov_validation():
-    with pytest.raises(ValueError):
-        PolarFov(4, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        PolarFov(3, np.array([1.0, -2.0, 3.0]))
-
-
 def test_fovpolygon_validation():
     # the last triangle is finite, but its edge arithmetic overflows: on GridSpec(10, 8)
     # it rasterized to 64 cells where the true answer is 32
@@ -204,15 +197,15 @@ def test_fovpolygon_validation():
 
 
 def test_rayq_single_point():
-    pf = raytrace_quantized(np.array([[5.0, 0.0]]), 360)
-    assert pf.max_range_per_bin[0] == 5.0
-    assert pf.max_range_per_bin[1:].sum() == 0.0
+    ranges = raytrace_quantized(np.array([[5.0, 0.0]]), 360)
+    assert ranges.shape == (360,) and ranges.dtype == np.float64
+    assert ranges[0] == 5.0
+    assert ranges[1:].sum() == 0.0
 
 
 def test_rayq_max_rule():
     pts = np.array([[3.0, 0.0], [7.0, 0.0]])
-    pf = raytrace_quantized(pts, 360)
-    assert pf.max_range_per_bin[0] == 7.0
+    assert raytrace_quantized(pts, 360)[0] == 7.0
 
 
 def test_rayq_requires_enough_bins():
@@ -229,10 +222,10 @@ def test_rayq_iou_against_oracle(sample_scene, noiseless_lidar, sample_points):
 
 def test_rayq_monotone_in_points(sample_points):
     rng = np.random.default_rng(0)
-    pf = raytrace_quantized(sample_points, 360)
+    ranges = raytrace_quantized(sample_points, 360)
     extra = rng.uniform(-75, 75, (50, 2))
-    pf2 = raytrace_quantized(np.vstack([sample_points, extra]), 360)
-    assert np.all(pf2.max_range_per_bin >= pf.max_range_per_bin)
+    ranges2 = raytrace_quantized(np.vstack([sample_points, extra]), 360)
+    assert np.all(ranges2 >= ranges)
 
 
 def test_rayq_points_inside_estimated_fov(sample_points):
@@ -241,10 +234,10 @@ def test_rayq_points_inside_estimated_fov(sample_points):
     from fovlab.geometry import to_polar
 
     for n_bins in (36, 360, 720):
-        pf = raytrace_quantized(sample_points, n_bins)
+        ranges = raytrace_quantized(sample_points, n_bins)
         az, r = to_polar(sample_points)
         bins = np.minimum((az / (2 * np.pi) * n_bins).astype(int), n_bins - 1)
-        assert np.all(r <= pf.max_range_per_bin[bins])
+        assert np.all(r <= ranges[bins])
 
 
 def test_rayc_diamond():
@@ -635,7 +628,7 @@ def test_raytraces_match_references_on_spoofed_frames():
     for label, _grid, pts in _benchmark_frames():
         pts = np.vstack([pts, extra, pts[::7] * 0.5, pts[::11]])
         for n_bins in (MIN_BINS, 360, 1000):
-            assert raytrace_quantized(pts, n_bins).max_range_per_bin.tobytes() \
+            assert raytrace_quantized(pts, n_bins).tobytes() \
                 == _raytrace_quantized_reference(pts, n_bins).tobytes(), (label, n_bins)
         assert raytrace_continuous(pts).vertices.tobytes() \
             == _raytrace_continuous_reference(pts).tobytes(), label
@@ -658,7 +651,7 @@ def test_rasterize_never_calls_points_in_polygon(monkeypatch):
 def test_per_spec_caches_are_read_only():
     """The cached center arrays are shared by every later call for the spec."""
     spec = GridSpec(extent=16.0, resolution=32)
-    polar_to_mask(PolarFov(16, np.full(16, 10.0)), spec)
+    polar_to_mask(np.full(16, 10.0), spec)
     rasterize_polygon(FovPolygon(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])), spec)
     for a in (*classical._center_polar(spec, 16), *classical._grid_rows(spec)[:3]):
         with pytest.raises(ValueError):
@@ -681,23 +674,21 @@ def test_rasterize_area_close_to_shoelace():
 
 def test_polar_to_mask_disk():
     spec = GridSpec(extent=16.0, resolution=32)
-    pf = PolarFov(16, np.full(16, 10.0))
-    mask = polar_to_mask(pf, spec)
+    mask = polar_to_mask(np.full(16, 10.0), spec)
     X, Y = spec.cell_centers()
     np.testing.assert_array_equal(mask.mask, np.hypot(X, Y) <= 10.0)
 
 
 def test_polar_to_mask_all_zero():
     spec = GridSpec(extent=16.0, resolution=32)
-    assert not polar_to_mask(PolarFov(16, np.zeros(16)), spec).mask.any()
+    assert not polar_to_mask(np.zeros(16), spec).mask.any()
 
 
 def test_polar_to_mask_matches_per_cell_oracle():
     rng = np.random.default_rng(23)
     spec = GridSpec(extent=16.0, resolution=32)
     ranges = rng.uniform(0, 20, 24)
-    pf = PolarFov(24, ranges)
-    mask = polar_to_mask(pf, spec)
+    mask = polar_to_mask(ranges, spec)
     X, Y = spec.cell_centers()
     for ix in range(32):
         for iy in range(32):
@@ -719,8 +710,21 @@ def test_polar_to_mask_bins_per_spec_and_bin_count():
             az = np.mod(np.arctan2(Y, X), 2 * np.pi)
             az[az >= 2 * np.pi] = 0.0
             bins = np.minimum((az / (2 * np.pi) * n).astype(np.int64), n - 1)
-            np.testing.assert_array_equal(polar_to_mask(PolarFov(n, ranges), spec).mask,
+            np.testing.assert_array_equal(polar_to_mask(ranges, spec).mask,
                                           np.hypot(X, Y) <= ranges[bins], err_msg=f"{spec} {n}")
+
+
+@settings(max_examples=60, **PROPERTY)
+@given(res=st.sampled_from((8, 9, 64, 255)), n_bins=st.sampled_from((8, 360, 720)),
+       extent=st.floats(1.0, 100.0), share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_rayq_marks_every_cell_whose_center_is_a_point(res, n_bins, extent, share, seed):
+    """Cell centers taken as the points are visible in the mask they trace,
+    which holds only if points and cell centers fall into bins by one rule."""
+    spec = GridSpec(extent=extent, resolution=res)
+    X, Y = spec.cell_centers()
+    chosen = np.random.default_rng(seed).random(X.shape) < share
+    mask = polar_to_mask(raytrace_quantized(np.column_stack([X[chosen], Y[chosen]]), n_bins), spec)
+    assert mask.mask[chosen].all()
 
 
 def test_classical_mask_grows_under_spoofing(sample_points):

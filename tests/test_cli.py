@@ -158,11 +158,22 @@ def test_sweep_bad_counts_or_mcd_is_usage_error(dataset, tmp_path, capsys, flags
      "--center-x: need a finite number, got 'nan'"),
     ("attack", ["--kind", "cluster", "--center-y", "nan"], 2,
      "--center-y: need a finite number, got 'nan'"),
+    ("synth", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("attack", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("estimate", ["--method", "rayq", "--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("train", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("infer", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("eval", ["--mcd", "2", "--seed", "-2"], 2, "--seed: need an integer >= 0, got '-2'"),
+    ("crossval", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
+    ("sweep", ["--seed", "-2"], 2, "--seed: need an integer >= 0, got '-2'"),
+    ("bench", ["--seed", "-1"], 2, "--seed: need an integer >= 0, got '-1'"),
 ])
 def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, code, named):
     ckpt = tmp_path / "net.fvnt"
     out = str(tmp_path / "out")
-    base = {"train": ["--out", str(ckpt), "--epochs", "1"],
+    data = [] if command == "synth" else ["--dataset", str(dataset)]
+    base = {"synth": ["--out", out],
+            "train": ["--out", str(ckpt), "--epochs", "1"],
             "crossval": ["--folds", "2", "--epochs", "1", "--base-channels", "4"],
             "bench": ["--method", "rayq"],
             "estimate": ["--out", out],
@@ -171,7 +182,7 @@ def test_bad_flag_value_is_refused(dataset, tmp_path, capsys, command, flags, co
             "infer": ["--checkpoint", str(ckpt), "--out", out],
             "eval": ["--checkpoint", str(ckpt)]}[command]
     try:
-        got = main([command, "--dataset", str(dataset), *base, *flags])
+        got = main([command, *data, *base, *flags])
     except SystemExit as exc:
         got = exc.code
     assert got == code
@@ -489,6 +500,38 @@ def test_config_bad_frame_count_is_data_error(tmp_path, capsys, count):
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
     assert f"{cfg}.frames: expected non-negative integer counts" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, named", [
+    (None, "seed: expected a non-negative integer, got -1"),
+    ("train", "train: seed must be >= 0, got -1"),
+    ("family", "family: seed must be >= 0, got -1")])
+def test_config_negative_seed_is_data_error(tmp_path, capsys, section, named):
+    doc = {**CONFIG, "seed": -1} if section is None \
+        else {**CONFIG, section: {**CONFIG[section], "seed": -1}}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"{cfg}.{named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_net_section_sets_no_resolution(tmp_path, capsys):
+    """train builds the net at its dataset's resolution, so the net section
+    may not set one, and synth does not check it against the grid."""
+    cfg = tmp_path / "net.json"
+    cfg.write_text(json.dumps({**CONFIG, "net": {"resolution": 8}}))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"{cfg}.net: unknown keys ['resolution']" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({**CONFIG, "grid": {"extent": 75.0, "resolution": 96},
+                               "net": {"depth": 6}, "frames": {"train": 1, "val": 0, "test": 0}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0].removeprefix("resolved config: ")
+    assert json.loads(echo)["resolved"]["net"] == \
+        {"depth": 6, "base_channels": 8, "dropout_rate": 0.1}
 
 
 def _digests(root):

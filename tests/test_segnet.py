@@ -30,6 +30,13 @@ def rand_target():
     return FovMask(SPEC16, rng.uniform(size=(16, 16)) > 0.5)
 
 
+def _unet(cfg: NetConfig, seed: int, dtype) -> Network:
+    """unet_init's float32 weights, cast to `dtype`."""
+    net = unet_init(cfg, seed=seed)
+    net.params = {k: v.astype(dtype) for k, v in net.params.items()}
+    return net
+
+
 def test_net_config_validation():
     with pytest.raises(ValueError):
         NetConfig(depth=7, resolution=128)
@@ -118,7 +125,7 @@ def test_forward_shape_mismatch(rand_image):
 def test_forward_matches_scalar_reference():
     """Independent straight-line forward pass with plain loops, depth 3 at 8x8."""
     cfg = NetConfig(depth=3, base_channels=1, dropout_rate=0.0, resolution=8)
-    net = unet_init(cfg, seed=2, dtype=np.float64)
+    net = _unet(cfg, 2, np.float64)
     rng = np.random.default_rng(5)
     counts = rng.integers(0, 5, (8, 8))
     spec = GridSpec(extent=4.0, resolution=8)
@@ -392,8 +399,8 @@ def test_training_steps_match_cached_reference_property(depth, base, n, res, dty
     zeros and tied pooling windows, and a batch seen again after a step, so
     that a stale stem or weight matrix shows."""
     rng = np.random.default_rng(seed)
-    net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
-                              resolution=res), seed=seed % 1000, dtype=dtype)
+    net = _unet(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
+                          resolution=res), seed % 1000, dtype)
     for name in net.params:
         if name.endswith(".b"):
             net.params[name][:] = rng.normal(scale=0.1, size=net.params[name].shape)
@@ -456,8 +463,8 @@ def test_workspace_forward_matches_reference_property(depth, base, n, res, dtype
     stem or a written border shows, the up convs' bordered sources included.
     The workspace holds no upsampled input."""
     rng = np.random.default_rng(seed)
-    net = unet_init(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
-                              resolution=res), seed=seed % 1000, dtype=dtype)
+    net = _unet(NetConfig(depth=depth, base_channels=base, dropout_rate=rate,
+                          resolution=res), seed % 1000, dtype)
     for name in net.params:
         if name.endswith(".b"):
             net.params[name][:] = rng.normal(scale=0.1, size=net.params[name].shape)
@@ -645,8 +652,7 @@ def test_conv3x3_backward_peak_memory():
 def test_forward_batch_probs_close_with_and_without_caches(dtype, dropout):
     """A pass with caches (up convs on the upsample) and one without (phase
     convs) give probabilities within 32 eps(dtype) (7.5 eps measured)."""
-    net = unet_init(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16),
-                    seed=1, dtype=dtype)
+    net = _unet(NetConfig(depth=3, base_channels=4, dropout_rate=0.2, resolution=16), 1, dtype)
     x = np.random.default_rng(2).uniform(size=(3, 16, 16, 1)).astype(dtype)
     rng = (lambda: seeded_rng(5)) if dropout else (lambda: None)
     kept, caches = forward_batch(net, x, drop_rng=rng())
@@ -924,7 +930,7 @@ def tiny_check_net(depth: int = 3, base: int = 4, resolution: int = 16,
     """Small double-precision network for gradient checking."""
     cfg = NetConfig(depth=depth, base_channels=base, dropout_rate=0.0,
                     resolution=resolution)
-    return unet_init(cfg, seed=seed, dtype=np.float64)
+    return _unet(cfg, seed, np.float64)
 
 
 def test_grad_check_random(rand_image, rand_target):
