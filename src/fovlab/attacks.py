@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PointCloud, seeded_rng
+from .types import PointCloud, check_int, seeded_rng
 
 DEFAULT_BUDGET = 150  # spoofed-point budget of the threat model
 
@@ -32,13 +32,14 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ("cluster", "uniform"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if not 0 <= self.n_points <= self.budget:
-            raise ValueError("n_points must satisfy 0 <= n_points <= budget")
+        check_int(self.budget, "budget", 0)
+        check_int(self.n_points, "n_points", 0, self.budget)
         if not (math.isfinite(self.cluster_sigma) and self.cluster_sigma >= 0
                 and math.isfinite(self.bounds) and self.bounds > 0):
             raise ValueError("cluster_sigma must be finite and >= 0, bounds finite and > 0")
         if not all(map(math.isfinite, self.cluster_center)):
             raise ValueError("cluster_center must be finite")
+        check_int(self.seed, "seed", 0)
 
 
 def spoof(cloud: PointCloud, spec: AttackSpec) -> PointCloud:

@@ -12,18 +12,20 @@ as "failed"; when no frame works, it is a data error.
 
 Exit codes: 0 ok, 2 usage, 3 data error (DataError or OSError: a missing file,
 or a malformed config, checkpoint or dataset file, such as a manifest, PGM mask
-or FVPC cloud that does not parse or holds invalid values, a config frame count
-or seed that is not a non-negative integer, a checkpoint with a non-finite
-parameter, a manifest row whose path is absolute or has a '..' part, a train
-split whose resolution the net depth of train or crossval cannot halve that
-often, or an attack --out that is, contains or lies inside --dataset), 4
-numeric failure (a non-finite training loss, or non-finite probability maps
-from a network whose activations overflow); any other exception, ValueError
-included, is a bug and propagates. A flag value that a library check would
-refuse (an unknown estimator, a seed, count, depth, threshold or attack sigma,
-bounds or center out of range, a learning rate that is not finite and
-positive, a crossval value outside the search grid) is a usage error: the
-flag's parser type applies the same rule, so nothing is written.
+or FVPC cloud that does not parse or holds invalid values, an integer field of
+a config, a manifest grid or a checkpoint header that is a bool, not an integer
+or out of range, a config family name that is unknown or an out_dir that is not
+a string, a checkpoint with a non-finite parameter, a manifest row whose path
+is absolute or has a '..' part, a train split whose resolution the net depth of
+train or crossval cannot halve that often, or an attack --out that is, contains
+or lies inside --dataset), 4 numeric failure (a non-finite training loss, or
+non-finite probability maps from a network whose activations overflow); any
+other exception, ValueError included, is a bug and propagates. A flag value
+that a library check would refuse (an unknown estimator, a seed, count, depth,
+threshold or attack sigma, bounds or center out of range, a learning rate that
+is not finite and positive, a crossval value outside the search grid) is a
+usage error: the flag's parser type applies the same rule, so nothing is
+written.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ rejected before any work starts.
       "seed":    0,
       "out_dir": "runs/exp1"               # optional
     }
+
+An integer field, here or in a section's dataclass, must be an integer in its
+range: a bool (true) or a float (4.0) is refused, as `types.check_int` rules.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from .errors import DataError
 from .scenes import LidarModel, SceneFamily, default_grid, default_lidar
 from .segnet import NetConfig, TrainConfig
-from .types import FilterSpec, GridSpec
+from .types import FilterSpec, GridSpec, check_int
 
 _SECTIONS = ("family", "lidar", "grid", "filter", "net", "train", "frames",
              "seed", "out_dir")
@@ -70,7 +73,10 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     fam_doc = doc.get("family", {})
     if not isinstance(fam_doc, dict):
         raise DataError(f"{where}.family: expected an object, got {type(fam_doc).__name__}")
-    preset = SceneFamily.preset(fam_doc.get("name", "outdoor-sparse"))
+    try:
+        preset = SceneFamily.preset(fam_doc.get("name", "outdoor-sparse"))
+    except ValueError as e:
+        raise DataError(f"{where}.family: {e}") from e
     family = build_dataclass(SceneFamily, {**dataclasses.asdict(preset), **fam_doc},
                              f"{where}.family")
 
@@ -94,13 +100,16 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     frames = doc.get("frames", {"train": 0, "val": 0, "test": 0})
     if not isinstance(frames, dict) or set(frames) - {"train", "val", "test"}:
         raise DataError(f"{where}.frames: expected keys from {{train, val, test}}")
-    if any(type(n) is not int or n < 0 for n in frames.values()):
-        raise DataError(f"{where}.frames: expected non-negative integer counts, got {frames}")
-
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise DataError(f"{where}.seed: expected a non-negative integer, got {seed!r}")
+    try:
+        for split, n in frames.items():
+            check_int(n, f"frames.{split}", 0)
+        check_int(seed, "seed", 0)
+    except ValueError as e:
+        raise DataError(f"{where}: {e}") from e
     out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise DataError(f"{where}.out_dir: expected a string, got {out_dir!r}")
     return ExperimentConfig(family=family, lidar=lidar, grid=grid, filter=filt,
                             net=net, train=train, frames=frames, seed=seed, out_dir=out_dir)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import flat_ranges
-from .types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
+from .types import FovMask, GridSpec, PointCloud, Pose, check_int, seeded_rng
 
 FAMILY_NAMES = ("outdoor-sparse", "outdoor-dense", "indoor")
 
@@ -90,8 +90,7 @@ class LidarModel:
     dropout_prob: float = 0.02
 
     def __post_init__(self):
-        if self.n_beams < 8:
-            raise ValueError("n_beams must be >= 8")
+        check_int(self.n_beams, "n_beams", 8)
         if not self.max_range > 0:
             raise ValueError("max_range must be > 0")
         if self.range_noise_sigma < 0:
@@ -121,14 +120,18 @@ class SceneFamily:
     def __post_init__(self):
         if self.name not in FAMILY_NAMES:
             raise ValueError(f"unknown family name {self.name!r}")
+        for key, minimum in (("n_obstacles", 0), ("n_clutter", 0), ("enclosure_vertices", 3)):
+            for end in getattr(self, key):
+                check_int(end, key, minimum)
         for lo, hi in (self.n_obstacles, self.obstacle_size, self.placement,
-                       self.n_clutter, self.clutter_size):
+                       self.n_clutter, self.clutter_size, self.enclosure_vertices):
             if hi < lo:
                 raise ValueError("family ranges must be non-empty")
         if self.enclosure_radius is not None and self.enclosure_radius[1] < self.enclosure_radius[0]:
             raise ValueError("family ranges must be non-empty")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.bounds > 0:
+            raise ValueError("bounds must be > 0")
+        check_int(self.seed, "seed", 0)
 
     @staticmethod
     def preset(name: str) -> "SceneFamily":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, NumericError
-from ..types import BevImage, seeded_rng
+from ..types import BevImage, check_int, seeded_rng
 from . import layers as L
 
 PROB_CLIP = 1e-7  # keeps probability maps strictly inside (0, 1)
@@ -41,15 +41,14 @@ class NetConfig:
     resolution: int = 64
 
     def __post_init__(self):
-        if not 3 <= self.depth <= 6:
-            raise ValueError("depth must lie in [3, 6]")
-        if self.base_channels < 1:
-            raise ValueError("base_channels must be >= 1")
+        check_int(self.depth, "depth", 3, 6)
+        check_int(self.base_channels, "base_channels", 1)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.resolution < 8 or self.resolution % (2 ** self.depth) != 0:
+        check_int(self.resolution, "resolution", 8)
+        if self.resolution % (2 ** self.depth) != 0:
             raise ValueError(
-                f"resolution {self.resolution} must be >= 8 and divisible by 2^depth={2 ** self.depth}")
+                f"resolution {self.resolution} must be divisible by 2^depth={2 ** self.depth}")
 
 
 def conv_specs(cfg: NetConfig) -> list[tuple[str, int, int, int]]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError
-from ..types import seeded_rng
+from ..types import check_int, seeded_rng
 from .network import (Network, PROB_CLIP, Workspace, backward_batch, forward_batch,
                       normalize_counts)
 
@@ -23,11 +23,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.learning_rate) or \
-                min(self.learning_rate, self.max_epochs, self.batch_size, self.patience) <= 0:
-            raise ValueError(f"TrainConfig values must be positive and finite, got {self}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        for name in ("max_epochs", "batch_size", "patience"):
+            check_int(getattr(self, name), name, 1)
+        check_int(self.seed, "seed", 0)
 
 
 def _bce(probs: np.ndarray, targets: np.ndarray) -> float:

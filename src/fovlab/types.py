@@ -17,6 +17,7 @@ labels give equal streams, whatever else ran before or in parallel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,14 @@ def seeded_rng(*labels: int) -> np.random.Generator:
 def derive_seed(*labels: int) -> int:
     """Stable 32-bit seed for a cell of an experiment, from its integer labels."""
     return int(np.random.SeedSequence(labels).generate_state(1)[0])
+
+
+def check_int(value, name: str, minimum: int, maximum: int | None = None) -> None:
+    """Refuse `value` unless it is an integer, not a bool, in [minimum, maximum]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _as_float_array(x, shape=None) -> np.ndarray:
@@ -103,9 +112,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.extent > 0:
             raise ValueError("extent must be > 0")
-        if int(self.resolution) != self.resolution or self.resolution < 8:
-            raise ValueError("resolution must be an integer >= 8")
-        object.__setattr__(self, "resolution", int(self.resolution))
+        check_int(self.resolution, "resolution", 8)
 
     @property
     def cell_size(self) -> float:

@@ -17,6 +17,10 @@ def test_attack_spec_validation():
         AttackSpec(kind="lasers")
     with pytest.raises(ValueError):
         AttackSpec(kind="cluster", n_points=200, budget=150)
+    for key, value in [("n_points", 2.0), ("n_points", -1), ("budget", True), ("budget", -1),
+                       ("seed", 1.5), ("seed", -1)]:
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            AttackSpec(**{key: value})
     for bounds, sigma in [(-1.0, 1.0), (float("inf"), 1.0), (75.0, -1.0), (75.0, float("nan"))]:
         with pytest.raises(ValueError):
             AttackSpec(bounds=bounds, cluster_sigma=sigma)

@@ -401,6 +401,25 @@ def test_non_finite_network_fails(dataset, checkpoint, tmp_path, capsys, scale, 
     assert not list(tmp_path.glob("infer/*.npy"))
 
 
+@pytest.mark.parametrize("key", ["depth", "base_channels", "resolution"])
+def test_checkpoint_header_float_is_data_error(dataset, checkpoint, tmp_path, capsys, key):
+    """A checkpoint header whose integer field is a float exits 3 naming the
+    file and the field, and eval writes no metrics."""
+    raw = checkpoint.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + hlen])
+    header[key] = float(header[key])
+    text = json.dumps(header, sort_keys=True).encode("ascii")
+    bad = tmp_path / "bad.fvnt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + hlen:])
+    out = tmp_path / "metrics.jsonl"
+    assert main(["eval", "--checkpoint", str(bad), "--dataset", str(dataset),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"{key} must be an integer" in err
+    assert not out.exists()
+
+
 def test_missing_files_exit_code(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.fvnt"),
                  "--dataset", str(tmp_path), "--split", "test"]) == 3
@@ -427,6 +446,8 @@ MALFORMED_FILES = {
     "filter-unknown-key": ("manifest.json", _json_edit(lambda m: m["filter"].update(bogus=1))),
     "grid-without-resolution": ("manifest.json",
                                 _json_edit(lambda m: m["grid"].pop("resolution"))),
+    "grid-resolution-float": ("manifest.json",
+                              _json_edit(lambda m: m["grid"].update(resolution=64.0))),
     "test-row-without-mask": ("manifest.json",
                               _json_edit(lambda m: m["splits"]["test"][0].pop("mask"))),
     "test-row-not-object": ("manifest.json",
@@ -492,29 +513,74 @@ def test_synth_negative_frames_is_usage_error(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("count", ["x", -1, 1.5, True, None])
+@pytest.mark.parametrize("count", ["x", -1, 1.5, 2.0, True, None])
 def test_config_bad_frame_count_is_data_error(tmp_path, capsys, count):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**CONFIG, "frames": {"train": 1, "val": 1, "test": count}}))
     out = tmp_path / "o"
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
-    assert f"{cfg}.frames: expected non-negative integer counts" in capsys.readouterr().err
+    assert f"{cfg}: frames.test must be an integer >= 0, got {count!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section, named", [
-    (None, "seed: expected a non-negative integer, got -1"),
-    ("train", "train: seed must be >= 0, got -1"),
-    ("family", "family: seed must be >= 0, got -1")])
-def test_config_negative_seed_is_data_error(tmp_path, capsys, section, named):
-    doc = {**CONFIG, "seed": -1} if section is None \
-        else {**CONFIG, section: {**CONFIG[section], "seed": -1}}
+@pytest.mark.parametrize("seed", [-1, True, 2.0, 1.5])
+@pytest.mark.parametrize("section", [None, "train", "family"])
+def test_config_negative_seed_is_data_error(tmp_path, capsys, section, seed):
+    doc = {**CONFIG, "seed": seed} if section is None \
+        else {**CONFIG, section: {**CONFIG[section], "seed": seed}}
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 3
-    assert f"{cfg}.{named}" in capsys.readouterr().err
+    where = cfg if section is None else f"{cfg}.{section}"
+    assert f"{where}: seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# config edit -> the error text after "<config>.", which names the key
+BAD_CONFIG_VALUES = {
+    "net-depth-float": ({"net": {"depth": 4.0}}, "net: depth must be an integer in [3, 6], got 4.0"),
+    "net-depth-high": ({"net": {"depth": 7}}, "net: depth must be an integer in [3, 6], got 7"),
+    "net-base-channels-bool": ({"net": {"base_channels": True}},
+                               "net: base_channels must be an integer >= 1, got True"),
+    "train-max-epochs-bool": ({"train": {"max_epochs": True}},
+                              "train: max_epochs must be an integer >= 1, got True"),
+    "train-batch-size-fraction": ({"train": {"batch_size": 2.5}},
+                                  "train: batch_size must be an integer >= 1, got 2.5"),
+    "train-patience-zero": ({"train": {"patience": 0}},
+                            "train: patience must be an integer >= 1, got 0"),
+    "lidar-n-beams-fraction": ({"lidar": {"n_beams": 720.5}},
+                               "lidar: n_beams must be an integer >= 8, got 720.5"),
+    "family-n-obstacles-fraction": ({"family": {"n_obstacles": [3.5, 8]}},
+                                    "family: n_obstacles must be an integer >= 0, got 3.5"),
+    "family-n-clutter-negative": ({"family": {"n_clutter": [-3, -1]}},
+                                  "family: n_clutter must be an integer >= 0, got -3"),
+    "family-enclosure-vertices-low": ({"family": {"enclosure_vertices": [1, 2]}},
+                                      "family: enclosure_vertices must be an integer >= 3, got 1"),
+    "grid-resolution-float": ({"grid": {"extent": 75.0, "resolution": 64.0}},
+                              "grid: resolution must be an integer >= 8, got 64.0"),
+    "family-name-unknown": ({"family": {"name": "foo"}}, "family: unknown family name 'foo'"),
+    "family-name-number": ({"family": {"name": 5}}, "family: unknown family name 5"),
+    "out-dir-number": ({"out_dir": 5}, "out_dir: expected a string, got 5"),
+    "family-bounds-negative": ({"family": {"bounds": -5}}, "family: bounds must be > 0"),
+    "family-bounds-nan": ({"family": {"bounds": float("nan")}}, "family: bounds must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_config_bad_value_is_data_error(tmp_path, monkeypatch, capsys, case):
+    """A config value its key's rule refuses exits 3 naming the key, and
+    synth writes nothing: no --out is given when the config sets out_dir."""
+    edit, named = BAD_CONFIG_VALUES[case]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**CONFIG, **edit}))
+    out = [] if "out_dir" in edit else ["--out", str(work / "o")]
+    assert main(["synth", "--config", str(cfg), *out]) == 3
+    assert f"{cfg}.{named}" in capsys.readouterr().err
+    assert not list(work.iterdir())
 
 
 def test_config_net_section_sets_no_resolution(tmp_path, capsys):
