@@ -93,8 +93,9 @@ class LidarModel:
         check_int(self.n_beams, "n_beams", 8)
         if not self.max_range > 0:
             raise ValueError("max_range must be > 0")
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be >= 0")
+        sigma = self.range_noise_sigma
+        if not 0 <= sigma < np.inf:
+            raise ValueError(f"range_noise_sigma must be finite and >= 0, got {sigma!r}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
 
@@ -123,6 +124,18 @@ class SceneFamily:
         for key, minimum in (("n_obstacles", 0), ("n_clutter", 0), ("enclosure_vertices", 3)):
             for end in getattr(self, key):
                 check_int(end, key, minimum)
+        for key, ends in (("obstacle_size", self.obstacle_size),
+                          ("clutter_size", self.clutter_size),
+                          ("enclosure_radius", self.enclosure_radius or ()),
+                          ("wall_thickness", (self.wall_thickness,))):
+            for end in ends:
+                if not 0 < end < np.inf:
+                    raise ValueError(f"{key} must be finite and > 0, got {end!r}")
+        for end in self.placement:
+            if not 0 <= end < np.inf:
+                raise ValueError(f"placement must be finite and >= 0, got {end!r}")
+        if not 0 <= self.enclosure_jitter < 1:
+            raise ValueError(f"enclosure_jitter must be in [0, 1), got {self.enclosure_jitter!r}")
         for lo, hi in (self.n_obstacles, self.obstacle_size, self.placement,
                        self.n_clutter, self.clutter_size, self.enclosure_vertices):
             if hi < lo:

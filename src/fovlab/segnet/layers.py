@@ -12,6 +12,15 @@ forward's column block; ReLU takes its mask from its output, max-pool its
 routing from its input. Dropout keeps a bool keep mask, 1 byte a cell. The ReLU
 and dropout backwards overwrite their `dout` with the result.
 
+A 3x3 conv backward runs in two phases, so it holds one input-sized array at
+a time: dW from the nine windows, one GEMM each over all cells, then dx in
+blocks of whole samples, or of rows of one, that fit the column block. Every
+gradient has the bits of one GEMM per tap over all cells, with OpenBLAS,
+because each block's GEMM covers whole groups of the kernel's rows and is never
+one row (a GEMV) alone. One-channel products are GEMVs, and one-channel sums
+follow the memory layout, so a conv with C = 1 or O = 1 (a base width of 1)
+rounds as its inputs' layout has it, not as any former form did.
+
 A 3x3 conv of a nearest-2x upsample never needs the upsampled copy. Its forward
 can run as four 2x2 convs of the bordered source, one per output phase, with
 the taps that read one source cell summed (sub-pixel convolution, Shi et al.
@@ -95,12 +104,26 @@ def conv3x3_backward(dout, cache, input_grad: bool = True):
     """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache;
     dx is None without `input_grad`, for a conv on the network's input.
 
-    No im2col matrix is built: one (N, H, W, C) buffer takes each tap's shifted
-    window of xp in (di, dj) order, and dW[tap] = window^T @ dout is one GEMM
-    over all N*H*W cells. The same buffer then takes dout @ W[tap], a GEMM with
-    that tap's contiguous (O, C) weight block, which is added into its window
-    of the zero-bordered dx, so every cell receives its nine taps in (di, dj)
-    order (kn2row, Vasudevan, Anderson & Gregg 2017, run backwards).
+    Phase 1, dW: one (N, H, W, C) buffer takes each tap's shifted window of xp
+    in (di, dj) order, and dW[tap] = window^T @ dout is one GEMM over all N*H*W
+    cells, so the sum over cells is never split. The buffer is freed after it.
+
+    Phase 2, dx: the unbordered dx is filled block by block. A block is as many
+    whole samples as fit COL_BLOCK_BYTES, or, when one sample does not, as many
+    of its rows. For each tap in (di, dj) order, one GEMM takes every dout row
+    the block reads times that tap's contiguous (O, C) weight block into a
+    block-sized scratch buffer, whose shifted window is added into dx. So every
+    cell receives its nine taps in (di, dj) order from +0.0 (kn2row, Vasudevan,
+    Anderson & Gregg 2017, run backwards), as one GEMM per tap over all cells
+    would give it.
+
+    A row of a GEMM rounds as in one over all of dout only if it falls in the
+    same group of the BLAS kernel's rows (OpenBLAS takes them 4 at a time from
+    the first), and a one-row product is a GEMV, which rounds otherwise. So each
+    block's GEMM starts and ends on a multiple of 8 rows of dout, or at its end,
+    and is never one row alone. dx is a new array, not the interior of a
+    bordered one, and an up conv's channel-half dout is read in place, not
+    copied: GEMMs do not see the layout, but one-channel GEMVs and sums do.
 
     When xp is the bordered (N, H/2+2, W/2+2, C) source of a nearest-2x upsample
     whose conv this is, each window is gathered from it cell by cell (window
@@ -112,29 +135,49 @@ def conv3x3_backward(dout, cache, input_grad: bool = True):
     o = W.shape[0]
     d = dout.reshape(-1, o)
     tap = np.empty(x_shape, dout.dtype)
-    flat = tap.reshape(-1, c)
     dmat = np.empty((3, 3, c, o), dout.dtype)
-    if input_grad:
-        w_taps = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (3, 3, O, C)
-        dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
     up = xp.shape[1] != h + 2
     if up:
-        src, cells = xp.reshape(n, -1, c), tap.reshape(n, -1, c)
+        src = xp.reshape(n, -1, c)
         rows = [(np.arange(h) + di + 1) // 2 * xp.shape[2] for di in range(3)]
         cols = [(np.arange(w) + dj + 1) // 2 for dj in range(3)]
     for di in range(3):
         for dj in range(3):
-            if up:  # mode "clip" takes into `cells` unbuffered; every index is in range
-                np.take(src, (rows[di][:, None] + cols[dj]).ravel(), axis=1, out=cells,
-                        mode="clip")
+            if up:  # mode "clip" takes into `tap` unbuffered; every index is in range
+                np.take(src, (rows[di][:, None] + cols[dj]).ravel(), axis=1,
+                        out=tap.reshape(n, -1, c), mode="clip")
             else:
                 np.copyto(tap, xp[:, di:di + h, dj:dj + w])
-            np.matmul(flat.T, d, out=dmat[di, dj])
-            if input_grad:
-                np.matmul(d, w_taps[di, dj], out=flat)
-                dxp[:, di:di + h, dj:dj + w] += tap
-    dx = dxp[:, 1:h + 1, 1:w + 1, :] if input_grad else None
-    return dx, dmat.transpose(3, 2, 0, 1), dout.sum(axis=(0, 1, 2))
+            np.matmul(tap.reshape(-1, c).T, d, out=dmat[di, dj])
+    del tap
+    dW, db = dmat.transpose(3, 2, 0, 1), dout.sum(axis=(0, 1, 2))
+    if not input_grad:
+        return None, dW, db
+    w_taps = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (3, 3, O, C)
+    dx = np.zeros(x_shape, dout.dtype)
+    fit = COL_BLOCK_BYTES // (w * c * dout.itemsize)  # dx rows that fit a block
+    per, height = (min(n, fit // h), h) if fit >= h else (1, max(fit, 1))
+    group = 8  # a block's GEMM runs over whole groups of d's rows
+    span = per * h if height == h else height + 2  # dout rows a block reads, at most
+    scratch = np.empty((span * w + 2 * group) * c, dout.dtype)
+    for i in range(0, n, per):
+        k = min(i + per, n)
+        for r in range(0, h, height):
+            e = min(r + height, h)
+            a, b = max(r - 1, 0), min(e + 1, h)  # dout rows [a, b) feed dx rows [r, e)
+            first, stop = (i * h + a) * w, ((k - 1) * h + b) * w  # as rows of d
+            lo, hi = first - first % group, min(stop - stop % -group, len(d))
+            lo = max(lo - group, 0) if hi - lo == 1 else lo
+            g = scratch[:(hi - lo) * c].reshape(-1, c)
+            blk = g[first - lo:stop - lo].reshape(k - i, b - a, w, c)
+            for di in range(3):
+                y0, y1 = max(r, a + di - 1), min(e, b + di - 1)
+                for dj in range(3):
+                    np.matmul(d[lo:hi], w_taps[di, dj], out=g)
+                    x0, x1 = max(dj - 1, 0), min(w + dj - 1, w)
+                    dx[i:k, y0:y1, x0:x1] += blk[:, y0 + 1 - di - a:y1 + 1 - di - a,
+                                                 x0 + 1 - dj:x1 + 1 - dj]
+    return dx, dW, db
 
 
 def conv1x1_forward(x, W, b):

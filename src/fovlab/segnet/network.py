@@ -219,9 +219,12 @@ def backward_batch(net: Network, caches: dict, dlogits: np.ndarray) -> dict:
     forward_batch pass on its own workspace. `caches` is consumed: each entry
     is popped as it is used, so each level's buffers are freed once its
     gradient is done. A 3x3 conv reads the nine shifted windows of its bordered
-    input one at a time and builds no im2col matrix; a `dec{l}.up` conv gathers
-    them from the bordered low-resolution source it kept. The ReLU and dropout
-    backwards write into the gradient arrays made here."""
+    input one at a time for dW and builds no im2col matrix; a `dec{l}.up` conv
+    gathers them from the bordered low-resolution source it kept. Its dx is then
+    built in column blocks, after the window buffer is freed (layers docstring:
+    the rounding of one-row and one-channel products). The up conv's dx is the
+    full-resolution gradient, which upsample2_backward sums onto the source.
+    The ReLU and dropout backwards write into the gradient arrays made here."""
     cfg = net.config
     grads = {}
 

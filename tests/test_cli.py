@@ -564,6 +564,20 @@ BAD_CONFIG_VALUES = {
     "out-dir-number": ({"out_dir": 5}, "out_dir: expected a string, got 5"),
     "family-bounds-negative": ({"family": {"bounds": -5}}, "family: bounds must be > 0"),
     "family-bounds-nan": ({"family": {"bounds": float("nan")}}, "family: bounds must be > 0"),
+    "family-wall-thickness-negative": ({"family": {"wall_thickness": -1}},
+                                       "family: wall_thickness must be finite and > 0, got -1"),
+    "family-enclosure-radius-negative": ({"family": {"enclosure_radius": [-40, -30]}},
+                                         "family: enclosure_radius must be finite and > 0, got -40"),
+    "family-placement-nan": ({"family": {"placement": [float("nan"), 3]}},
+                             "family: placement must be finite and >= 0, got nan"),
+    "family-clutter-size-infinite": ({"family": {"clutter_size": [0, float("inf")]}},
+                                     "family: clutter_size must be finite and > 0, got 0"),
+    "family-obstacle-size-negative": ({"family": {"obstacle_size": [-5, -1]}},
+                                      "family: obstacle_size must be finite and > 0, got -5"),
+    "family-enclosure-jitter-one": ({"family": {"enclosure_jitter": 1.0}},
+                                    "family: enclosure_jitter must be in [0, 1), got 1.0"),
+    "lidar-range-noise-nan": ({"lidar": {"range_noise_sigma": float("nan")}},
+                              "lidar: range_noise_sigma must be finite and >= 0, got nan"),
 }
 
 

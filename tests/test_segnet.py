@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fovlab.errors import NumericError
+from fovlab.segnet import layers
 from fovlab.segnet import (NetConfig, Network, TrainConfig, binarize, infer_mcd, infer_mle,
                            load_checkpoint, parameter_count, save_checkpoint, train,
                            unet_init)
@@ -204,6 +205,54 @@ def _conv3x3_backward_reference(dout, cache):
         for dj in range(3):
             dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
     return dxp[:, 1:h + 1, 1:w + 1, :], dW, db
+
+
+# conv3x3_backward before its input gradient ran in blocks: the bit oracle of
+# the two-phase form
+def _conv3x3_backward_scatter(dout, cache, input_grad: bool = True):
+    """Gradients (dx, dW, db) of a 3x3 conv from its (xp, x_shape, W) cache;
+    dx is None without `input_grad`, for a conv on the network's input.
+
+    No im2col matrix is built: one (N, H, W, C) buffer takes each tap's shifted
+    window of xp in (di, dj) order, and dW[tap] = window^T @ dout is one GEMM
+    over all N*H*W cells. The same buffer then takes dout @ W[tap], a GEMM with
+    that tap's contiguous (O, C) weight block, which is added into its window
+    of the zero-bordered dx, so every cell receives its nine taps in (di, dj)
+    order (kn2row, Vasudevan, Anderson & Gregg 2017, run backwards).
+
+    When xp is the bordered (N, H/2+2, W/2+2, C) source of a nearest-2x upsample
+    whose conv this is, each window is gathered from it cell by cell (window
+    cell (i, j) reads source cell ((di+i+1)//2, (dj+j+1)//2)): the same buffer,
+    so the same bits, without the upsampled input.
+    """
+    xp, x_shape, W = cache
+    n, h, w, c = x_shape
+    o = W.shape[0]
+    d = dout.reshape(-1, o)
+    tap = np.empty(x_shape, dout.dtype)
+    flat = tap.reshape(-1, c)
+    dmat = np.empty((3, 3, c, o), dout.dtype)
+    if input_grad:
+        w_taps = np.ascontiguousarray(W.transpose(2, 3, 0, 1))  # (3, 3, O, C)
+        dxp = np.zeros((n, h + 2, w + 2, c), dtype=dout.dtype)
+    up = xp.shape[1] != h + 2
+    if up:
+        src, cells = xp.reshape(n, -1, c), tap.reshape(n, -1, c)
+        rows = [(np.arange(h) + di + 1) // 2 * xp.shape[2] for di in range(3)]
+        cols = [(np.arange(w) + dj + 1) // 2 for dj in range(3)]
+    for di in range(3):
+        for dj in range(3):
+            if up:  # mode "clip" takes into `cells` unbuffered; every index is in range
+                np.take(src, (rows[di][:, None] + cols[dj]).ravel(), axis=1, out=cells,
+                        mode="clip")
+            else:
+                np.copyto(tap, xp[:, di:di + h, dj:dj + w])
+            np.matmul(flat.T, d, out=dmat[di, dj])
+            if input_grad:
+                np.matmul(d, w_taps[di, dj], out=flat)
+                dxp[:, di:di + h, dj:dj + w] += tap
+    dx = dxp[:, 1:h + 1, 1:w + 1, :] if input_grad else None
+    return dx, dmat.transpose(3, 2, 0, 1), dout.sum(axis=(0, 1, 2))
 
 
 def _forward_reference(net, x, drop_rng=None, stem=None):
@@ -557,6 +606,43 @@ def test_conv3x3_backward_matches_reference_property(n, c, o, h, w, dtype, tied,
     assert dx is None and dW.tobytes() == got[1].tobytes() and db.tobytes() == got[2].tobytes()
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 5, 9]), c=st.sampled_from([2, 3, 8, 16]),
+       o=st.sampled_from([1, 4, 8, 32]), h=st.sampled_from([1, 2, 7, 16]),
+       w=st.sampled_from([1, 2, 5, 16]), up=st.booleans(), input_grad=st.booleans(),
+       rows=st.one_of(st.none(), st.integers(0, 40)),
+       dtype=st.sampled_from([np.float32, np.float64]), tied=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=9, c=2, o=32, h=1, w=1, up=False, input_grad=True, rows=2, dtype=np.float32,
+         tied=False, seed=0)  # the last block is one cell: its GEMM takes whole groups
+@example(n=2, c=3, o=32, h=7, w=1, up=False, input_grad=True, rows=1, dtype=np.float64,
+         tied=True, seed=1)  # one-row blocks of a one-cell-wide image
+@example(n=5, c=8, o=4, h=1, w=5, up=True, input_grad=True, rows=3, dtype=np.float32,
+         tied=True, seed=2)  # blocks of whole up-conv samples that end inside a row group
+def test_conv3x3_backward_matches_scatter_property(n, c, o, h, w, up, input_grad, rows, dtype,
+                                                   tied, seed):
+    """The two-phase backward gives the scatter form's dx, dW and db bit for
+    bit: on plain and up-conv (source) caches, one-cell-wide images, ties,
+    zeros and -0.0 in dout, with and without the input gradient, for the
+    default column block and blocks of `rows` dx rows (0: less than one row),
+    so that blocks hold several samples, one sample or part of one."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda shape: rng.choice(np.array([0.0, -0.0, 0.5, -1.0, 2.0]), size=shape)) \
+        if tied else rng.standard_normal
+    shape = (n, 2 * h, 2 * w, c) if up else (n, h, w, c)
+    x, W, dout = (draw(s).astype(dtype) for s in ((n, h, w, c), (o, c, 3, 3), shape[:3] + (o,)))
+    cache = (np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), shape, W)
+    want = _conv3x3_backward_scatter(dout, cache, input_grad)
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(layers, "COL_BLOCK_BYTES", rows * shape[2] * c * np.dtype(dtype).itemsize)
+        got = conv3x3_backward(dout, cache, input_grad)
+    assert (got[0] is None) == (want[0] is None) == (not input_grad)
+    for g, e in zip(got, want):
+        assert g is None or (g.dtype == e.dtype and g.shape == e.shape
+                             and g.tobytes() == e.tobytes())
+
+
 def _conv3x3_forward_exact(xp, W, b):
     """A 3x3 conv of the interior of bordered `xp`, tap by tap in np.longdouble."""
     h, w = xp.shape[1] - 2, xp.shape[2] - 2
@@ -629,8 +715,9 @@ def test_conv3x3_backward_of_upsample_reads_its_source_property(n, c, o, h, w, d
 
 
 def test_conv3x3_backward_peak_memory():
-    """A conv backward builds no im2col matrix: at (4, 64, 64, 16) -> 8 it peaks
-    at no more than two bordered inputs (a tap buffer and dx) and one dout."""
+    """A conv backward builds no im2col matrix, and its tap buffer is freed
+    before dx is made: at (4, 64, 64, 16) -> 8 it peaks at no more than one
+    bordered input, one dout and one column block (two bordered inputs before)."""
     import tracemalloc
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 64, 64, 16)).astype(np.float32)
@@ -644,7 +731,7 @@ def test_conv3x3_backward_peak_memory():
     finally:
         tracemalloc.stop()
     del grads
-    assert peak <= 2 * xp.nbytes + dout.nbytes
+    assert peak <= xp.nbytes + dout.nbytes + layers.COL_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -726,6 +813,10 @@ FLOAT_MASK_STEP_PEAK = 18_484_752
 # each encoder level kept its c2 output before and after dropout
 UPSAMPLED_INPUT_STEP_PEAK = 108_629_049
 
+# tracemalloc peak of _training_step_peak(forward_batch, backward_batch, 128, 10)
+# when conv3x3_backward was _conv3x3_backward_scatter
+SCATTER_BACKWARD_STEP_PEAK = 88_886_699
+
 
 def test_training_step_peak_memory_below_float_mask_step():
     """Bool keep masks, in-place ReLU and dropout backwards, caches freed as
@@ -738,9 +829,45 @@ def test_training_step_peak_memory_below_upsampled_input_step():
     """Up-conv backwards that gather their windows from the low-resolution
     source, and encoder c2 outputs freed once dropout has copied them, bring
     a res-128 batch-10 step to at most 0.85 of its peak before them (0.818
-    measured: 88.9 MB)."""
+    measured then: 88.9 MB)."""
     now = _training_step_peak(forward_batch, backward_batch, 128, 10)
     assert now <= 0.85 * UPSAMPLED_INPUT_STEP_PEAK
+
+
+def test_training_step_peak_memory_below_scatter_backward_step():
+    """Conv backwards that free their tap buffer before making dx, and build dx
+    in column blocks without a bordered copy, bring a res-128 batch-10 step to
+    at most 0.9 of its peak with the scatter backward (0.849 measured: 75.5 MB)."""
+    now = _training_step_peak(forward_batch, backward_batch, 128, 10)
+    assert now <= 0.9 * SCATTER_BACKWARD_STEP_PEAK
+
+
+@pytest.mark.parametrize("depth, base, res, n, dtype", [
+    (3, 2, 16, 3, np.float64),
+    (4, 4, 48, 5, np.float32),  # a bottleneck three cells wide
+    (5, 8, 32, 2, np.float32),  # a bottleneck one cell wide
+    (6, 2, 64, 3, np.float32),
+    (4, 8, 128, 10, np.float32),  # the benchmark's step: level 0 in blocks of rows
+])
+def test_training_step_grads_match_scatter_backward(monkeypatch, depth, base, res, n, dtype):
+    """backward_batch's gradients equal those with the scatter conv backward,
+    byte for byte."""
+    net = _unet(NetConfig(depth=depth, base_channels=base, dropout_rate=0.1, resolution=res),
+                0, dtype)
+    rng = np.random.default_rng(depth * base)
+    x = rng.uniform(size=(n, res, res, 1)).astype(dtype)
+    y = (rng.uniform(size=x.shape) > 0.5).astype(dtype)
+
+    def step():
+        probs, caches = forward_batch(net, x, drop_rng=seeded_rng(0))
+        return backward_batch(net, caches, _bce_and_dlogits(probs, y)[1])
+
+    got = step()
+    monkeypatch.setattr(layers, "conv3x3_backward", _conv3x3_backward_scatter)
+    want = step()
+    assert got.keys() == want.keys() == net.params.keys()
+    for k in got:
+        assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
 
 
 def test_backward_batch_consumes_caches():
