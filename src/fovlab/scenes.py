@@ -8,6 +8,23 @@ Each family surrounds the sensor with an enclosing wall ring composed of
 convex quads (urban block / room walls), so nearly every beam returns a hit,
 plus a sampled number of interior obstacles. Concave structures are composed
 from convex pieces.
+
+The oracle's definition is the brute-force rule: a cell is visible iff its
+centre is within max_range and `_segments_blocked` (the rounded orientation
+test of the sensor-to-centre segment against an edge) is False for every
+edge. `ground_truth_fov` returns that mask bit for bit while evaluating only
+the pairs no error bound decides. Besides the azimuth wedge of each edge, two
+culls apply to every edge that is neither near-line nor through the sensor,
+each proved in `_cull_radii` from a bound on the rounding of the four
+orientations: cells nearer than (1 - 1e-4) x the edge's distance are not
+blocked by it (the segment to them stays at least 1e-4 x that distance short
+of the edge, far more than the rounding can move it), and cells beyond
+(1 + 1e-3) x its reach, in a direction at least 1e-9 rad inside its span,
+are (the segment crosses the edge's line by at least 1e-3 x the line's
+distance, and its ends straddle the segment to the cell by at least 1e-9 rad).
+The in-range cells are kept in (azimuth sector, range key) order, with
+n // 32 sectors for n cells and a range quantum of one cell size, so that
+both culls select a key range within each sector.
 """
 
 from __future__ import annotations
@@ -286,7 +303,10 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int) -> PointCloud:
         # only the beams in an edge's wedge can hit it: the oracle's cull
         az = np.arctan2(d[:, 1], d[:, 0])
         order = np.argsort(az)
-        first, last = _wedge_ranges(az[order], origin, edges[:, 0], edges[:, 1])
+        lo, hi, *_ = _wedge_bounds(origin, edges[:, 0], edges[:, 1])
+        around = np.concatenate([az[order], az[order] + 2 * np.pi])
+        first = np.searchsorted(around, lo, "left")
+        last = np.maximum(first, np.searchsorted(around, hi, "right"))
         edge, at = flat_ranges(first.ravel(), last.ravel())
         beam, edge = order[at % n], edge // 2  # each edge has two ranges
         p, e = edges[edge, 0], edges[edge, 1] - edges[edge, 0]
@@ -350,19 +370,25 @@ _WEDGE_MARGIN = 1e-9
 # edge's reach, rounding alone can report cells on the far side of the
 # sensor as blocked, so its antipodal wedge is tested too.
 _NEAR_LINE = 1e-9
-# candidate (cell, edge) pairs per blocked test; bounds its temporaries
+# (edge, sector) spans or candidate (edge, cell) pairs per batch; bounds
+# every transient index array of ground_truth_fov
 _BATCH_PAIRS = 16384
+# relative margins of ground_truth_fov's near and far culls (see _cull_radii)
+_NEAR_CUT = 1e-4
+_FAR_CUT = 1e-3
+_ROUNDOFF = 2.0 ** -53  # of float64 arithmetic
 
 
-def _wedge_ranges(az: np.ndarray, origin: np.ndarray, p: np.ndarray,
-                  q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index ranges that hold every cell the edges p->q ((E, 2) each) can
-    block, as (E, 2) starts and stops into the sorted azimuths `az` (in
-    [-pi, pi]) taken twice round, so that a range may pass the +-pi seam.
+def _wedge_bounds(origin: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Azimuth bounds that hold every direction in which the edges p->q
+    ((E, 2) each) can block a point from the sensor at `origin`.
 
-    Column 0 is the padded wedge the edge spans from the sensor, column 1 its
-    antipode (empty unless the edge's line passes the sensor). An edge through
-    the sensor gets every cell.
+    Returns (E, 2) starts `lo` in [-pi, pi) and ends `hi` (which may pass
+    pi): column 0 is the padded wedge the edge spans from the sensor, column
+    1 its antipode, empty (hi < lo) unless the edge is near-line. An edge
+    through the sensor gets the whole turn. Also returns each edge's d3 (as
+    in `_segments_blocked`), its reach (its farther end's distance) and
+    whether it is near-line.
     """
     ox, oy = origin
     px, py, qx, qy = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
@@ -384,84 +410,234 @@ def _wedge_ranges(az: np.ndarray, origin: np.ndarray, p: np.ndarray,
     lo = (np.stack([start, start + np.pi], axis=1) + np.pi) % (2 * np.pi) - np.pi
     # a negative width empties the antipode of an edge whose line misses the sensor
     hi = lo + np.stack([width, np.where(near_line & ~every, width, -1.0)], axis=1)
-    around = np.concatenate([az, az + 2 * np.pi])
-    first = np.searchsorted(around, lo, "left")
-    return first, np.maximum(first, np.searchsorted(around, hi, "right"))
+    return lo, hi, d3, reach, near_line
+
+
+def _cull_radii(origin: np.ndarray, p: np.ndarray, q: np.ndarray, d3: np.ndarray,
+                reach: np.ndarray, near_line: np.ndarray,
+                rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge p->q, the ranges from the sensor at `origin` that decide
+    `_segments_blocked` without a test, as (near, far) arrays: it is False
+    for every cell nearer than near[e], and True for every cell farther than
+    far[e] whose azimuth lies 2 _WEDGE_MARGIN or more inside the edge's
+    padded wedge. `d3`, `reach` and `near_line` come from `_wedge_bounds`,
+    `rmax` is the largest range of a cell. An edge that does not qualify
+    gets near 0 and far inf; near-line edges never qualify.
+
+    Proofs, in exact reals with u = 2**-53. P, Q and C are the edge's ends
+    and the cell less the sensor o, E = q - p, rho = |C|, h = |D3| / |E| the
+    distance of the edge's line from o and dist that of the edge (taken as h
+    where the foot of the perpendicular falls on the edge, else as the
+    nearer end's distance; within a relative 1e-6, which the margins below
+    absorb). Each orientation is a cross product of two exact differences a
+    and b (d1: C, P; d2: C, Q; d3: E, o - p; d4: E, c - p) rounded four
+    times, so it is within err = 5u|a||b| + 2**-1073 of the exact D. A
+    qualifying edge is not near-line, so h > 0.99e-9 reach and d3 != 0 has
+    the sign of D3; its scale (dist > 1e-60, reach and rmax < 1e60, |d3| >
+    1e-140) keeps every product in the proofs finite and nonzero.
+
+    Near, (1 - _NEAR_CUT) dist, qualifying when _NEAR_CUT dist > 16u reach.
+    A cell nearer than that has rho < (1 - 0.99e-4) dist. A touch via d1 == 0
+    needs p in the bounding box of o and c, so |P| <= rho < dist; via d2 ==
+    0 likewise. A touch via d4 == 0 needs c in the edge's bounding box, where
+    its distance from the edge is its distance from the line, at most
+    err(d4) / |E| <= 10u reach + 2**-1073 / |E| < dist - rho. A proper
+    crossing: let s be c's signed distance from the line, h at o. If s|E| >
+    err(d4), d4 has the sign of d3. Otherwise s < 1.2e-6 h, and the line o-c
+    meets the edge's line at Y, |Y| = rho h / (h - s) < (1 - 0.97e-4) dist,
+    so off the edge: p and q lie on one side of Y, at least 0.97e-4 dist from
+    it, where the lines meet at an angle of sine h / |Y| >= h / dist. So p
+    and q lie on one side of the line o-c, at least 0.97e-4 h from it, and
+    |D1| >= 0.97e-4 h rho > 5u rho reach + 2**-1073 >= err(d1) (as rho >
+    h / 2), likewise D2: d1 d2 >= 0.
+
+    Far, (1 + _FAR_CUT) reach, qualifying when _FAR_CUT h > 8u (rmax +
+    reach). A cell farther than that with its azimuth 2 _WEDGE_MARGIN inside
+    the padded wedge has rho >= (1 + 0.99e-3) reach and a direction at least
+    0.99e-9 rad inside the edge's span (arctan2, the rounded differences
+    and the sector arithmetic move an azimuth by less than 1e-14 rad). The
+    ray from o through c meets the edge at X, |X| <= reach, with p and q on
+    either side of it: |D1| >= rho |P| sin(0.99e-9) > err(d1), likewise D2,
+    so d1 d2 < 0. And s = h (1 - rho / |X|) <= -0.99e-3 h, so |D4| >=
+    0.99e-3 h |E| > 5u |E| (rmax + reach) + 2**-1073 >= err(d4) with the
+    sign opposite to D3: d3 d4 < 0, a proper crossing.
+    """
+    ox, oy = origin
+    (px, py), (qx, qy) = p.T, q.T
+    ex, ey = qx - px, qy - py
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.abs(d3) / np.hypot(ex, ey)
+    foot = ((px - ox) * ex + (py - oy) * ey < 0) & ((qx - ox) * ex + (qy - oy) * ey > 0)
+    dist = np.where(foot, h, np.minimum(np.hypot(px - ox, py - oy), np.hypot(qx - ox, qy - oy)))
+    scaled = ~near_line & (dist > 1e-60) & (reach < 1e60) & (np.abs(d3) > 1e-140)
+    near = scaled & (_NEAR_CUT * dist > 16 * _ROUNDOFF * reach)
+    far = scaled & (rmax < 1e60) & (_FAR_CUT * h > 8 * _ROUNDOFF * (rmax + reach))
+    return (np.where(near, (1 - _NEAR_CUT) * dist, 0.0),
+            np.where(far, (1 + _FAR_CUT) * reach, np.inf))
 
 
 @lru_cache(maxsize=8)
-def _cells_by_azimuth(spec: GridSpec, max_range: float, origin: bytes) -> tuple[np.ndarray, ...]:
-    """The cells of `spec` whose centers lie within `max_range` of the sensor,
-    sorted by azimuth from the sensor at `origin` (the bytes of its float64
-    (x, y), so that -0.0 and 0.0 are separate entries): read-only int32 flat
-    indices, their azimuths, and their centers' world x and y."""
+def _cells_by_sector(spec: GridSpec, max_range: float, origin: bytes) -> tuple:
+    """The cells of `spec` whose centres lie within `max_range` of the sensor
+    at `origin` (the bytes of its float64 (x, y), so that -0.0 and 0.0 are
+    separate entries), in (azimuth sector, range key) order.
+
+    Azimuth and range come from the same rounded differences the orientation
+    tests use. Of the n cells, sector s of S = n // 32 (at least 1, at most
+    _BATCH_PAIRS // 4) holds those with floor((azimuth + pi) S / 2pi) = s
+    (the cell at azimuth pi in the last), about 32 each; the range key is
+    floor(range / cell size), below about 0.71 resolution + 1 for any
+    extent, so the packed key sector * keys + key stays far below 2**63.
+    Returns read-only arrays: int32 flat cell indices, their packed keys and
+    their centres' world x and y, and the S + 1 sector starts; then the
+    number of range keys and the largest range.
+    """
     ox, oy = np.frombuffer(origin)
     X, Y = (a.ravel() for a in spec.cell_centers())
-    cells = np.nonzero(np.hypot(X, Y) <= max_range)[0]
+    cells = np.flatnonzero(np.hypot(X, Y) <= max_range)
     tx, ty = ox + X[cells], oy + Y[cells]
-    # azimuths from the same rounded differences the orientation tests use
-    az = np.arctan2(ty - oy, tx - ox)
-    order = np.argsort(az)
-    out = cells[order].astype(np.int32), az[order], tx[order], ty[order]
+    del X, Y  # the temporaries below are dropped as soon as they are used, for a low peak
+    dx, dy = tx - ox, ty - oy
+    rng = np.hypot(dx, dy)
+    rmax = float(rng.max(initial=0.0))
+    packed = np.floor(rng / spec.cell_size).astype(np.int64)  # the range key, for now
+    n_keys = int(packed.max(initial=0)) + 1
+    del rng
+    n_sec = min(max(cells.size // 32, 1), _BATCH_PAIRS // 4)
+    sector = np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi)))
+    del dx, dy
+    packed += np.minimum(sector, n_sec - 1).astype(np.int64) * n_keys
+    del sector
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
+    starts = np.searchsorted(packed, np.arange(n_sec + 1) * n_keys)
+    out = cells[order].astype(np.int32), packed, tx[order], ty[order], starts
     for a in out:
         a.flags.writeable = False  # every later call reuses them
-    return out
+    return (*out, n_keys, rmax)
+
+
+def _groups(sizes: np.ndarray) -> list[slice]:
+    """Slices of consecutive entries of `sizes` that add up to at most
+    _BATCH_PAIRS each (a larger entry alone in its slice)."""
+    if sizes.sum() <= _BATCH_PAIRS:
+        return [slice(0, sizes.size)]
+    step = max(_BATCH_PAIRS - int(sizes.max()), 1)
+    cuts = np.nonzero(np.diff((np.cumsum(sizes) - sizes) // step))[0] + 1
+    bounds = [0, *cuts.tolist(), sizes.size]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _pairs(s_lo: np.ndarray, s_hi: np.ndarray, cut: np.ndarray, edge: np.ndarray,
+           visible: np.ndarray, packed: np.ndarray, stop: np.ndarray, n_keys: int):
+    """For each span i in turn, (edge, cell index) pairs of edge[i] and the
+    cells still visible of sectors s_lo[i] <= s < s_hi[i] (counted twice
+    round) whose range key is cut[i] or more and whose index is below
+    stop[s], in batches drawn from at most _BATCH_PAIRS cells."""
+    for g in _groups(s_hi - s_lo):
+        span, s = flat_ranges(s_lo[g], s_hi[g])
+        span += g.start
+        s %= stop.size
+        # a sector's cells are sorted by range key: those at or past the cut are its tail
+        first = np.searchsorted(packed, s * n_keys + cut[span])
+        last = np.maximum(stop[s], first)
+        for b in _groups(last - first):
+            at, idx = flat_ranges(first[b], last[b])
+            keep = visible[idx]
+            at, idx = at[keep], idx[keep]  # only these stay alive while the batch is tested
+            yield edge[span[b][at]], idx
 
 
 def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask:
     """Exact visibility: a cell is visible iff the segment from the sensor to
     its center is within max_range and touches no obstacle interior or boundary.
 
-    That is, `_segments_blocked` is false for the cell and every edge. It
-    decides each cell on its own, so leaving out pairs that cannot be blocked
-    changes no bit: each edge is tested only against the in-range cells in the
-    wedge it spans from the sensor, padded by `_WEDGE_MARGIN`, that no nearer
-    edge has already blocked (an edge whose line passes the sensor also takes
-    its antipodal wedge, and one through the sensor every cell). Every pair
-    gets the proper-crossing terms, with d3 once per edge; only pairs with an
-    orientation of exactly 0 get the touching terms. The cells, sorted by
-    azimuth, and their centers are cached per (grid, max_range, sensor
-    position), which every synthesized scene on a grid shares.
+    That is, `_segments_blocked` is False for the cell and every edge. It
+    decides each cell on its own, so a pair whose outcome is known needs no
+    test and no bit changes. A pair is left out when the cell lies outside
+    the edge's padded wedge (`_wedge_bounds`), is already blocked, or is
+    nearer than (1 - 1e-4) x the edge's distance; a cell is blocked untested
+    when it lies beyond (1 + 1e-3) x the edge's reach in a sector at least
+    1e-9 rad inside the edge's span (2 x `_WEDGE_MARGIN` inside the padded
+    wedge). `_cull_radii`
+    proves both culls from error bounds on the rounded orientations and
+    grants them per edge only where those bounds hold: never to near-line
+    edges or edges through the sensor, and the far one only while the
+    largest cell range stays within about 1e-3 h / 8u of the edge's reach.
+
+    The in-range cells are cached per (grid, max_range, sensor position),
+    which every synthesized scene on a grid shares, in (sector, range key)
+    order (`_cells_by_sector`): n // 32 sectors for n cells (about 32 cells
+    a sector, at most _BATCH_PAIRS // 4 sectors) and a range quantum of one
+    cell size, so both culls are key ranges within a sector. A sector's
+    horizon is the least far key of an edge that holds it inside its wedge:
+    its cells from there on are blocked. The front-facing edges (d3 <= 0,
+    the sensor outside their polygon) are then tested nearest first on the
+    cells from their near key to the horizon, and the back-facing ones on
+    the cells still visible; each batch draws on at most _BATCH_PAIRS cells.
+    A pair takes `_segments_blocked`'s proper-crossing terms, with d3 once
+    per edge; only pairs with d1 d2 or d3 d4 exactly 0 take its touching
+    terms.
 
     Deterministic and independent of sensor noise parameters.
     """
     origin = scene.sensor.position[:2]
     ox, oy = origin
-    cells, az, tx, ty = _cells_by_azimuth(spec, model.max_range, origin.tobytes())
+    cells, packed, tx, ty, starts, n_keys, rmax = _cells_by_sector(
+        spec, model.max_range, origin.tobytes())
     visible = np.ones(cells.size, dtype=bool)
 
     edges = scene.edges()
     p, q = edges[:, 0], edges[:, 1]
     (px, py), (qx, qy) = p.T, q.T
-    ex, ey = qx - px, qy - py
-    d3 = ex * (oy - py) - ey * (ox - px)  # orient(p, q, o): one value per edge
-    first, last = _wedge_ranges(az, origin, p, q)
-    # nearest edges first: cells they block are not tested again
-    by_range = np.argsort(np.minimum(np.hypot(*(p - origin).T), np.hypot(*(q - origin).T)))
-    # batches of whole edges, cut where the running pair count passes a
-    # multiple of _BATCH_PAIRS
-    pairs = np.cumsum((last - first).sum(axis=1)[by_range])
-    for batch in np.split(by_range, np.nonzero(np.diff(pairs // _BATCH_PAIRS))[0] + 1):
-        edge, idx = flat_ranges(first[batch].ravel(), last[batch].ravel())
-        idx = idx % cells.size  # the ranges wrap back to single indices into az
-        keep = visible[idx]
-        idx, edge = idx[keep], batch[edge[keep] // 2]  # each edge has two ranges
+    lo, hi, d3, reach, near_line = _wedge_bounds(origin, p, q)
+    near, far = _cull_radii(origin, p, q, d3, reach, near_line, rmax)
+    # sectors and range keys, in the cache's arithmetic
+    n_sec = starts.size - 1
+    per_rad = n_sec / (2 * np.pi)
+    s_lo = np.floor((lo + np.pi) * per_rad).astype(np.int64)
+    s_hi = np.where(hi < lo, s_lo, np.minimum(
+        np.floor((hi + np.pi) * per_rad).astype(np.int64) + 1, s_lo + n_sec))
+    inner_lo = np.ceil((lo[:, 0] + 2 * _WEDGE_MARGIN + np.pi) * per_rad).astype(np.int64)
+    inner_hi = np.floor((hi[:, 0] - 2 * _WEDGE_MARGIN + np.pi) * per_rad).astype(np.int64)
+    inner_hi = np.where(far < np.inf, np.maximum(inner_hi, inner_lo), inner_lo)
+    # keys below floor(near / cell size) are nearer than near, keys above
+    # floor(far / cell size) farther than far
+    near_key = np.floor(near / spec.cell_size).astype(np.int64)
+    far_key = np.minimum(np.floor(far / spec.cell_size) + 1, n_keys).astype(np.int64)
+
+    # the certain blocks: the cells of a sector at or past its horizon, the
+    # least far key of an edge that holds the sector inside its wedge
+    horizon = np.full(n_sec, n_keys)
+    for g in _groups(inner_hi - inner_lo):
+        span, s = flat_ranges(inner_lo[g], inner_hi[g])
+        np.minimum.at(horizon, s % n_sec, far_key[g][span])
+    tail = np.searchsorted(packed, np.arange(n_sec) * n_keys + horizon)
+    # the other pairs of each wedge, from the edge's near key to the horizon
+    by_range = np.minimum(np.hypot(px - ox, py - oy), np.hypot(qx - ox, qy - oy))
+    order = np.lexsort((by_range, d3 > 0))
+    cut = np.stack([near_key, np.zeros_like(near_key)], axis=1)[order].ravel()
+    ends, ex, ey = np.stack([px, py, qx, qy]), qx - px, qy - py
+    for edge, idx in _pairs(s_lo[order].ravel(), s_hi[order].ravel(), cut, order.repeat(2),
+                            visible, packed, tail, n_keys):
         # _segments_blocked's orientations, with d3 gathered per edge; take()
         # gathers the same values several times faster than indexing
         cx, cy = tx.take(idx), ty.take(idx)
-        epx, epy, eqx, eqy = px.take(edge), py.take(edge), qx.take(edge), qy.take(edge)
+        epx, epy, eqx, eqy = ends.take(edge, axis=1)
         dcx, dcy = cx - ox, cy - oy
-        d1 = dcx * (epy - oy) - dcy * (epx - ox)
-        d2 = dcx * (eqy - oy) - dcy * (eqx - ox)
-        e3 = d3.take(edge)
-        d4 = ex.take(edge) * (cy - epy) - ey.take(edge) * (cx - epx)
-        blocked = (d1 * d2 < 0) & (e3 * d4 < 0)
-        # a touch needs an orientation of exactly 0: those pairs take the full test
-        tie = (d1 == 0) | (d2 == 0) | (e3 == 0) | (d4 == 0)
+        d12 = (dcx * (epy - oy) - dcy * (epx - ox)) * (dcx * (eqy - oy) - dcy * (eqx - ox))
+        d34 = d3.take(edge) * (ex.take(edge) * (cy - epy) - ey.take(edge) * (cx - epx))
+        blocked = (d12 < 0) & (d34 < 0)
+        # a touch needs an orientation of exactly 0, so a product of 0 (or a
+        # NaN, which an overflow can hide a 0 in): those pairs take the full test
+        tie = ~(np.abs(d12 * d34) > 0)
         if tie.any():
             blocked[tie] = _segments_blocked(origin, np.column_stack([cx[tie], cy[tie]]),
                                              (epx[tie], epy[tie]), (eqx[tie], eqy[tie]))
         visible[idx[blocked]] = False
+    # and the certain blocks, as runs of cells to keep and to clear per sector
+    runs = np.stack([tail - starts[:-1], starts[1:] - tail], axis=1).ravel()
+    visible &= np.repeat(np.tile([True, False], n_sec), runs)
 
     res = spec.resolution
     mask = np.zeros(res * res, dtype=bool)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovlab.geometry import project_to_bev, quantize
-from fovlab.scenes import (_MIN_RANGE, FAMILY_NAMES, LidarModel, Scene, SceneFamily,
-                           _cells_by_azimuth, _segments_blocked, default_grid, default_lidar,
-                           generate_scene, ground_truth_fov, point_in_convex, simulate_lidar)
+from fovlab.geometry import flat_ranges, project_to_bev, quantize
+import fovlab.scenes as scenes_module
+from fovlab.scenes import (_BATCH_PAIRS, _FAR_CUT, _MIN_RANGE, _NEAR_CUT, _WEDGE_MARGIN,
+                           FAMILY_NAMES, LidarModel, Scene, SceneFamily, _cells_by_sector,
+                           _cull_radii, _segments_blocked, _wedge_bounds, default_grid,
+                           default_lidar, generate_scene, ground_truth_fov, point_in_convex,
+                           simulate_lidar)
 from fovlab.types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
 from conftest import wall_quad
@@ -344,12 +347,85 @@ def test_oracle_matches_reference_empty_scene():
     assert mask.any() and not mask.all()
 
 
+def test_oracle_matches_reference_unbounded_range():
+    """max_range = inf: every cell is in range, and the far cull's bound uses
+    the largest cell range."""
+    for family in FAMILY_NAMES:
+        model = dataclasses.replace(default_lidar(family), max_range=np.inf)
+        mask = assert_matches_reference(generate_scene(SceneFamily.preset(family), 4), model,
+                                        default_grid(family, 64))
+        assert mask.any() and not mask.all()
+
+
+def test_oracle_matches_reference_huge_extent():
+    """Cells 31 km wide around a sensor off the origin: range keys stay small
+    and the packed (sector, key) cannot overflow."""
+    scene = translated(generate_scene(SceneFamily.preset("outdoor-dense"), 5), (3e3, -2e3))
+    spec = GridSpec(extent=1e6, resolution=64)
+    model = dataclasses.replace(default_lidar("outdoor-dense"), max_range=np.inf)
+    assert_matches_reference(scene, model, spec)
+    cells, packed = _cells_by_sector(spec, np.inf, scene.sensor.position[:2].tobytes())[:2]
+    assert cells.size == 64 * 64 and 0 <= packed.min() and packed.max() < 2**31
+
+
+@pytest.mark.parametrize("res", (8, 16))
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_oracle_matches_reference_coarse_grids(family, res):
+    """Two and eight sectors: each edge's wedge holds a sector or two."""
+    for seed in range(6):
+        scene = translated(generate_scene(SceneFamily.preset(family), seed), (0.5 * seed, -1.0))
+        assert_matches_reference(scene, default_lidar(family), default_grid(family, res))
+
+
+def test_oracle_matches_reference_tiny_obstacle_beside_sensor():
+    """A 0.05 m square 0.1 m from the sensor shadows a thin wedge out to 75 m:
+    nearly all of it is marked blocked by the far cull."""
+    square = np.array([[0.1, -0.025], [0.15, -0.025], [0.15, 0.025], [0.1, 0.025]])
+    scene = Scene(obstacles=[square, wall_quad(-30.0)], sensor=Pose.identity(), bounds=80.0)
+    model = LidarModel(n_beams=64, max_range=75.0, range_noise_sigma=0.0, dropout_prob=0.0)
+    spec = default_grid("outdoor-sparse", 256)
+    ends = np.roll(square, -1, axis=0)
+    _, _, *geometry = _wedge_bounds(np.zeros(2), square, ends)
+    assert (_cull_radii(np.zeros(2), square, ends, *geometry, 75.0)[1] < np.inf).all()
+    mask = assert_matches_reference(scene, model, spec)
+    X, Y = spec.cell_centers()
+    assert not mask[(X > 1.0) & (np.abs(Y) < 0.1 * X)].any()
+
+
 @settings(max_examples=12, **PROPERTY)
 @given(family=st.sampled_from(FAMILY_NAMES), seed=st.integers(0, 2**31 - 1),
-       offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
-def test_oracle_matches_reference_property(family, seed, offset):
+       offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       res=st.sampled_from((16, 64, 128)))
+def test_oracle_matches_reference_property(family, seed, offset, res):
     scene = translated(generate_scene(SceneFamily.preset(family), seed), offset)
-    assert_matches_reference(scene, default_lidar(family), default_grid(family, 64))
+    assert_matches_reference(scene, default_lidar(family), default_grid(family, res))
+
+
+@pytest.mark.parametrize("budget", (256, 1000))
+def test_oracle_batches_stay_within_budget(monkeypatch, budget):
+    """Every index array of a range expansion holds at most _BATCH_PAIRS
+    entries, and a small budget, which splits the work into many batches,
+    changes no bit."""
+    sizes = []
+
+    def recording(lo, hi):
+        owner, idx = flat_ranges(lo, hi)
+        sizes.append(idx.size)
+        return owner, idx
+
+    monkeypatch.setattr(scenes_module, "flat_ranges", recording)
+    expansions = []
+    for batch_pairs in (_BATCH_PAIRS, budget):
+        monkeypatch.setattr(scenes_module, "_BATCH_PAIRS", batch_pairs)
+        _cells_by_sector.cache_clear()
+        sizes.clear()
+        for family in FAMILY_NAMES:
+            assert_matches_reference(generate_scene(SceneFamily.preset(family), 7),
+                                     default_lidar(family), default_grid(family, 64))
+        assert 0 < max(sizes) <= batch_pairs
+        expansions.append(len(sizes))
+    assert expansions[1] > expansions[0]
+    _cells_by_sector.cache_clear()
 
 
 def test_oracle_cache_interleaved_translated_scenes():
@@ -363,12 +439,12 @@ def test_oracle_cache_interleaved_translated_scenes():
 
 def test_oracle_cache_keeps_signed_zero_origins_apart():
     spec = GridSpec(extent=16.0, resolution=32)
-    _cells_by_azimuth.cache_clear()
+    _cells_by_sector.cache_clear()
     for x in (-0.0, 0.0, -0.0):
         scene = Scene(obstacles=[wall_quad(10.0)], sensor=Pose.from_yaw(0.0, (x, 0.0, 0.0)),
                       bounds=20.0)
         assert_matches_reference(scene, OPEN_LIDAR, spec)
-    info = _cells_by_azimuth.cache_info()
+    info = _cells_by_sector.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
@@ -376,27 +452,158 @@ def test_oracle_cache_arrays_are_read_only():
     """Every later call on the grid reuses them, so none may write to them."""
     spec = GridSpec(extent=16.0, resolution=32)
     origin = np.array([1.25, -0.5])
-    cells, az, tx, ty = _cells_by_azimuth(spec, OPEN_LIDAR.max_range, origin.tobytes())
-    assert cells.dtype == np.int32 and cells.shape == az.shape == tx.shape == ty.shape
-    assert az.dtype == tx.dtype == ty.dtype == np.float64
+    cells, packed, tx, ty, starts, _, _ = _cells_by_sector(spec, OPEN_LIDAR.max_range,
+                                                           origin.tobytes())
+    assert cells.dtype == np.int32 and cells.shape == packed.shape == tx.shape == ty.shape
+    assert packed.dtype == starts.dtype == np.int64 and tx.dtype == ty.dtype == np.float64
     X, Y = spec.cell_centers()
     assert tx.tobytes() == (origin[0] + X.ravel()[cells]).tobytes()
     assert ty.tobytes() == (origin[1] + Y.ravel()[cells]).tobytes()
-    for a in (cells, az, tx, ty):
+    for a in (cells, packed, tx, ty, starts):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
 
 
 def test_oracle_cache_is_bounded():
-    maxsize = _cells_by_azimuth.cache_info().maxsize
+    maxsize = _cells_by_sector.cache_info().maxsize
     assert maxsize is not None
-    _cells_by_azimuth.cache_clear()
+    _cells_by_sector.cache_clear()
     scene = Scene(obstacles=[wall_quad(10.0)], sensor=Pose.identity(), bounds=20.0)
     for k in range(maxsize + 3):
         assert_matches_reference(translated(scene, (0.25 * k, 0.0)), OPEN_LIDAR,
                                  GridSpec(extent=16.0, resolution=16))
-    assert _cells_by_azimuth.cache_info().currsize == maxsize
+    assert _cells_by_sector.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize("spec, max_range, origin", [
+    (GridSpec(extent=75.0, resolution=256), 75.0, (0.0, 0.0)),
+    (GridSpec(extent=12.0, resolution=128), 15.0, (-2.5, 40.125)),
+    (GridSpec(extent=16.0, resolution=8), 50.0, (1.25, -0.5)),
+    (GridSpec(extent=16.0, resolution=32), 0.3, (0.0, 0.0)),  # no cell in range
+    (GridSpec(extent=1e6, resolution=64), np.inf, (3e3, -2e3)),
+])
+def test_oracle_cache_sector_key_order(spec, max_range, origin):
+    """Each in-range cell once, in (sector, range key) order: sector
+    floor((azimuth + pi) S / 2pi) of S = n // 32 (1 to _BATCH_PAIRS // 4),
+    the cell at azimuth pi in the last, and key floor(range / cell size),
+    both from the differences the orientation tests round."""
+    cells, packed, tx, ty, starts, n_keys, rmax = _cells_by_sector(
+        spec, max_range, np.array(origin).tobytes())
+    X, Y = spec.cell_centers()
+    assert np.array_equal(np.sort(cells), np.flatnonzero(np.hypot(X, Y) <= max_range))
+    n_sec = starts.size - 1
+    assert n_sec == min(max(cells.size // 32, 1), _BATCH_PAIRS // 4)
+    dx, dy = tx - origin[0], ty - origin[1]
+    sector = np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi)))
+    key = np.floor(np.hypot(dx, dy) / spec.cell_size).astype(np.int64)
+    assert key.max(initial=0) < n_keys <= spec.resolution
+    assert rmax == np.hypot(dx, dy).max(initial=0.0)
+    assert np.array_equal(packed, np.minimum(sector, n_sec - 1).astype(np.int64) * n_keys + key)
+    assert (np.diff(packed) >= 0).all()
+    assert np.array_equal(starts, np.searchsorted(packed, np.arange(n_sec + 1) * n_keys))
+    assert starts[0] == 0 and starts[-1] == cells.size
+
+
+@st.composite
+def culled_edges(draw):
+    """A sensor off the origin and an edge p->q, coordinates within +-1e4:
+    anywhere, nearly radial (its line passing the sensor within 1e-17 to
+    1e-12 of its reach: near-line) or with its line just outside _NEAR_LINE.
+    Uniform draws from a drawn seed: rounding trouble needs coordinates with
+    full mantissas, which Hypothesis's own floats seldom give."""
+    kind = draw(st.sampled_from(("anywhere", "radial", "just-outside")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    o = rng.uniform(-1e4, 1e4, 2)
+    if kind == "anywhere":
+        return o, rng.uniform(-1e4, 1e4, 2), rng.uniform(-1e4, 1e4, 2)
+    # the line o + h n + t d, at distance h from the sensor, from t0 to t1
+    theta = rng.uniform(-np.pi, np.pi)
+    n, d = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    t0 = rng.uniform(1e-3, 5e3) * rng.choice([-1.0, 1.0])
+    t1 = t0 + rng.uniform(1e-3, 5e3) * np.sign(t0)
+    scale = 10.0 ** rng.uniform(-17.0, -12.0) if kind == "radial" \
+        else 1e-9 * (1.0 + 10.0 ** rng.uniform(-6.0, 0.0))
+    h = scale * max(abs(t0), abs(t1))
+    return o, o + h * n + t0 * d, o + h * n + t1 * d
+
+
+def _unit(v):
+    return v / np.hypot(v[..., :1], v[..., 1:])
+
+
+@settings(max_examples=400, **PROPERTY)
+@given(edge=culled_edges(), seed=st.integers(0, 2**32 - 1))
+def test_near_cull_certificate_property(edge, seed):
+    """_segments_blocked is False for every cell nearer than the near cull's
+    radius of a qualifying edge: in any direction, on the rays through the
+    edge's ends and the foot of the perpendicular, and just across the edge's
+    line, where the proof's second case applies."""
+    o, p, q = edge
+    _, _, d3, *geometry = _wedge_bounds(o, p[None], q[None])
+    near = _cull_radii(o, p[None], q[None], d3, *geometry, 1e5)[0][0]
+    if not near > 0:
+        return
+    rng = np.random.default_rng(seed)
+    e = _unit(q - p)
+    foot = p + np.clip(np.dot(o - p, e), 0.0, np.hypot(*(q - p))) * e
+    a = rng.uniform(-np.pi, np.pi, 100)
+    directions = np.concatenate([np.column_stack([np.cos(a), np.sin(a)]),
+                                 _unit(np.stack([p, q, foot]) - o)[rng.integers(0, 3, 200)]])
+    # the side of the line away from the sensor, at 1.001 to 11 times its distance
+    normal, h = np.array([e[1], -e[0]]) * np.sign(d3[0]), abs(d3[0]) / np.hypot(*(q - p))
+    across = (h * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0, 200)))[:, None] * normal
+    cells = o + np.concatenate([
+        (near * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 300)))[:, None] * directions,
+        (near * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 200)))[:, None] * e
+        * np.sign(np.dot(p - o, e)) + across])
+    ranges = np.hypot(*(cells - o).T)  # as the cache rounds them
+    assert (ranges < near).any()
+    assert not _segments_blocked(o, cells[ranges < near], p, q).any()
+
+
+@settings(max_examples=400, **PROPERTY)
+@given(edge=culled_edges(), seed=st.integers(0, 2**32 - 1),
+       reach_ratio=st.floats(1.002, 2000.0))
+def test_far_cull_certificate_property(edge, seed, reach_ratio):
+    """_segments_blocked is True for every cell farther than the far cull's
+    radius of a qualifying edge, at most `rmax` away, whose azimuth lies
+    2 _WEDGE_MARGIN or more inside the padded wedge: at the inner bounds,
+    next to them and between them, from just past the radius to rmax."""
+    o, p, q = edge
+    lo, hi, *geometry = _wedge_bounds(o, p[None], q[None])
+    rmax = reach_ratio * geometry[1][0]
+    far = _cull_radii(o, p[None], q[None], *geometry, rmax)[1][0]
+    first, last = lo[0, 0] + 2 * _WEDGE_MARGIN, hi[0, 0] - 2 * _WEDGE_MARGIN
+    if not far < np.inf or last < first:
+        return
+    rng = np.random.default_rng(seed)
+    width = (last - first) * np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 100),
+                                             10.0 ** rng.uniform(-16.0, 0.0, 200)])
+    a = np.concatenate([first + width[:102], first + width[102:202], last - width[202:]])
+    gap = 10.0 ** rng.uniform(-16.0, np.log10(rmax / far - 1.0), a.size)
+    cells = o + (far * (1.0 + gap))[:, None] * np.column_stack([np.cos(a), np.sin(a)])
+    d = cells - o
+    az, ranges = np.arctan2(d[:, 1], d[:, 0]), np.hypot(d[:, 0], d[:, 1])
+    inside = ((az - first) % (2 * np.pi) <= last - first) & (ranges > far) & (ranges <= rmax)
+    assert inside.any()
+    assert _segments_blocked(o, cells[inside], p, q).all()
+
+
+def test_cull_qualification():
+    """Near-line edges and edges through the sensor never qualify; the far
+    cull also needs rmax within about 1e-3 h / 8u of the edge's reach."""
+    o = np.array([0.0, 0.0])
+    p = np.array([[1.0, -1.0], [1.0, 1e-12], [0.0, -1.0], [1e-9, 1.0], [-1e-12, 2.0]])
+    q = np.array([[1.0, 1.0], [2.0, 2e-12], [0.0, 1.0], [1e-9, 2.0], [2.0, 2.0]])
+    _, _, *geometry = _wedge_bounds(o, p, q)
+    near, far = _cull_radii(o, p, q, *geometry, 100.0)
+    assert np.array_equal(near > 0, [True, False, False, False, True])
+    assert np.array_equal(far < np.inf, [True, False, False, False, True])
+    assert near[0] == (1 - _NEAR_CUT) * 1.0 and far[0] == (1 + _FAR_CUT) * np.sqrt(2.0)
+    # the first edge's line is h = 1 away: its far bound gives out at 1e-3 / 8u = 1.13e12
+    assert _cull_radii(o, p[:1], q[:1], *(g[:1] for g in geometry), 1.1e12)[1][0] < np.inf
+    assert _cull_radii(o, p[:1], q[:1], *(g[:1] for g in geometry), 1.2e12)[1][0] == np.inf
 
 
 @settings(max_examples=8, **PROPERTY)

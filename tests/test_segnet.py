@@ -123,6 +123,36 @@ def test_forward_shape_mismatch(rand_image):
         infer_mle(net, rand_image)
 
 
+def _sigmoid_masked(x):
+    """The former sigmoid, one boolean-mask pass per sign: the bit oracle of
+    `sigmoid`."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype, bits, step", [(np.float32, np.uint32, 2**13 + 1),
+                                               (np.float64, np.uint64, 2**45 + 12345)])
+def test_sigmoid_matches_masked_form(dtype, bits, step):
+    """The same bytes as the former form on a spread of bit patterns (both
+    signs, every exponent, subnormals), infinities and signed zeros. Only a
+    NaN's sign may differ, which forward_maps never meets: it refuses
+    non-finite maps."""
+    n = np.iinfo(bits).max // step
+    x = (np.arange(n, dtype=np.uint64) * np.uint64(step)).astype(bits).view(dtype)
+    x = np.concatenate([x, np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)])
+    with np.errstate(invalid="ignore"):
+        got, want = sigmoid(x), _sigmoid_masked(x)
+        assert sigmoid(x.reshape(-1, 1)).tobytes() == got.tobytes()
+    assert got.dtype == dtype and got.shape == x.shape
+    finite_or_inf = ~np.isnan(x)
+    assert got[finite_or_inf].tobytes() == want[finite_or_inf].tobytes()
+    assert np.isnan(got[~finite_or_inf]).all()
+
+
 def test_forward_matches_scalar_reference():
     """Independent straight-line forward pass with plain loops, depth 3 at 8x8."""
     cfg = NetConfig(depth=3, base_channels=1, dropout_rate=0.0, resolution=8)
