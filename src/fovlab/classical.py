@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import azimuth, flat_ranges, to_polar
+from .geometry import azimuth, convex_hull, flat_ranges, to_polar
 from .types import FovMask, GridSpec
 
 _TWO_PI = 2.0 * np.pi
@@ -116,29 +116,7 @@ def concave_hull(points_xy: np.ndarray, k: int = 16) -> FovPolygon:
         kk += 1
     # k has grown to cover every point: the boundary-tightness limit is the
     # convex hull, which always closes and contains the whole set
-    return FovPolygon(_convex_hull_ccw(pts))
-
-
-def _convex_hull_ccw(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; CCW vertex order, collinear edge points dropped."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
-
-    def half(points):
-        chain = []
-        for q in points:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(q)
-        return chain
-
-    lower = half(p)
-    upper = half(p[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return FovPolygon(pts[convex_hull(pts.tolist())])
 
 
 def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:

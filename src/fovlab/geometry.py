@@ -1,4 +1,5 @@
-"""BEV preprocessing (projection, filtering, quantization, polar transforms) and index ranges.
+"""BEV preprocessing (projection, filtering, quantization, polar transforms),
+index ranges and the convex hull of a point list.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -72,6 +73,33 @@ def flat_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return owner, np.arange(owner.size) + (lo - np.cumsum(n) + n)[owner]
 
 
+def convex_hull(xy: list, tie: float | None = None) -> list | None:
+    """Andrew's monotone chain (1979): the indices of the convex hull of the
+    (x, y) pairs `xy`, counterclockwise from the least (x, y), with points on
+    an edge dropped. With `tie`, None if the third point of some turn it tests
+    lies within `tie` of the line of the first two (|cross| <= tie x the 1-norm
+    of their difference), where rounding could decide the turn."""
+    order = sorted(range(len(xy)), key=xy.__getitem__)
+    halves = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            qx, qy = xy[i]
+            while len(chain) >= 2:
+                ax, ay = xy[chain[-2]]
+                bx, by = xy[chain[-1]]
+                cross = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+                if tie is not None and abs(cross) <= tie * (abs(bx - ax) + abs(by - ay)):
+                    return None
+                if cross <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(i)
+        halves.append(chain[:-1])
+    return halves[0] + halves[1]
+
+
 def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImage:
     """Standard preprocess chain: project, filter, quantize."""
     return quantize(filter_points(project_to_bev(cloud), filt)[:, :2], grid)
@@ -79,5 +107,5 @@ def cloud_to_bev(cloud: PointCloud, grid: GridSpec, filt: FilterSpec) -> BevImag
 
 __all__ = [
     "project_to_bev", "filter_points", "quantize", "to_polar", "azimuth",
-    "flat_ranges", "cloud_to_bev",
+    "flat_ranges", "convex_hull", "cloud_to_bev",
 ]

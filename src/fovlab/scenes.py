@@ -9,6 +9,15 @@ convex quads (urban block / room walls), so nearly every beam returns a hit,
 plus a sampled number of interior obstacles. Concave structures are composed
 from convex pieces.
 
+An interior obstacle is the convex hull of 4-8 random points, its vertices
+in the order scipy's Qhull gave them when the first datasets were made:
+counterclockwise from the counterclockwise-first end of the first facet left
+in Qhull's facet list. The order is kept so that scene files and datasets
+already made keep their bytes. `_qhull_order` reproduces it without scipy,
+from `geometry.convex_hull` and a replay of Qhull's 2-d build, and refuses a
+blob (which is redrawn, as one Qhull rejected was) when any decision it makes
+lies within 1e-11 of the largest coordinate magnitude of a tie.
+
 The oracle's definition is the brute-force rule: a cell is visible iff its
 centre is within max_range and `_segments_blocked` (the rounded orientation
 test of the sensor-to-centre segment against an edge) is False for every
@@ -29,12 +38,13 @@ both culls select a key range within each sector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import flat_ranges
+from .geometry import convex_hull, flat_ranges
 from .types import FovMask, GridSpec, PointCloud, Pose, check_int, seeded_rng
 
 FAMILY_NAMES = ("outdoor-sparse", "outdoor-dense", "indoor")
@@ -78,13 +88,27 @@ class Scene:
         if polys and np.logical_and.reduceat(side >= 0.0, starts).any():
             raise ValueError("sensor position lies inside an obstacle")
         self.obstacles = polys
+        self._edges = np.stack([v, v[nxt]], axis=1) if polys else np.zeros((0, 2, 2))
+        self._edges.flags.writeable = False
+        self._wedges_at = None  # the sensor position `_wedges` last saw, and its result
+        self._wedges_of = None
 
     def edges(self) -> np.ndarray:
-        """All obstacle edges stacked as an (E, 2, 2) array [start, end]."""
-        if not self.obstacles:
-            return np.zeros((0, 2, 2))
-        v, nxt, _, _ = _rings(self.obstacles)
-        return np.stack([v, v[nxt]], axis=1)
+        """All obstacle edges stacked as a read-only (E, 2, 2) array [start,
+        end], made once from the obstacles as validated."""
+        return self._edges
+
+    def _wedges(self) -> tuple[np.ndarray, ...]:
+        """`_wedge_bounds` of the edges from the sensor, made once per sensor
+        position: `simulate_lidar` and `ground_truth_fov` share it."""
+        origin = self.sensor.position[:2]
+        if self._wedges_at != origin.tobytes():
+            edges = self._edges
+            self._wedges_of = _wedge_bounds(origin, edges[:, 0], edges[:, 1])
+            for a in self._wedges_of:
+                a.flags.writeable = False
+            self._wedges_at = origin.tobytes()
+        return self._wedges_of
 
 
 def _rings(polys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -193,27 +217,355 @@ def default_grid(family_name: str, resolution: int = 256) -> GridSpec:
 
 
 def point_in_convex(poly: np.ndarray, point) -> bool:
-    """True if `point` is inside or on a convex CCW polygon."""
-    p = np.asarray(point, dtype=np.float64)
-    a = poly
-    b = np.concatenate([poly[1:], poly[:1]])
-    cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-    return bool(np.all(cross >= 0.0))
+    """True if `point` is inside or on a convex CCW polygon: left of or on
+    every edge, in plain floats (the bits of the same numpy arithmetic)."""
+    px, py = float(point[0]), float(point[1])
+    ring = poly.tolist()
+    ax, ay = ring[-1]
+    for bx, by in ring:
+        if not (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0:
+            return False
+        ax, ay = bx, by
+    return True
 
 
 def _convex_blob(rng: np.random.Generator, center: np.ndarray, size: float) -> np.ndarray | None:
-    """Random convex polygon of roughly `size` diameter around `center`."""
-    # imported here, not at module load, where it was most of `import fovlab.cli`'s time
-    from scipy.spatial import ConvexHull, QhullError
+    """Random convex polygon of roughly `size` diameter around `center`, its
+    vertices in Qhull's order (`_qhull_order`); None if that is not certain."""
     n = int(rng.integers(4, 9))
     radii = (size / 2.0) * np.sqrt(rng.uniform(0.3, 1.0, n))
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
     pts = center + np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
+    order = _qhull_order(pts.tolist())
+    return None if order is None else pts[order]
+
+
+# `_qhull_order` refuses a decision that lies within this fraction of the
+# largest |coordinate| of a tie; Qhull's own rounding and tolerances are a
+# few 1e-15 of it
+_TIE = 1e-11
+
+
+class _Tie(Exception):
+    """`_qhull_order` cannot be certain of Qhull's order: a decision lies
+    within _TIE of a tie, or the build went where exact arithmetic cannot."""
+
+
+class _Facet:
+    """An edge of Qhull's 2-d build: its two point indices, newest vertex
+    first; the facets opposite each; its outward unit normal and offset; its
+    outside points, furthest last, and their furthest distance; whether it is
+    visible from the point being added or new; the last new facet it made."""
+
+    __slots__ = ("v", "nb", "nx", "ny", "off", "out", "far", "visible", "new", "replace")
+
+    def __init__(self, xy: list, a: int, b: int, inside: tuple):
+        (x0, y0), (x1, y1) = xy[a], xy[b]
+        nx, ny = y1 - y0, x0 - x1  # as qh_sethyperplane_det, then turned away from `inside`
+        norm = math.sqrt(nx * nx + ny * ny)
+        nx, ny = nx / norm, ny / norm
+        off = -(x0 * nx + y0 * ny)
+        if off + inside[0] * nx + inside[1] * ny > 0:
+            nx, ny, off = -nx, -ny, -off
+        self.v, self.nx, self.ny, self.off = (a, b), nx, ny, off
+        self.nb, self.out, self.far = [], [], 0.0
+        self.visible = self.new = False
+        self.replace = None
+
+
+def _qhull_order(xy: list) -> list | None:
+    """The indices of the convex hull of the (x, y) pairs `xy` in the order of
+    `scipy.spatial.ConvexHull(xy).vertices` (the Qhull 2020.2 that scipy 1.17
+    bundles), or None where that order is not certain.
+
+    The hull is `convex_hull`'s. Qhull's order runs counterclockwise from
+    the counterclockwise-first end of the first facet (edge) of its final
+    facet list, which a replay of its 2-d build finds (Barber, Dobkin &
+    Huhdanpaa 1996, "The Quickhull algorithm for convex hulls"):
+
+    - The initial simplex is the first least and the first greatest x
+      (`qh_maxmin`), then the point of largest |det| with them among the
+      first least and greatest y. If that det is below 1e-3 x (x width x
+      largest width), it is instead the first point in index order whose
+      |det| exceeds both it and 1e-2 x that product, else the largest.
+    - Its facets are made as (max x, min x), (third, min x), (third, max x),
+      and each other point goes to the first it lies outside of, the
+      furthest last (`qh_partitionall`). Facets only ever leave the list or
+      join its end, so the first of the three that is a hull edge is the
+      first facet at the end. Only if none is is the build replayed
+      (`_replay`).
+
+    Tie policy: every decision made here is refused (None) when it lies
+    within _TIE x the largest |coordinate| of a tie, where Qhull's rounding
+    could decide it: a point's distance from a facet's line, the difference
+    of two such distances, a turn of the chain, and the dets of the initial
+    simplex (against _TIE x largest |coordinate| x largest width). So is an
+    initial simplex with |det| within 100 times that of 0 (Qhull's near-zero
+    case), a replay that could merge facets (a new facet's midpoint within
+    the tie band of a neighbour's line) and one whose final hull is not the
+    chain's. A refused blob is redrawn, as one Qhull rejected was.
+    """
+    n = len(xy)
+    xs, ys = [p[0] for p in xy], [p[1] for p in xy]
+    tol = _TIE * max(max(xs), -min(xs), max(ys), -min(ys))
+    hull = convex_hull(xy, tol)
+    if hull is None or len(hull) < 3:
         return None
-    return pts[hull.vertices]  # CCW for 2D qhull
+    minx, maxx = xs.index(min(xs)), xs.index(max(xs))
+    xwidth = xs[maxx] - xs[minx]
+    width = max(xwidth, max(ys) - min(ys))
+    target, det_tol = xwidth * width, tol * width
+    (ax, ay), (bx, by) = xy[minx], xy[maxx]
+
+    def widest(candidates, third, best, enough):
+        """qh_maxsimplex's third point among `candidates`: the first of largest
+        |det| with the first two, or the first of them past `enough`."""
+        for i in candidates:
+            if i == minx or i == maxx or i == third:
+                continue
+            px, py = xy[i]
+            det = abs((ax - px) * (by - py) - (ay - py) * (bx - px))
+            if third is not None and abs(det - best) <= det_tol:
+                raise _Tie
+            if det > best:
+                third, best = i, det
+                if abs(det - enough) <= det_tol:
+                    raise _Tie
+                if det > enough:
+                    break
+        return third, best
+
+    try:
+        third, best = widest((ys.index(min(ys)), ys.index(max(ys))), None, -1.0, math.inf)
+        if third is not None and abs(best - 1e-3 * target) <= det_tol:
+            raise _Tie
+        if best < 1e-3 * target:
+            third, best = widest(range(n), third, best, 1e-2 * target)
+        if best <= 100 * det_tol:
+            return None
+        inside = ((xs[third] + xs[maxx] + xs[minx]) / 3, (ys[third] + ys[maxx] + ys[minx]) / 3)
+        f0, f1, f2 = initial = (_Facet(xy, maxx, minx, inside), _Facet(xy, third, minx, inside),
+                                _Facet(xy, third, maxx, inside))
+        f0.nb, f1.nb, f2.nb = [f1, f2], [f0, f2], [f0, f1]
+        pending = [i for i in range(n) if i != minx and i != maxx and i != third]
+        for f in initial:  # qh_partitionall
+            keep, top = [], None
+            for i in pending:
+                px, py = xy[i]
+                d = f.off + px * f.nx + py * f.ny
+                if abs(d) <= tol or top is not None and d > 0 and abs(d - f.far) <= tol:
+                    raise _Tie
+                if d < 0:
+                    keep.append(i)
+                elif top is None or d > f.far:
+                    if top is not None:
+                        f.out.append(top)
+                    top, f.far = i, d
+                else:
+                    f.out.append(i)
+            if top is not None:
+                f.out.append(top)
+            pending = keep
+        succ = dict(zip(hull, hull[1:] + hull[:1]))
+        edges = [f for f in initial if succ.get(f.v[0]) == f.v[1] or succ.get(f.v[1]) == f.v[0]]
+        if edges:
+            if edges[0].out:
+                return None
+        else:
+            facets = _replay(xy, initial, tol, inside)
+            if len(facets) != len(hull) or any(
+                    succ.get(f.v[0]) != f.v[1] and succ.get(f.v[1]) != f.v[0] for f in facets):
+                return None
+            edges = facets
+    except _Tie:
+        return None
+    a, b = edges[0].v
+    k = hull.index(a if succ[a] == b else b)
+    return hull[k:] + hull[:k]
+
+
+def _replay(xy: list, initial: tuple, tol: float, inside: tuple) -> list:
+    """Qhull's 2-d build on from the partitioned initial facets (none of them
+    a hull edge): its final facet list. Raises _Tie as `_qhull_order` says.
+
+    The facet holding the furthest outside point moves to the front
+    (`qh_furthestnext`). Then, while any is left, the furthest outside point
+    of the first facet from `facet_next` on that has one is added
+    (`qh_nextfurthest`, `qh_addpoint`): the facets visible from it are found
+    breadth-first and move to the end (`qh_findhorizon`); each makes a new
+    facet per horizon neighbour, in visible-facet and neighbour-slot order
+    (`qh_makenewfacets`); their outside points are repartitioned from their
+    last new facet (`qh_partitionvisible`) by a walk over the new facets
+    (`qh_findbest`), or over the list's tail once the new facets' normals
+    are found to lie in different quadrants (`qh_findbestnew`), then uphill
+    over the old facets (`qh_findbesthorizon`); an old facet that gains its
+    first outside point moves to the end. The visible facets are deleted.
+    """
+    order = list(initial)
+    furthest = None
+    for f in order:  # qh_furthestnext
+        if f.out:
+            if furthest is not None and abs(f.far - furthest.far) <= tol:
+                raise _Tie
+            if furthest is None or f.far > furthest.far:
+                furthest = f
+    if furthest is None:
+        raise _Tie
+    order.remove(furthest)
+    order.insert(0, furthest)
+    facet_next = furthest  # None stands for the list's tail
+    sharp = None  # per added point: whether its new facets are sharp, once tested
+
+    def after(f):
+        k = order.index(f) + 1
+        return order[k] if k < len(order) else None
+
+    def remove(f):
+        nonlocal facet_next
+        if f is facet_next:
+            facet_next = after(f)
+        order.remove(f)
+
+    def append(f):
+        nonlocal facet_next
+        order.append(f)
+        if facet_next is None:
+            facet_next = f
+
+    def dist(q, f):
+        return f.off + xy[q][0] * f.nx + xy[q][1] * f.ny
+
+    def outside(d):
+        if abs(d) <= tol:
+            raise _Tie
+        return d > 0
+
+    def above(d, best):
+        if abs(d - best) <= tol:
+            raise _Tie
+        return d > best
+
+    def best_horizon(q, best, bestd):  # qh_findbesthorizon
+        seen, facet, queue = {best}, best, []
+        while facet is not None:
+            last = None
+            for nb in facet.nb:
+                if nb.new or nb in seen:
+                    continue
+                seen.add(nb)
+                d = dist(q, nb)
+                if above(d, bestd):
+                    queue.clear()
+                    best, bestd = nb, d
+                    if last is not None:
+                        queue.append(last)
+                    last = nb
+            facet = last or (queue.pop() if queue else None)
+        return best, bestd
+
+    def best_new(q, start, news):  # qh_findbestnew
+        best, bestd = None, -math.inf
+        i, j = order.index(start), order.index(news[0])
+        for f in order[i:] + order[j:i]:
+            d = dist(q, f)
+            if best is None or above(d, bestd):
+                best, bestd = f, d
+                if outside(d):
+                    return best, d
+        return best_horizon(q, best, bestd)
+
+    def best_of(q, start, news):  # qh_findbest over the new facets
+        nonlocal sharp
+        best, bestd = start, dist(q, start)
+        seen = {start}
+        while not outside(bestd):  # to the first further new neighbour, if any
+            for nb in best.nb:
+                if nb.new and nb not in seen:
+                    seen.add(nb)
+                    d = dist(q, nb)
+                    if above(d, bestd):
+                        best, bestd = nb, d
+                        break
+            else:
+                break
+        else:
+            return best, bestd
+        if sharp is None:  # qh_sharpnewfacets
+            quadrants = set()
+            for f in order[order.index(news[0]):]:
+                if abs(f.nx) <= _TIE or abs(f.ny) <= _TIE:
+                    raise _Tie
+                quadrants.add((f.nx > 0, f.ny > 0))
+            sharp = len(quadrants) > 1
+            if sharp:
+                return best_new(q, best, news)
+        return best_horizon(q, best, bestd)
+
+    while True:
+        while facet_next is not None and not facet_next.out:  # qh_nextfurthest
+            facet_next = after(facet_next)
+        if facet_next is None:
+            return order
+        top = facet_next
+        p = top.out.pop()
+        remove(top)  # qh_findhorizon
+        append(top)
+        top.visible = True
+        visible, seen = [top], {top}
+        for v in visible:
+            for nb in v.nb:
+                if nb not in seen:
+                    seen.add(nb)
+                    if outside(dist(p, nb)):
+                        remove(nb)
+                        append(nb)
+                        nb.visible = True
+                        visible.append(nb)
+        news = []  # qh_makenewfacets, qh_matchnewfacets
+        for v in visible:
+            for slot in (0, 1):
+                horizon = v.nb[slot]
+                if not horizon.visible:
+                    new = _Facet(xy, p, v.v[1 - slot], inside)
+                    new.nb, new.new = [horizon, None], True
+                    horizon.nb[horizon.nb.index(v)] = new
+                    append(new)
+                    news.append(new)
+                    v.replace = new
+        if len(news) != 2:
+            raise _Tie
+        news[0].nb[1], news[1].nb[1] = news[1], news[0]
+        for new in news:  # qh_premerge merges nothing clearly convex
+            for f, g in ((new, new.nb[0]), (new.nb[0], new), (new, new.nb[1])):
+                (x0, y0), (x1, y1) = xy[f.v[0]], xy[f.v[1]]
+                if g.off + (x0 + x1) / 2 * g.nx + (y0 + y1) / 2 * g.ny > -tol:
+                    raise _Tie
+        sharp = None
+        for v in visible:  # qh_partitionvisible, qh_partitionpoint
+            for q in v.out:
+                best, d = (best_new if sharp else best_of)(q, v.replace or news[0], news)
+                if not outside(d):
+                    continue
+                if best.out:
+                    if above(d, best.far):
+                        best.out.append(q)
+                        best.far = d
+                    else:
+                        best.out.insert(-1, q)
+                    continue
+                best.out.append(q)
+                best.far = d
+                if facet_next is not best:
+                    if not best.new:
+                        remove(best)
+                        append(best)
+                        best.new = True
+                    elif facet_next is not None and facet_next.new:
+                        facet_next = news[0]
+        for v in visible:  # qh_deletevisible, qh_resetlists
+            remove(v)
+        for f in order[order.index(news[0]):]:
+            f.new = False
 
 
 def _enclosure_quads(rng: np.random.Generator, family: SceneFamily) -> list:
@@ -303,7 +655,7 @@ def simulate_lidar(scene: Scene, model: LidarModel, seed: int) -> PointCloud:
         # only the beams in an edge's wedge can hit it: the oracle's cull
         az = np.arctan2(d[:, 1], d[:, 0])
         order = np.argsort(az)
-        lo, hi, *_ = _wedge_bounds(origin, edges[:, 0], edges[:, 1])
+        lo, hi, *_ = scene._wedges()
         around = np.concatenate([az[order], az[order] + 2 * np.pi])
         first = np.searchsorted(around, lo, "left")
         last = np.maximum(first, np.searchsorted(around, hi, "right"))
@@ -590,7 +942,7 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     edges = scene.edges()
     p, q = edges[:, 0], edges[:, 1]
     (px, py), (qx, qy) = p.T, q.T
-    lo, hi, d3, reach, near_line = _wedge_bounds(origin, p, q)
+    lo, hi, d3, reach, near_line = scene._wedges()
     near, far = _cull_radii(origin, p, q, d3, reach, near_line, rmax)
     # sectors and range keys, in the cache's arithmetic
     n_sec = starts.size - 1

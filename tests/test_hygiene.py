@@ -102,14 +102,33 @@ def test_random_streams_come_from_seeded_rng(path):
     assert _seeding_calls(path) == []
 
 
-def test_cli_import_loads_no_scipy_spatial():
-    """scipy.spatial is imported by the first synthesis, not at `import fovlab.cli`:
-    it would be most of the import time of every command."""
-    code = "import fovlab.cli, sys; print('scipy.spatial' in sys.modules)"
+def test_no_module_imports_scipy():
+    """Only the tests use scipy, as the oracle of Qhull's vertex order."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_synthesis_loads_no_scipy():
+    """`import fovlab.cli` and one synthesized frame of each family (scene,
+    LiDAR, oracle) leave scipy out of sys.modules."""
+    code = ("import sys, fovlab.cli\n"
+            "from fovlab.scenes import (FAMILY_NAMES, SceneFamily, default_grid, default_lidar,\n"
+            "                           generate_scene, ground_truth_fov, simulate_lidar)\n"
+            "for name in FAMILY_NAMES:\n"
+            "    scene, lidar = generate_scene(SceneFamily.preset(name), 0), default_lidar(name)\n"
+            "    simulate_lidar(scene, lidar, 0)\n"
+            "    ground_truth_fov(scene, lidar, default_grid(name, 64))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     path = f"{PACKAGE.parent}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def _recorder_module():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from fovlab.geometry import flat_ranges, project_to_bev, quantize
 import fovlab.scenes as scenes_module
 from fovlab.scenes import (_BATCH_PAIRS, _FAR_CUT, _MIN_RANGE, _NEAR_CUT, _WEDGE_MARGIN,
                            FAMILY_NAMES, LidarModel, Scene, SceneFamily, _cells_by_sector,
-                           _cull_radii, _segments_blocked, _wedge_bounds, default_grid,
-                           default_lidar, generate_scene, ground_truth_fov, point_in_convex,
-                           simulate_lidar)
+                           _cull_radii, _qhull_order, _segments_blocked, _wedge_bounds,
+                           default_grid, default_lidar, generate_scene, ground_truth_fov,
+                           point_in_convex, simulate_lidar)
 from fovlab.types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
 from conftest import wall_quad
@@ -731,6 +732,99 @@ def test_point_in_convex():
     assert point_in_convex(tri, (0.5, 0.5))
     assert point_in_convex(tri, (0.0, 0.0))  # boundary counts
     assert not point_in_convex(tri, (2.0, 2.0))
+
+
+def _convex_blob_reference(rng: np.random.Generator, center: np.ndarray,
+                           size: float) -> np.ndarray | None:
+    """The former `_convex_blob`, kept as the oracle of Qhull's vertex order."""
+    n = int(rng.integers(4, 9))
+    radii = (size / 2.0) * np.sqrt(rng.uniform(0.3, 1.0, n))
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    pts = center + np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return None
+    return pts[hull.vertices]
+
+
+def _qhull_mismatches(point_sets) -> list:
+    """The sets whose `_qhull_order` is not `ConvexHull(...).vertices` (a
+    refusal counts, and so does an order where Qhull raised)."""
+    bad = []
+    for pts in point_sets:
+        try:
+            want = ConvexHull(pts).vertices.tolist()
+        except QhullError:
+            want = None
+        if _qhull_order(pts.tolist()) != want:
+            bad.append(pts.tolist())
+    return bad
+
+
+def test_qhull_order_matches_qhull_on_blobs():
+    """20,000 blobs drawn as `_convex_blob` draws them, with the sizes and
+    centres the families draw (clutter posts to large obstacles)."""
+    rng = np.random.default_rng(29)
+
+    def blobs():
+        for _ in range(20000):
+            size, rad, theta = rng.uniform(0.08, 8.0), rng.uniform(1.5, 24.0), rng.uniform(0, 7)
+            center = np.array([rad * np.cos(theta), rad * np.sin(theta)])
+            n = int(rng.integers(4, 9))
+            radii = (size / 2.0) * np.sqrt(rng.uniform(0.3, 1.0, n))
+            ang = rng.uniform(0.0, 2.0 * np.pi, n)
+            yield center + np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+
+    assert _qhull_mismatches(blobs()) == []
+
+
+def test_qhull_order_matches_qhull_on_point_sets():
+    """3 to 30 points, uniform, normal or on a circle, off the origin: about
+    half the sets need the replay of Qhull's build."""
+    rng = np.random.default_rng(30)
+
+    def sets():
+        for k in range(6000):
+            n, shift = int(rng.integers(3, 31)), rng.uniform(-30.0, 30.0, 2)
+            if k % 3 == 0:
+                yield rng.uniform(-5.0, 5.0, (n, 2)) + shift
+            elif k % 3 == 1:
+                yield rng.normal(0.0, rng.uniform(0.1, 5.0), (n, 2)) + shift
+            else:
+                a = rng.uniform(0.0, 2.0 * np.pi, n)
+                yield rng.uniform(0.1, 10.0) * np.column_stack([np.cos(a), np.sin(a)]) + shift
+
+    assert _qhull_mismatches(sets()) == []
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],               # collinear
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 2.0]],               # on a hull edge
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],   # a duplicate vertex
+    [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [1.0, 0.5], [1.0, 0.5]],  # inside
+    # on the diagonal (0, 0)-(1, 1), an edge of the initial simplex
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]],
+], ids=["collinear", "edge-point", "duplicate-vertex", "duplicate-inside", "on-diagonal"])
+def test_qhull_order_refuses_ties(points):
+    assert _qhull_order(points) is None
+    assert _qhull_order([[x + 10.0, y - 20.0] for x, y in points]) is None
+
+
+def test_generate_scene_matches_qhull_reference(monkeypatch):
+    """Every family at seeds 0-199 gives the bytes of the generator with the
+    former, Qhull-built blob."""
+    for family in FAMILY_NAMES:
+        fam = SceneFamily.preset(family)
+        got = [generate_scene(fam, seed) for seed in range(200)]
+        with monkeypatch.context() as m:
+            m.setattr(scenes_module, "_convex_blob", _convex_blob_reference)
+            want = [generate_scene(fam, seed) for seed in range(200)]
+        for seed, (a, b) in enumerate(zip(got, want)):
+            assert len(a.obstacles) == len(b.obstacles), (family, seed)
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(a.obstacles, b.obstacles)), \
+                (family, seed)
+            assert a.sensor.quaternion.tobytes() == b.sensor.quaternion.tobytes()
 
 
 def test_enclosure_returns_every_beam(sparse_family, noiseless_lidar):
