@@ -8,7 +8,8 @@ into azimuth bins by one rule, _bins.
 
 The concave hull's closure test (points_in_polygon) and the polygon rasterizer
 share one even-odd rule (Haines 1994, "Point in Polygon Strategies") and one
-core that applies it; only the locator differs (complex keys, or the grid axis).
+core that applies it; only the way points are found and read differs (sorted
+complex keys, or indices on the grid axis).
 Point (px, py) crosses edge (x1, y1)-(x2, y2) iff min(y1, y2) <= py < max(y1, y2)
 and px < x1 + (py - y1) * (x2 - x1) / (y2 - y1), and is inside iff it crosses an
 odd number of edges, or lies on the boundary: within _BOUNDARY_TOL of the line
@@ -96,7 +97,10 @@ def concave_hull(points_xy: np.ndarray, k: int = 16) -> FovPolygon:
     """
     if k < MIN_K:
         raise ValueError(f"k must be >= {MIN_K}")
-    pts = np.unique(np.asarray(points_xy, dtype=np.float64).reshape(-1, 2), axis=0)
+    pts = np.ascontiguousarray(points_xy, dtype=np.float64).reshape(-1, 2)
+    # the distinct rows in (x, y) order, as np.unique(pts, axis=0) gives them
+    pts = _sorted_unique(pts.view([("f0", np.float64), ("f1", np.float64)]).ravel())
+    pts = pts.view(np.float64).reshape(-1, 2)
     n = pts.shape[0]
     if n < 3:
         raise ValueError("need >= 3 distinct points")
@@ -117,6 +121,20 @@ def concave_hull(points_xy: np.ndarray, k: int = 16) -> FovPolygon:
     # k has grown to cover every point: the boundary-tightness limit is the
     # convex hull, which always closes and contains the whole set
     return FovPolygon(pts[convex_hull(pts.tolist())])
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-d array, without the numpy.ma import np.unique
+    makes: the same (unstable) sort, then the first entry of each run of
+    equal ones, all NaNs of a float array being one run, so that a tie such
+    as -0.0 and 0.0 keeps the entry np.unique keeps."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = a[1:] != a[:-1]
+    if a.dtype.kind == "f":
+        keep[1:] &= ~np.isnan(a[:-1])  # NaNs sort last
+    return a[keep]
 
 
 def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
@@ -197,9 +215,10 @@ def _try_hull(pts: np.ndarray, kk: int) -> np.ndarray | None:
 
 @lru_cache(maxsize=32)
 def _center_polar(spec: GridSpec, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    X, Y = spec.cell_centers()
-    r = np.hypot(X, Y)
-    bins = _bins(azimuth(X, Y), n_bins)
+    """Range and azimuth bin of each cell centre, [ix, iy] as the grid's masks."""
+    axis = spec.cell_centers_1d()
+    r = np.hypot(axis[:, None], axis)
+    bins = _bins(azimuth(axis[:, None], axis), n_bins)
     r.flags.writeable = bins.flags.writeable = False  # every later call reuses them
     return r, bins
 
@@ -211,10 +230,11 @@ def polar_to_mask(ranges: np.ndarray, spec: GridSpec) -> FovMask:
     return FovMask(spec, r <= ranges[bins])
 
 
-def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
-    """points_in_polygon on points (px, py) already in (y, x) order, whose
-    distinct y values are `rows`; `locate(r, q, side)` is the np.searchsorted
-    position of (rows[r], q) among them.
+def _even_odd(rows, n, x_of, y_of, locate, poly) -> np.ndarray:
+    """points_in_polygon on n points already in (y, x) order, whose distinct
+    y values are `rows`; `x_of(i)` and `y_of(i)` gather the x and y of the
+    points at indices i (-1 the last), and `locate(r, q, side)` is the
+    np.searchsorted position of (rows[r], q) among them.
 
     Each (edge, row) pair is searched once, at its crossing x_at. That
     position counts the crossing, and its two neighbours in the row bound the
@@ -235,7 +255,6 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
     e, r = flat_ranges(np.searchsorted(rows, ylo - tol, side="left") * live,
                        np.searchsorted(rows, yhi + tol, side="right") * live)
     y = rows[r]
-    n = px.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_at = x1[e] + (y - y1[e]) * ex[e] / ey[e]  # not finite on horizontal edges
         half = (tol + _STRIP_PAD) * elen / np.abs(ey)
@@ -245,7 +264,7 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
         # on that side, so the test can only err towards the exact path, as it
         # does for a non-finite x_at or strip
         wide = (2.0 * half)[e]
-        clear = (px[at - 1] < x_at - wide) & (px[np.minimum(at, n - 1)] > x_at + wide)
+        clear = (x_of(at - 1) < x_at - wide) & (x_of(np.minimum(at, n - 1)) > x_at + wide)
     crosses = (ylo[e] <= y) & (y < yhi[e])
 
     # a row has an even number of crossings, so the count to a point's right
@@ -262,10 +281,10 @@ def _even_odd(rows, px, py, locate, poly) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
             strip_lo, strip_hi = np.fmax(x_at - half[e], xlo[e]), np.fmin(x_at + half[e], xhi[e])
         pair, c = flat_ranges(locate(r, strip_lo, "left"), locate(r, strip_hi, "right"))
-        ce = e[pair]
-        cross = ex[ce] * (py[c] - y1[ce]) - ey[ce] * (px[c] - x1[ce])
-        inside[c[(np.abs(cross) / elen[ce] <= tol) & (px[c] >= xlo[ce]) & (px[c] <= xhi[ce])
-                 & (py[c] >= ylo[ce] - tol) & (py[c] <= yhi[ce] + tol)]] = True
+        ce, cx, cy = e[pair], x_of(c), y_of(c)
+        cross = ex[ce] * (cy - y1[ce]) - ey[ce] * (cx - x1[ce])
+        inside[c[(np.abs(cross) / elen[ce] <= tol) & (cx >= xlo[ce]) & (cx <= xhi[ce])
+                 & (cy >= ylo[ce] - tol) & (cy <= yhi[ce] + tol)]] = True
     return inside
 
 
@@ -280,20 +299,22 @@ def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     keys = pts[:, 1] + 1j * pts[:, 0]  # complex keys sort by y, then by x
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    rows = np.unique(keys.real)
+    px, py, rows = keys.imag, keys.real, _sorted_unique(keys.real)
     out = np.empty(keys.size, dtype=bool)
-    out[order] = _even_odd(rows, keys.imag, keys.real,
+    out[order] = _even_odd(rows, keys.size, px.__getitem__, py.__getitem__,
                            lambda r, q, side: np.searchsorted(keys, rows[r] + 1j * q, side), poly)
     return out
 
 
 @lru_cache(maxsize=32)
 def _grid_rows(spec: GridSpec) -> tuple:
-    """_even_odd's arguments for the cell centers, whose rows share one x axis."""
+    """_even_odd's arguments for the cell centers, whose rows share one x
+    axis: only the axis is kept. Center i, in (y, x) order, lies at
+    (axis[i % res], axis[i // res])."""
     axis, res = spec.cell_centers_1d(), spec.resolution
-    px, py = np.tile(axis, res), np.repeat(axis, res)
-    axis.flags.writeable = px.flags.writeable = py.flags.writeable = False
-    return axis, px, py, lambda r, q, side: r * res + np.searchsorted(axis, q, side)
+    axis.flags.writeable = False
+    return (axis, res * res, lambda i: axis[i % res], lambda i: axis[i // res],
+            lambda r, q, side: r * res + np.searchsorted(axis, q, side))
 
 
 def rasterize_polygon(poly: FovPolygon, spec: GridSpec) -> FovMask:

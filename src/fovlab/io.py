@@ -55,7 +55,7 @@ def load_point_cloud(path) -> PointCloud:
 def save_mask_pgm(path, mask: FovMask) -> None:
     """Write a FovMask as binary PGM; rows run from +y (top) to -y (bottom)."""
     res = mask.spec.resolution
-    img = np.where(mask.mask, 255, 0).astype(np.uint8)
+    img = mask.mask.view(np.uint8) * np.uint8(255)  # a bool is one byte, 0 or 1
     # raster row r, column c  <->  grid cell (ix=c, iy=res-1-r)
     raster = img[:, ::-1].T
     with open(path, "wb") as f:

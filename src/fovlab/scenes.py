@@ -33,7 +33,11 @@ are (the segment crosses the edge's line by at least 1e-3 x the line's
 distance, and its ends straddle the segment to the cell by at least 1e-9 rad).
 The in-range cells are kept in (azimuth sector, range key) order, with
 n // 32 sectors for n cells and a range quantum of one cell size, so that
-both culls select a key range within each sector.
+both culls select a key range within each sector. Per grid, range and
+sensor position the oracle keeps only the cells' int32 flat indices, the
+sector starts and a table of each range key's offset inside its sector:
+a key range is found by lookup, and a cell's centre is read from its index
+on the grid's 1-d axis.
 """
 
 from __future__ import annotations
@@ -832,41 +836,51 @@ def _cull_radii(origin: np.ndarray, p: np.ndarray, q: np.ndarray, d3: np.ndarray
 def _cells_by_sector(spec: GridSpec, max_range: float, origin: bytes) -> tuple:
     """The cells of `spec` whose centres lie within `max_range` of the sensor
     at `origin` (the bytes of its float64 (x, y), so that -0.0 and 0.0 are
-    separate entries), in (azimuth sector, range key) order.
+    separate entries), in (azimuth sector, range key) order, with a table
+    that finds any key range of a sector without a search.
 
+    Cell i of a grid of resolution res has its centre at (axis[i // res],
+    axis[i % res]) on the grid's 1-d axis, `spec.cell_centers_1d()`.
     Azimuth and range come from the same rounded differences the orientation
     tests use. Of the n cells, sector s of S = n // 32 (at least 1, at most
     _BATCH_PAIRS // 4) holds those with floor((azimuth + pi) S / 2pi) = s
     (the cell at azimuth pi in the last), about 32 each; the range key is
     floor(range / cell size), below about 0.71 resolution + 1 for any
-    extent, so the packed key sector * keys + key stays far below 2**63.
-    Returns read-only arrays: int32 flat cell indices, their packed keys and
-    their centres' world x and y, and the S + 1 sector starts; then the
-    number of range keys and the largest range.
+    extent. The cells of sector s are cells[starts[s]:starts[s + 1]], and
+    those of them with range key k or more start at starts[s] + offset[s, k]
+    for 0 <= k <= keys (at keys: the sector's end), a bucket grid (Bentley &
+    Friedman 1979, "Data Structures for Range Searching") whose offsets take
+    the smallest unsigned dtype that holds the largest sector.
+    Returns read-only arrays: int32 flat cell indices, the S + 1 sector
+    starts and the (S, keys + 1) offsets; then the number of range keys and
+    the largest range.
     """
     ox, oy = np.frombuffer(origin)
-    X, Y = (a.ravel() for a in spec.cell_centers())
-    cells = np.flatnonzero(np.hypot(X, Y) <= max_range)
-    tx, ty = ox + X[cells], oy + Y[cells]
-    del X, Y  # the temporaries below are dropped as soon as they are used, for a low peak
-    dx, dy = tx - ox, ty - oy
+    axis, res = spec.cell_centers_1d(), spec.resolution
+    cells = np.flatnonzero(np.hypot(axis[:, None], axis) <= max_range)
+    # the differences from the sensor of the cells' world centres
+    ix, iy = np.divmod(cells, res)
+    dx, dy = (ox + axis[ix]) - ox, (oy + axis[iy]) - oy
+    del ix, iy  # the temporaries below are dropped as soon as they are used, for a low peak
     rng = np.hypot(dx, dy)
     rmax = float(rng.max(initial=0.0))
-    packed = np.floor(rng / spec.cell_size).astype(np.int64)  # the range key, for now
-    n_keys = int(packed.max(initial=0)) + 1
+    key = np.floor(rng / spec.cell_size).astype(np.int64)
+    n_keys = int(key.max(initial=0)) + 1
     del rng
     n_sec = min(max(cells.size // 32, 1), _BATCH_PAIRS // 4)
-    sector = np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi)))
+    sector = np.minimum(np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi))),
+                        n_sec - 1).astype(np.int64)
     del dx, dy
-    packed += np.minimum(sector, n_sec - 1).astype(np.int64) * n_keys
-    del sector
-    order = np.argsort(packed, kind="stable")
-    packed = packed[order]
-    starts = np.searchsorted(packed, np.arange(n_sec + 1) * n_keys)
-    out = cells[order].astype(np.int32), packed, tx[order], ty[order], starts
-    for a in out:
+    cells = cells[np.argsort(sector * n_keys + key, kind="stable")].astype(np.int32)
+    sizes = np.bincount(sector, minlength=n_sec)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    # each cell counts towards the offsets of the keys above its own
+    offset = np.zeros((n_sec, n_keys + 1), dtype=np.min_scalar_type(sizes.max()))
+    np.add.at(offset, (sector, key + 1), 1)
+    np.cumsum(offset, axis=1, dtype=offset.dtype, out=offset)
+    for a in (cells, starts, offset):
         a.flags.writeable = False  # every later call reuses them
-    return (*out, n_keys, rmax)
+    return cells, starts, offset, n_keys, rmax
 
 
 def _groups(sizes: np.ndarray) -> list[slice]:
@@ -881,17 +895,18 @@ def _groups(sizes: np.ndarray) -> list[slice]:
 
 
 def _pairs(s_lo: np.ndarray, s_hi: np.ndarray, cut: np.ndarray, edge: np.ndarray,
-           visible: np.ndarray, packed: np.ndarray, stop: np.ndarray, n_keys: int):
+           visible: np.ndarray, starts: np.ndarray, offset: np.ndarray, stop: np.ndarray):
     """For each span i in turn, (edge, cell index) pairs of edge[i] and the
     cells still visible of sectors s_lo[i] <= s < s_hi[i] (counted twice
-    round) whose range key is cut[i] or more and whose index is below
-    stop[s], in batches drawn from at most _BATCH_PAIRS cells."""
+    round) whose range key is cut[i] (at most the key count) or more and
+    whose index is below stop[s], in batches drawn from at most _BATCH_PAIRS
+    cells. `starts` and `offset` are `_cells_by_sector`'s."""
     for g in _groups(s_hi - s_lo):
         span, s = flat_ranges(s_lo[g], s_hi[g])
         span += g.start
         s %= stop.size
         # a sector's cells are sorted by range key: those at or past the cut are its tail
-        first = np.searchsorted(packed, s * n_keys + cut[span])
+        first = starts[s] + offset[s, cut[span]]
         last = np.maximum(stop[s], first)
         for b in _groups(last - first):
             at, idx = flat_ranges(first[b], last[b])
@@ -921,22 +936,26 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     which every synthesized scene on a grid shares, in (sector, range key)
     order (`_cells_by_sector`): n // 32 sectors for n cells (about 32 cells
     a sector, at most _BATCH_PAIRS // 4 sectors) and a range quantum of one
-    cell size, so both culls are key ranges within a sector. A sector's
-    horizon is the least far key of an edge that holds it inside its wedge:
-    its cells from there on are blocked. The front-facing edges (d3 <= 0,
-    the sensor outside their polygon) are then tested nearest first on the
-    cells from their near key to the horizon, and the back-facing ones on
-    the cells still visible; each batch draws on at most _BATCH_PAIRS cells.
-    A pair takes `_segments_blocked`'s proper-crossing terms, with d3 once
-    per edge; only pairs with d1 d2 or d3 d4 exactly 0 take its touching
-    terms.
+    cell size, so both culls are key ranges within a sector, which the
+    cache's offset table gives by lookup (a key at or past the key count
+    maps to the sector's end). A sector's horizon is the least far key of an
+    edge that holds it inside its wedge: its cells from there on are
+    blocked. The front-facing edges (d3 <= 0, the sensor outside their
+    polygon) are then tested nearest first on the cells from their near key
+    to the horizon, and the back-facing ones on the cells still visible;
+    each batch draws on at most _BATCH_PAIRS cells. A pair takes
+    `_segments_blocked`'s proper-crossing terms, with d3 once per edge and
+    the cell's centre read from its index on the grid axis (as in
+    `_cells_by_sector`); only pairs with d1 d2 or d3 d4 exactly 0 take its
+    touching terms.
 
     Deterministic and independent of sensor noise parameters.
     """
     origin = scene.sensor.position[:2]
     ox, oy = origin
-    cells, packed, tx, ty, starts, n_keys, rmax = _cells_by_sector(
-        spec, model.max_range, origin.tobytes())
+    cells, starts, offset, n_keys, rmax = _cells_by_sector(spec, model.max_range,
+                                                           origin.tobytes())
+    axis, res = spec.cell_centers_1d(), spec.resolution
     visible = np.ones(cells.size, dtype=bool)
 
     edges = scene.edges()
@@ -955,7 +974,7 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     inner_hi = np.where(far < np.inf, np.maximum(inner_hi, inner_lo), inner_lo)
     # keys below floor(near / cell size) are nearer than near, keys above
     # floor(far / cell size) farther than far
-    near_key = np.floor(near / spec.cell_size).astype(np.int64)
+    near_key = np.minimum(np.floor(near / spec.cell_size), n_keys).astype(np.int64)
     far_key = np.minimum(np.floor(far / spec.cell_size) + 1, n_keys).astype(np.int64)
 
     # the certain blocks: the cells of a sector at or past its horizon, the
@@ -964,17 +983,18 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     for g in _groups(inner_hi - inner_lo):
         span, s = flat_ranges(inner_lo[g], inner_hi[g])
         np.minimum.at(horizon, s % n_sec, far_key[g][span])
-    tail = np.searchsorted(packed, np.arange(n_sec) * n_keys + horizon)
+    tail = starts[:-1] + offset[np.arange(n_sec), horizon]
     # the other pairs of each wedge, from the edge's near key to the horizon
     by_range = np.minimum(np.hypot(px - ox, py - oy), np.hypot(qx - ox, qy - oy))
     order = np.lexsort((by_range, d3 > 0))
     cut = np.stack([near_key, np.zeros_like(near_key)], axis=1)[order].ravel()
     ends, ex, ey = np.stack([px, py, qx, qy]), qx - px, qy - py
     for edge, idx in _pairs(s_lo[order].ravel(), s_hi[order].ravel(), cut, order.repeat(2),
-                            visible, packed, tail, n_keys):
+                            visible, starts, offset, tail):
         # _segments_blocked's orientations, with d3 gathered per edge; take()
         # gathers the same values several times faster than indexing
-        cx, cy = tx.take(idx), ty.take(idx)
+        ix, iy = np.divmod(cells.take(idx), res)
+        cx, cy = ox + axis.take(ix), oy + axis.take(iy)
         epx, epy, eqx, eqy = ends.take(edge, axis=1)
         dcx, dcy = cx - ox, cy - oy
         d12 = (dcx * (epy - oy) - dcy * (epx - ox)) * (dcx * (eqy - oy) - dcy * (eqx - ox))
@@ -991,7 +1011,6 @@ def ground_truth_fov(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask
     runs = np.stack([tail - starts[:-1], starts[1:] - tail], axis=1).ravel()
     visible &= np.repeat(np.tile([True, False], n_sec), runs)
 
-    res = spec.resolution
     mask = np.zeros(res * res, dtype=bool)
     mask[cells] = visible
     return FovMask(spec, mask.reshape(res, res))

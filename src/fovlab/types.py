@@ -122,11 +122,6 @@ class GridSpec:
         """Coordinates of cell centers along one axis."""
         return -self.extent + (np.arange(self.resolution) + 0.5) * self.cell_size
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) center coordinate arrays, each (resolution, resolution), 'ij' indexed."""
-        c = self.cell_centers_1d()
-        return np.meshgrid(c, c, indexing="ij")
-
 
 @dataclass
 class BevImage:

@@ -11,6 +11,13 @@ from fovlab.scenes import (LidarModel, Scene, SceneFamily, default_lidar, genera
 from fovlab.types import FilterSpec, GridSpec, Pose
 
 
+def cell_centers(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) cell centre arrays, each (res, res), 'ij' indexed: cell (ix, iy)
+    at (axis[ix], axis[iy]) on the grid's 1-d axis, as the masks index it."""
+    c = spec.cell_centers_1d()
+    return np.meshgrid(c, c, indexing="ij")
+
+
 def wall_quad(x0: float, y_half: float = 5.0, thickness: float = 0.5) -> np.ndarray:
     """Vertical wall straddling x = x0, CCW."""
     return np.array([

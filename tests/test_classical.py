@@ -11,9 +11,11 @@ from fovlab.classical import (_BOUNDARY_TOL, MIN_BINS, FovPolygon, concave_hull,
                               raytrace_continuous, raytrace_quantized)
 from fovlab.geometry import filter_points, flat_ranges, project_to_bev
 from fovlab.metrics import iou
-from fovlab.scenes import (FAMILY_NAMES, SceneFamily, default_grid, default_lidar,
-                           generate_scene, ground_truth_fov, simulate_lidar)
+from fovlab.scenes import (FAMILY_NAMES, SceneFamily, _cells_by_sector, default_grid,
+                           default_lidar, generate_scene, ground_truth_fov, simulate_lidar)
 from fovlab.types import FilterSpec, FovMask, GridSpec
+
+from conftest import cell_centers
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -142,13 +144,19 @@ def _assert_core_matches_reference(points: np.ndarray, verts: np.ndarray,
     """classical._even_odd equals _even_odd_reference through points_in_polygon
     and, given a grid, through the rasterizer's own locator."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(classical, "_even_odd", _even_odd_reference)
+        m.setattr(classical, "_even_odd", _even_odd_gathered)
         want = points_in_polygon(points, verts)
     np.testing.assert_array_equal(points_in_polygon(points, verts), want)
     if spec is not None:
-        rows = classical._grid_rows(spec)
-        np.testing.assert_array_equal(classical._even_odd(*rows, verts),
-                                      _even_odd_reference(*rows, verts))
+        np.testing.assert_array_equal(classical._even_odd(*classical._grid_rows(spec), verts),
+                                      _even_odd_gathered(*classical._grid_rows(spec), verts))
+
+
+def _even_odd_gathered(rows, n, x_of, y_of, locate, poly) -> np.ndarray:
+    """_even_odd_reference called as classical._even_odd is: on the x and y
+    of all n points, gathered in order."""
+    i = np.arange(n)
+    return _even_odd_reference(rows, x_of(i), y_of(i), locate, poly)
 
 
 def _to_polar_reference(points_xy: np.ndarray) -> np.ndarray:
@@ -473,6 +481,36 @@ def test_try_hull_matches_reference_on_small_clouds():
                 assert got.tobytes() == want.tobytes(), (trial, kk)
 
 
+def test_sorted_unique_matches_np_unique():
+    """Rows and 1-d values drawn from few values, -0.0 and NaN among them:
+    the same entries in the same order as np.unique, the same one of each
+    tie kept (by its bytes)."""
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
+    row = [("f0", np.float64), ("f1", np.float64)]
+    for trial in range(400):
+        n = int(rng.integers(0, 120))
+        pts = rng.choice(values[:5] if trial % 2 else values, size=(n, 2))
+        want = np.unique(pts, axis=0)
+        got = classical._sorted_unique(pts.view(row).ravel()).view(np.float64).reshape(-1, 2)
+        assert got.tobytes() == want.tobytes(), trial
+        col = pts[:, 0]
+        assert classical._sorted_unique(col).tobytes() == np.unique(col).tobytes(), trial
+
+
+def test_concave_hull_dedupes_as_np_unique(monkeypatch):
+    """Every walk receives np.unique's rows of a cloud with repeated points
+    and signed zeros."""
+    rng = np.random.default_rng(29)
+    pts = rng.integers(-4, 5, (60, 2)).astype(float)
+    pts[::3] *= -1.0  # -0.0 beside 0.0
+    seen = []
+    monkeypatch.setattr(classical, "_try_hull",
+                        lambda q, kk: seen.append(q.copy()) or _try_hull_reference(q, kk))
+    concave_hull(pts, 5)
+    assert seen and all(q.tobytes() == np.unique(pts, axis=0).tobytes() for q in seen)
+
+
 def test_concave_hull_tighter_than_convex():
     # C-shaped cloud: concave hull with small k has less area than convex hull
     rng = np.random.default_rng(5)
@@ -501,7 +539,7 @@ def test_rasterize_boundary_center_visible():
     # polygon edge passes exactly through centers at y = 0.5
     poly = FovPolygon(np.array([[-4.5, 0.5], [4.5, 0.5], [4.5, 4.5], [-4.5, 4.5]]))
     mask = rasterize_polygon(poly, spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     on_edge = (np.abs(Y - 0.5) < 1e-12) & (np.abs(X) <= 4.5)
     assert mask.mask[on_edge].all()
 
@@ -553,7 +591,7 @@ def test_polygon_kernel_matches_references_property(case, seed):
     core equals its former version."""
     spec, verts = case
     poly = FovPolygon(verts)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     centers = np.column_stack([X.ravel(), Y.ravel()])
     want = _rasterize_polygon_reference(poly, spec).mask
     np.testing.assert_array_equal(
@@ -613,9 +651,9 @@ def test_even_odd_matches_reference_on_benchmark_frames():
     on the grid and on the frame's own points."""
     for label, grid, pts in _benchmark_frames():
         poly = raytrace_continuous(pts).vertices
-        rows = classical._grid_rows(grid)
-        np.testing.assert_array_equal(classical._even_odd(*rows, poly),
-                                      _even_odd_reference(*rows, poly), err_msg=label)
+        np.testing.assert_array_equal(classical._even_odd(*classical._grid_rows(grid), poly),
+                                      _even_odd_gathered(*classical._grid_rows(grid), poly),
+                                      err_msg=label)
         _assert_core_matches_reference(pts, poly)
 
 
@@ -653,9 +691,41 @@ def test_per_spec_caches_are_read_only():
     spec = GridSpec(extent=16.0, resolution=32)
     polar_to_mask(np.full(16, 10.0), spec)
     rasterize_polygon(FovPolygon(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])), spec)
-    for a in (*classical._center_polar(spec, 16), *classical._grid_rows(spec)[:3]):
+    for a in (*classical._center_polar(spec, 16), classical._grid_rows(spec)[0]):
         with pytest.raises(ValueError):
             a[0] = 1
+
+
+def _held_arrays(cached) -> list:
+    """The distinct arrays a cache entry holds: its own, and those its
+    functions close over."""
+    found = {}
+    for item in cached:
+        for a in [item] + [c.cell_contents for c in getattr(item, "__closure__", None) or ()]:
+            if isinstance(a, np.ndarray):
+                found[id(a)] = a
+    return list(found.values())
+
+
+def test_per_grid_caches_stay_within_budget():
+    """On a res-256, extent-75 grid: the oracle's cells and offset table take
+    at most 512 KiB, the rasterizer's rows only the axis, and the polar
+    centres their ranges and bins; no array is a res**2-element copy of the
+    axis's coordinates."""
+    spec = GridSpec(extent=75.0, resolution=256)
+    res, axis = spec.resolution, spec.cell_centers_1d()
+    caches = {
+        "_cells_by_sector": (_cells_by_sector(spec, 75.0, np.zeros(2).tobytes()), 512 * 1024),
+        "_grid_rows": (classical._grid_rows(spec), res * 8),
+        "_center_polar": (classical._center_polar(spec, 360), 2 * res * res * 8),
+    }
+    copies = [np.tile(axis, res), np.repeat(axis, res)]
+    for name, (cached, budget) in caches.items():
+        held = _held_arrays(cached)
+        assert held and sum(a.nbytes for a in held) <= budget, name
+        for a in held:
+            assert not (a.size == res * res and a.dtype.kind == "f"
+                        and any(np.array_equal(a.ravel(order=o), c) for c in copies for o in "CF")), name
 
 
 def test_rasterize_area_close_to_shoelace():
@@ -675,7 +745,7 @@ def test_rasterize_area_close_to_shoelace():
 def test_polar_to_mask_disk():
     spec = GridSpec(extent=16.0, resolution=32)
     mask = polar_to_mask(np.full(16, 10.0), spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     np.testing.assert_array_equal(mask.mask, np.hypot(X, Y) <= 10.0)
 
 
@@ -689,7 +759,7 @@ def test_polar_to_mask_matches_per_cell_oracle():
     spec = GridSpec(extent=16.0, resolution=32)
     ranges = rng.uniform(0, 20, 24)
     mask = polar_to_mask(ranges, spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     for ix in range(32):
         for iy in range(32):
             az = np.arctan2(Y[ix, iy], X[ix, iy]) % (2 * np.pi)
@@ -706,7 +776,7 @@ def test_polar_to_mask_bins_per_spec_and_bin_count():
     for n in (MIN_BINS, 360, 361, MIN_BINS):
         for spec in specs:
             ranges = rng.uniform(0, 1.2 * spec.extent, n)
-            X, Y = spec.cell_centers()
+            X, Y = cell_centers(spec)
             az = np.mod(np.arctan2(Y, X), 2 * np.pi)
             az[az >= 2 * np.pi] = 0.0
             bins = np.minimum((az / (2 * np.pi) * n).astype(np.int64), n - 1)
@@ -721,7 +791,7 @@ def test_rayq_marks_every_cell_whose_center_is_a_point(res, n_bins, extent, shar
     """Cell centers taken as the points are visible in the mask they trace,
     which holds only if points and cell centers fall into bins by one rule."""
     spec = GridSpec(extent=extent, resolution=res)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     chosen = np.random.default_rng(seed).random(X.shape) < share
     mask = polar_to_mask(raytrace_quantized(np.column_stack([X[chosen], Y[chosen]]), n_bins), spec)
     assert mask.mask[chosen].all()

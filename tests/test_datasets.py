@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -8,7 +9,8 @@ from fovlab.attacks import AttackSpec
 from fovlab.datasets import (attack_dataset, frames_to_pairs, load_frames, load_manifest,
                              open_dataset, synthesize_dataset)
 from fovlab.errors import DataError
-from fovlab.scenes import LidarModel, SceneFamily, ground_truth_fov
+from fovlab.scenes import (FAMILY_NAMES, LidarModel, SceneFamily, default_grid, default_lidar,
+                           ground_truth_fov)
 from fovlab.types import FilterSpec, GridSpec
 from fovlab import io as fio
 
@@ -185,3 +187,96 @@ def test_load_frames_of_an_empty_split_is_data_error(small_dataset, tmp_path):
     bad = _bad_copy(root, manifest, tmp_path, lambda rows: rows.clear())
     with pytest.raises(DataError, match="dataset split 'test' is empty"):
         load_frames(bad, "test")
+
+
+# sha256 of each file of a 2-frame test split, seed 0, for every family at res
+# 64 and 256, as synthesized before the oracle and rasterizer caches kept
+# indices in place of coordinates: any change of scene sampling, LiDAR, oracle
+# or file writers shows here
+SYNTH_SHA256 = {
+    "outdoor-sparse/64/frame_00000.fvpc":
+        "700dd2b78b386e13be7842abc1446e4400d605a8ac822b1405e6f208a778432c",
+    "outdoor-sparse/64/frame_00000.pgm":
+        "a010aa474b52e44ddcee38e50e416768909e4ae4d72dc5599c052ad2242defab",
+    "outdoor-sparse/64/frame_00000.scene.json":
+        "c1f0070524e399f7daaacfe3e58cf40f8f05dc5695c215b00cc8d90b9632a6e5",
+    "outdoor-sparse/64/frame_00001.fvpc":
+        "a33cd0368401d966d4f9626035d06cf83b8af7721e449c0793a923cf5406ed2e",
+    "outdoor-sparse/64/frame_00001.pgm":
+        "b4914d78be817d80f66829aa5d52f40b9d564f8f8f714618aa8bf70907ac6cea",
+    "outdoor-sparse/64/frame_00001.scene.json":
+        "817f25e3e0ca288b868a4bd61e3c317d21808d3d9aeb5f6c7010f7493eb736c1",
+    "outdoor-dense/64/frame_00000.fvpc":
+        "57f113b62faa848ab715b86637a8d3d8e84598aad3cabf0f0b6441718cf20b91",
+    "outdoor-dense/64/frame_00000.pgm":
+        "4d4d22b5e0f2ed2a82ea9427349f6f3f8cc4c08156971ab93fbf9f92da014c4e",
+    "outdoor-dense/64/frame_00000.scene.json":
+        "c596550f46b41d1ed7f38a9d449e72db5a1c35557c4786ba50ffa44686522bb5",
+    "outdoor-dense/64/frame_00001.fvpc":
+        "b97084155202db1cc3649854388058c1fc867077482d2c907e203306da474f62",
+    "outdoor-dense/64/frame_00001.pgm":
+        "579ca42603af9e1e7562a17f45d77ac69fe2e03870dd3547e851b999aa6d2f98",
+    "outdoor-dense/64/frame_00001.scene.json":
+        "582dd47d102941cadfd5b3d655f579a4594ebd3dcdd2a0b81a8cdfd376bda2e1",
+    "indoor/64/frame_00000.fvpc":
+        "50d5ac18384962e9723ed1302457307a415b13b94fc8663cabd6c9ef1bc8a24b",
+    "indoor/64/frame_00000.pgm":
+        "5719c36a947a0cee3404f6eb712dff7a6263c2127e1860e5c9f30ae5caa27d0e",
+    "indoor/64/frame_00000.scene.json":
+        "de3a362e5927fbb7b7b1c2d01a027b73d5621914fe11928a77feed403681bfbe",
+    "indoor/64/frame_00001.fvpc":
+        "e5b9914e03dc98b0cc17b5d092545e81f78a503b3c171c4e03bdb1906941fcdf",
+    "indoor/64/frame_00001.pgm":
+        "b6e714b1605b3145267e80b2444d7162683399bbd4449c6033da3bb84ff0d062",
+    "indoor/64/frame_00001.scene.json":
+        "90a87293aa855c4793c5a02a4eaf329f11030972fa8983133738a248faed37b4",
+    "outdoor-sparse/256/frame_00000.fvpc":
+        "700dd2b78b386e13be7842abc1446e4400d605a8ac822b1405e6f208a778432c",
+    "outdoor-sparse/256/frame_00000.pgm":
+        "09c33c9ace1e433d3338b431de5fe034e212ff89cafaaf3c5b8c8127aa557a84",
+    "outdoor-sparse/256/frame_00000.scene.json":
+        "c1f0070524e399f7daaacfe3e58cf40f8f05dc5695c215b00cc8d90b9632a6e5",
+    "outdoor-sparse/256/frame_00001.fvpc":
+        "a33cd0368401d966d4f9626035d06cf83b8af7721e449c0793a923cf5406ed2e",
+    "outdoor-sparse/256/frame_00001.pgm":
+        "7aa72f238837d938356c69c835b9061eca1c363e3115c9f1a0734bc84259f164",
+    "outdoor-sparse/256/frame_00001.scene.json":
+        "817f25e3e0ca288b868a4bd61e3c317d21808d3d9aeb5f6c7010f7493eb736c1",
+    "outdoor-dense/256/frame_00000.fvpc":
+        "57f113b62faa848ab715b86637a8d3d8e84598aad3cabf0f0b6441718cf20b91",
+    "outdoor-dense/256/frame_00000.pgm":
+        "d618c0237e0cbcb199727fc5525a4a661a8054014d3da9955442544967a2c1db",
+    "outdoor-dense/256/frame_00000.scene.json":
+        "c596550f46b41d1ed7f38a9d449e72db5a1c35557c4786ba50ffa44686522bb5",
+    "outdoor-dense/256/frame_00001.fvpc":
+        "b97084155202db1cc3649854388058c1fc867077482d2c907e203306da474f62",
+    "outdoor-dense/256/frame_00001.pgm":
+        "b299fd844caf80a06b0c682ca9dc6eb8b455c824872d3a9b0052a10d387b8fc1",
+    "outdoor-dense/256/frame_00001.scene.json":
+        "582dd47d102941cadfd5b3d655f579a4594ebd3dcdd2a0b81a8cdfd376bda2e1",
+    "indoor/256/frame_00000.fvpc":
+        "50d5ac18384962e9723ed1302457307a415b13b94fc8663cabd6c9ef1bc8a24b",
+    "indoor/256/frame_00000.pgm":
+        "e2b1623c5ef99612be028e736309eb53380e9a941c47f277ca206156d37fabc0",
+    "indoor/256/frame_00000.scene.json":
+        "de3a362e5927fbb7b7b1c2d01a027b73d5621914fe11928a77feed403681bfbe",
+    "indoor/256/frame_00001.fvpc":
+        "e5b9914e03dc98b0cc17b5d092545e81f78a503b3c171c4e03bdb1906941fcdf",
+    "indoor/256/frame_00001.pgm":
+        "f416a723306b4569f093ab0f545920e69f9384a7f355672bda7d14d1db3882f9",
+    "indoor/256/frame_00001.scene.json":
+        "90a87293aa855c4793c5a02a4eaf329f11030972fa8983133738a248faed37b4",
+}
+
+
+@pytest.mark.parametrize("res", (64, 256))
+def test_synthesis_bytes_are_pinned(tmp_path, res):
+    got = {}
+    for name in FAMILY_NAMES:
+        lidar = default_lidar(name)
+        root = tmp_path / name
+        synthesize_dataset(root, SceneFamily.preset(name), lidar, default_grid(name, res),
+                           FilterSpec(max_range=lidar.max_range), {"test": 2}, seed=0)
+        for path in sorted((root / "test").iterdir()):
+            got[f"{name}/{res}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == {k: v for k, v in SYNTH_SHA256.items() if k.split("/")[1] == str(res)}

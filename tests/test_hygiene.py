@@ -131,6 +131,34 @@ def test_synthesis_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_estimators_load_neither_numpy_ma_nor_scipy():
+    """One synthesized frame through rayq, rayc and concave (its closure test,
+    points_in_polygon, included) leaves numpy.ma and scipy out of sys.modules."""
+    code = ("import sys\n"
+            "from fovlab import classical\n"
+            "from fovlab.experiments import make_estimator\n"
+            "from fovlab.scenes import (SceneFamily, default_grid, default_lidar, generate_scene,\n"
+            "                           ground_truth_fov, simulate_lidar)\n"
+            "from fovlab.types import FilterSpec, PointCloud\n"
+            "scene, lidar = generate_scene(SceneFamily.preset('indoor'), 0), default_lidar('indoor')\n"
+            "cloud, grid = simulate_lidar(scene, lidar, 0), default_grid('indoor', 64)\n"
+            "ground_truth_fov(scene, lidar, grid)\n"
+            "calls = []\n"
+            "inside = classical.points_in_polygon\n"
+            "classical.points_in_polygon = lambda *a: calls.append(1) or inside(*a)\n"
+            "filt = FilterSpec(max_range=lidar.max_range)\n"
+            "thin = PointCloud(cloud.points[::20], cloud.pose)\n"
+            "for name, frame in (('rayq', cloud), ('rayc', cloud), ('concave', thin)):\n"
+            "    make_estimator(name, grid, filt)(frame, 0)\n"
+            "assert calls\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy'))))")
+    path = f"{PACKAGE.parent}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "[]"
+
+
 def _recorder_module():
     spec = importlib.util.spec_from_file_location("fovbench_recorder",
                                                   ROOT / "fovbench" / "recorder.py")

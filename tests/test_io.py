@@ -53,13 +53,16 @@ def test_fvpc_rejects_garbage(tmp_path):
 
 
 def test_pgm_round_trip(tmp_path):
+    """A mask and a strided view of one (FovMask keeps a bool view as given)."""
     rng = np.random.default_rng(1)
     spec = GridSpec(extent=10.0, resolution=16)
-    mask = FovMask(spec, rng.uniform(size=(16, 16)) > 0.4)
-    path = tmp_path / "m.pgm"
-    fio.save_mask_pgm(path, mask)
-    back = fio.load_mask_pgm(path, spec)
-    np.testing.assert_array_equal(back.mask, mask.mask)
+    cells = rng.uniform(size=(16, 16)) > 0.4
+    for view in (cells, cells.T, np.tile(cells, 2)[:, ::2]):
+        mask = FovMask(spec, view)
+        path = tmp_path / "m.pgm"
+        fio.save_mask_pgm(path, mask)
+        back = fio.load_mask_pgm(path, spec)
+        np.testing.assert_array_equal(back.mask, mask.mask)
 
 
 def test_pgm_header_and_values(tmp_path):

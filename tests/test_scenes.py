@@ -15,7 +15,7 @@ from fovlab.scenes import (_BATCH_PAIRS, _FAR_CUT, _MIN_RANGE, _NEAR_CUT, _WEDGE
                            point_in_convex, simulate_lidar)
 from fovlab.types import FovMask, GridSpec, PointCloud, Pose, seeded_rng
 
-from conftest import wall_quad
+from conftest import cell_centers, wall_quad
 
 # fixed examples: the property tests stay deterministic and write no example database
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -24,7 +24,7 @@ PROPERTY = dict(deadline=None, derandomize=True, database=None)
 def _ground_truth_fov_reference(scene: Scene, model: LidarModel, spec: GridSpec) -> FovMask:
     """The oracle without culling: every in-range cell against every edge."""
     origin = scene.sensor.position[:2]
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     cx = (origin[0] + X).ravel()
     cy = (origin[1] + Y).ravel()
     targets = np.column_stack([cx, cy])
@@ -260,7 +260,7 @@ def test_ground_truth_empty_scene_is_range_disk():
     model = LidarModel(n_beams=64, max_range=10.0, range_noise_sigma=0.0, dropout_prob=0.0)
     spec = GridSpec(extent=16.0, resolution=32)
     mask = ground_truth_fov(scene, model, spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     np.testing.assert_array_equal(mask.mask, np.hypot(X, Y) <= 10.0)
 
 
@@ -277,7 +277,7 @@ def test_oracle_matches_reference_wall_across_seam():
     """The wall at x = -10 spans azimuth +-pi, so its wedge wraps around."""
     scene = Scene(obstacles=[wall_quad(-10.0)], sensor=Pose.identity(), bounds=20.0)
     mask = assert_matches_reference(scene, OPEN_LIDAR, GridSpec(extent=16.0, resolution=32))
-    X, Y = GridSpec(extent=16.0, resolution=32).cell_centers()
+    X, Y = cell_centers(GridSpec(extent=16.0, resolution=32))
     assert not mask[(X < -10.5) & (np.abs(Y) < 2.0)].any()
     assert mask[(X > -9.5) & (X < -0.5) & (np.abs(Y) < 2.0)].all()
 
@@ -359,14 +359,26 @@ def test_oracle_matches_reference_unbounded_range():
 
 
 def test_oracle_matches_reference_huge_extent():
-    """Cells 31 km wide around a sensor off the origin: range keys stay small
-    and the packed (sector, key) cannot overflow."""
+    """Cells 31 km wide around a sensor off the origin: range keys stay small,
+    and so does the (sector, range key) offset table."""
     scene = translated(generate_scene(SceneFamily.preset("outdoor-dense"), 5), (3e3, -2e3))
     spec = GridSpec(extent=1e6, resolution=64)
     model = dataclasses.replace(default_lidar("outdoor-dense"), max_range=np.inf)
     assert_matches_reference(scene, model, spec)
-    cells, packed = _cells_by_sector(spec, np.inf, scene.sensor.position[:2].tobytes())[:2]
-    assert cells.size == 64 * 64 and 0 <= packed.min() and packed.max() < 2**31
+    cells, starts, offset, n_keys, _ = _cells_by_sector(spec, np.inf,
+                                                         scene.sensor.position[:2].tobytes())
+    assert cells.size == 64 * 64 and offset.shape == (starts.size - 1, n_keys + 1)
+    assert 0 <= (starts.size - 2) * n_keys + n_keys - 1 < 2**31
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_matches_reference_tiny_cells_far_wall():
+    """Cells 1e-13 wide and a wall 1e9 away: the wall's near range is some
+    1e22 cells, past int64, and cuts at the key count."""
+    wall = np.array([[1e9, -1.0], [1e9 + 1.0, -1.0], [1e9 + 1.0, 1.0], [1e9, 1.0]])
+    scene = Scene(obstacles=[wall], sensor=Pose.identity(), bounds=2e9)
+    model = LidarModel(n_beams=64, max_range=np.inf, range_noise_sigma=0.0, dropout_prob=0.0)
+    assert assert_matches_reference(scene, model, GridSpec(extent=1e-12, resolution=16)).all()
 
 
 @pytest.mark.parametrize("res", (8, 16))
@@ -389,7 +401,7 @@ def test_oracle_matches_reference_tiny_obstacle_beside_sensor():
     _, _, *geometry = _wedge_bounds(np.zeros(2), square, ends)
     assert (_cull_radii(np.zeros(2), square, ends, *geometry, 75.0)[1] < np.inf).all()
     mask = assert_matches_reference(scene, model, spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     assert not mask[(X > 1.0) & (np.abs(Y) < 0.1 * X)].any()
 
 
@@ -453,14 +465,17 @@ def test_oracle_cache_arrays_are_read_only():
     """Every later call on the grid reuses them, so none may write to them."""
     spec = GridSpec(extent=16.0, resolution=32)
     origin = np.array([1.25, -0.5])
-    cells, packed, tx, ty, starts, _, _ = _cells_by_sector(spec, OPEN_LIDAR.max_range,
-                                                           origin.tobytes())
-    assert cells.dtype == np.int32 and cells.shape == packed.shape == tx.shape == ty.shape
-    assert packed.dtype == starts.dtype == np.int64 and tx.dtype == ty.dtype == np.float64
-    X, Y = spec.cell_centers()
-    assert tx.tobytes() == (origin[0] + X.ravel()[cells]).tobytes()
-    assert ty.tobytes() == (origin[1] + Y.ravel()[cells]).tobytes()
-    for a in (cells, packed, tx, ty, starts):
+    cells, starts, offset, n_keys, _ = _cells_by_sector(spec, OPEN_LIDAR.max_range,
+                                                        origin.tobytes())
+    assert cells.dtype == np.int32 and starts.dtype == np.int64 and offset.dtype == np.uint8
+    assert offset.shape == (starts.size - 1, n_keys + 1)
+    # a cell's world centre, read from its index on the axis as the oracle does
+    X, Y = cell_centers(spec)
+    ix, iy = np.divmod(cells, spec.resolution)
+    axis = spec.cell_centers_1d()
+    assert (origin[0] + axis[ix]).tobytes() == (origin[0] + X.ravel()[cells]).tobytes()
+    assert (origin[1] + axis[iy]).tobytes() == (origin[1] + Y.ravel()[cells]).tobytes()
+    for a in (cells, starts, offset):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -489,21 +504,73 @@ def test_oracle_cache_sector_key_order(spec, max_range, origin):
     floor((azimuth + pi) S / 2pi) of S = n // 32 (1 to _BATCH_PAIRS // 4),
     the cell at azimuth pi in the last, and key floor(range / cell size),
     both from the differences the orientation tests round."""
-    cells, packed, tx, ty, starts, n_keys, rmax = _cells_by_sector(
+    cells, starts, offset, n_keys, rmax = _cells_by_sector(
         spec, max_range, np.array(origin).tobytes())
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     assert np.array_equal(np.sort(cells), np.flatnonzero(np.hypot(X, Y) <= max_range))
     n_sec = starts.size - 1
     assert n_sec == min(max(cells.size // 32, 1), _BATCH_PAIRS // 4)
-    dx, dy = tx - origin[0], ty - origin[1]
-    sector = np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi)))
-    key = np.floor(np.hypot(dx, dy) / spec.cell_size).astype(np.int64)
-    assert key.max(initial=0) < n_keys <= spec.resolution
-    assert rmax == np.hypot(dx, dy).max(initial=0.0)
-    assert np.array_equal(packed, np.minimum(sector, n_sec - 1).astype(np.int64) * n_keys + key)
+    packed, rng = _packed_keys(spec, origin, cells, n_sec, n_keys)
+    assert np.floor(rng / spec.cell_size).max(initial=0) < n_keys <= spec.resolution
+    assert rmax == rng.max(initial=0.0)
     assert (np.diff(packed) >= 0).all()
     assert np.array_equal(starts, np.searchsorted(packed, np.arange(n_sec + 1) * n_keys))
     assert starts[0] == 0 and starts[-1] == cells.size
+
+
+def _packed_keys(spec: GridSpec, origin, cells: np.ndarray, n_sec: int,
+                 n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed keys sector * n_keys + range key of `cells`, as the oracle
+    cache once stored them, from the centres of `cell_centers(spec)`; and the
+    cells' ranges."""
+    X, Y = cell_centers(spec)
+    dx = (origin[0] + X.ravel()[cells]) - origin[0]
+    dy = (origin[1] + Y.ravel()[cells]) - origin[1]
+    sector = np.floor((np.arctan2(dy, dx) + np.pi) * (n_sec / (2 * np.pi)))
+    key = np.floor(np.hypot(dx, dy) / spec.cell_size).astype(np.int64)
+    return np.minimum(sector, n_sec - 1).astype(np.int64) * n_keys + key, np.hypot(dx, dy)
+
+
+def _assert_offsets_match_search(spec: GridSpec, max_range: float, origin) -> np.ndarray:
+    """Each lookup of the offset table equals np.searchsorted over the packed
+    keys, for every sector and every cut from 0 past the key count (a cut at
+    or past it gives the sector's end, where the search runs on into the
+    next sectors); returns the sector sizes."""
+    cells, starts, offset, n_keys, _ = _cells_by_sector(spec, max_range,
+                                                         np.array(origin).tobytes())
+    n_sec = starts.size - 1
+    packed, _ = _packed_keys(spec, origin, cells, n_sec, n_keys)
+    assert offset.dtype == np.min_scalar_type(np.diff(starts).max())
+    s, cut = np.divmod(np.arange(n_sec * (n_keys + 3)), n_keys + 3)
+    search = np.searchsorted(packed, s * n_keys + cut)
+    lookup = starts[s] + offset[s, np.minimum(cut, n_keys)]
+    inside = cut <= n_keys
+    assert np.array_equal(lookup[inside], search[inside])
+    assert np.array_equal(lookup[~inside], starts[s + 1][~inside])
+    assert (search[~inside] >= lookup[~inside]).all()
+    return np.diff(starts)
+
+
+@pytest.mark.parametrize("spec, max_range, origin", [
+    (GridSpec(extent=75.0, resolution=256), 75.0, (0.0, 0.0)),
+    (GridSpec(extent=1e6, resolution=64), np.inf, (3e3, -2e3)),  # huge extent, unbounded
+    (GridSpec(extent=16.0, resolution=32), np.inf, (-0.0, -0.0)),  # signed-zero origin
+    (GridSpec(extent=16.0, resolution=32), 0.3, (0.0, 0.0)),  # no cell: one empty sector
+    (GridSpec(extent=1.0, resolution=48), 2.0, (3e16, -1e16)),  # centres rounded together
+])
+def test_oracle_cache_offsets_equal_search(spec, max_range, origin):
+    sizes = _assert_offsets_match_search(spec, max_range, origin)
+    if origin[0] == 3e16:
+        assert (sizes == 0).any()  # the rounding leaves sectors empty
+
+
+@settings(max_examples=40, **PROPERTY)
+@given(res=st.integers(8, 160), extent=st.floats(0.01, 1e5),
+       reach=st.one_of(st.floats(0.0, 2.0), st.just(np.inf)),
+       origin=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
+def test_oracle_cache_offsets_equal_search_property(res, extent, reach, origin):
+    """Random grids, ranges (as a fraction of the extent, or unbounded) and origins."""
+    _assert_offsets_match_search(GridSpec(extent=extent, resolution=res), reach * extent, origin)
 
 
 @st.composite
@@ -637,7 +704,7 @@ def test_ground_truth_cell_behind_wall_invisible():
     model = LidarModel(n_beams=64, max_range=50.0, range_noise_sigma=0.0, dropout_prob=0.0)
     spec = GridSpec(extent=16.0, resolution=32)
     mask = ground_truth_fov(scene, model, spec)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     behind = (X > 10.5) & (np.abs(Y) < 2.0)
     assert not mask.mask[behind].any()
     before = (X > 0.5) & (X < 9.5) & (np.abs(Y) < 2.0)
@@ -694,7 +761,7 @@ def test_visibility_star_shaped(sample_scene, noiseless_lidar):
     spec = GridSpec(extent=75.0, resolution=128)
     mask = ground_truth_fov(sample_scene, noiseless_lidar, spec)
     rng = np.random.default_rng(0)
-    X, Y = spec.cell_centers()
+    X, Y = cell_centers(spec)
     for _ in range(200):
         theta = rng.uniform(0, 2 * np.pi)
         d = np.array([np.cos(theta), np.sin(theta)])
